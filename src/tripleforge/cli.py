@@ -13,6 +13,7 @@ import sys
 
 from .config import ConfigError, apply_overrides, load_config
 from .pipeline import STAGES, UpstreamMissingError
+from .selection import STRATEGIES
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -25,7 +26,7 @@ def _build_parser() -> argparse.ArgumentParser:
     for name, fn in STAGES.items():
         p = sub.add_parser(name, help=(fn.__doc__ or "").strip().splitlines()[0])
         p.add_argument("--config", required=True, help="path to the key-value config file")
-        p.add_argument("--strategy", choices=["topk", "balance", "coverage", "random"])
+        p.add_argument("--strategy", choices=list(STRATEGIES))
         p.add_argument("--budget", type=int)
         p.add_argument("--seed", type=int)
         p.add_argument("--distance-source", dest="distance_source",

@@ -1,14 +1,18 @@
 """Plain-text key-value configuration for pipeline runs.
 
-Lines are ``key = value``; ``#`` starts a comment.  Path values are resolved
-relative to the config file's directory so a run can be launched from
-anywhere.  CLI flags override file values.
+Lines are ``key = value``; a ``#`` at the start of a line or after
+whitespace starts a comment, so a value such as ``http://h/v1#x`` keeps its
+``#``.  Path values are resolved relative to the config file's directory so
+a run can be launched from anywhere.  CLI flags override file values.
 """
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Optional
+
+from .selection import STRATEGIES
 
 
 class ConfigError(ValueError):
@@ -35,7 +39,7 @@ class PipelineConfig:
     embedding_model: str = ""
 
     format: str = "tableie"  # tableie | textie | codeie
-    strategy: str = "coverage"  # topk | balance | coverage | random
+    strategy: str = "coverage"  # a key of selection.STRATEGIES
     budget: int = 5
     top_u: int = 5
     seed: int = 0
@@ -53,8 +57,8 @@ class PipelineConfig:
     def __post_init__(self) -> None:
         if self.provider not in ("mock", "real"):
             raise ConfigError(f"provider must be mock or real, got {self.provider!r}")
-        if self.strategy not in ("topk", "balance", "coverage", "random"):
-            raise ConfigError(f"unknown strategy {self.strategy!r}")
+        if self.strategy not in STRATEGIES:
+            raise ConfigError(f"unknown strategy {self.strategy!r}; choose from {', '.join(STRATEGIES)}")
         if self.distance_source not in ("retriever", "direct"):
             raise ConfigError(f"distance_source must be retriever or direct, got {self.distance_source!r}")
         if self.demo_order not in ("similar-last", "similar-first"):
@@ -89,6 +93,7 @@ _FLOAT_KEYS = {"backoff_base", "learning_rate", "validation_fraction", "weight_d
 _STR_KEYS = {"provider", "model_id", "endpoint_url", "embedder", "embedding_endpoint",
              "embedding_model", "format", "strategy", "distance_source", "demo_order"}
 _ALL_KEYS = _PATH_KEYS | _INT_KEYS | _FLOAT_KEYS | _STR_KEYS
+_COMMENT = re.compile(r"(?:^|(?<=\s))#")
 
 
 def load_config(path: str | Path) -> PipelineConfig:
@@ -98,7 +103,7 @@ def load_config(path: str | Path) -> PipelineConfig:
     base = path.parent
     values: dict = {}
     for lineno, raw in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
+        line = _COMMENT.split(raw, maxsplit=1)[0].strip()
         if not line:
             continue
         if "=" not in line:

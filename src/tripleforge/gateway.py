@@ -151,6 +151,7 @@ class GatewayStats:
     provider_calls: int = 0
     cache_hits: int = 0
     retries: int = 0
+    unreadable_cache_entries: int = 0  # treated as misses and regenerated
 
 
 class LlmGateway:
@@ -196,11 +197,22 @@ class LlmGateway:
         return self.cache_dir / f"{key}.json"
 
     def _read_cache(self, key: str) -> Optional[str]:
-        path = self._cache_path(key)
-        if not path.exists():
+        """Cached text, or None on a miss.  An entry that cannot be parsed
+        (truncated JSON, no ``"text"``) is counted and treated as a miss, so
+        the completion is regenerated and the entry atomically replaced."""
+        try:
+            with self._cache_path(key).open(encoding="utf-8") as fh:
+                entry = json.load(fh)
+        except FileNotFoundError:
             return None
-        with path.open(encoding="utf-8") as fh:
-            return json.load(fh)["text"]
+        except (json.JSONDecodeError, UnicodeDecodeError):
+            entry = None
+        text = entry.get("text") if isinstance(entry, dict) else None
+        if not isinstance(text, str):
+            with self._lock:
+                self.stats.unreadable_cache_entries += 1
+            return None
+        return text
 
     def _write_cache(self, key: str, request: LlmRequest, text: str) -> None:
         entry = {

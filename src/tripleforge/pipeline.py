@@ -8,19 +8,19 @@ from __future__ import annotations
 
 import datetime as _dt
 import hashlib
+import inspect
 import json
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
 
-import numpy as np
-
 from .config import PipelineConfig
 from .core import (
     AnnotationOracle,
     Dataset,
     Sample,
+    Schema,
     TripleSet,
     load_dataset,
     verbalize_triple,
@@ -42,6 +42,8 @@ from .retriever import (
     train_retriever,
 )
 from .selection import (
+    STRATEGIES,
+    SelectionResult,
     order_demonstrations,
     select_balance,
     select_coverage,
@@ -55,7 +57,8 @@ from .similarity import (
     PoolDistanceMatrix,
     embed_triple_sets,
     pool_distances,
-    set_distance,
+    set_distance,  # noqa: F401  (kept importable as pipeline.set_distance)
+    set_distances,
 )
 
 MANIFEST = "manifest.json"
@@ -167,11 +170,12 @@ def _complete_all(cfg: PipelineConfig, gateway: LlmGateway,
         return list(pool.map(one, prompts))
 
 
-def _preextract_samples(cfg: PipelineConfig, gateway: LlmGateway,
-                        samples: list[Sample]) -> tuple[dict, list[str]]:
-    """Zero-shot extraction over samples; returns (per-sample records,
-    excluded ids).  Always tabular: the other grammars give the model no
-    structural signal without demonstrations."""
+def _preextraction(cfg: PipelineConfig, gateway: LlmGateway,
+                   samples: list[Sample], split: str) -> dict:
+    """Zero-shot extraction over samples, as a preextraction artifact with
+    per-sample records and the ids that yielded no triple.  Always tabular:
+    the other grammars give the model no structural signal without
+    demonstrations."""
     records: dict[str, dict] = {}
     excluded: list[str] = []
     texts = _complete_all(cfg, gateway, [render_zero_shot(s) for s in samples])
@@ -185,7 +189,15 @@ def _preextract_samples(cfg: PipelineConfig, gateway: LlmGateway,
         }
         if len(parsed.triples) == 0:
             excluded.append(sample.id)
-    return records, excluded
+    return {
+        "kind": "preextraction",
+        "split": split,
+        "provider": gateway.provider.name,
+        "model_id": cfg.model_id,
+        "order": [s.id for s in samples],
+        "samples": records,
+        "excluded": excluded,
+    }
 
 
 def stage_preextract(cfg: PipelineConfig) -> StageOutcome:
@@ -193,16 +205,7 @@ def stage_preextract(cfg: PipelineConfig) -> StageOutcome:
     pool = load_dataset(cfg.pool_path, "train")
     test = load_dataset(cfg.test_path, "test")
     gateway = build_gateway(cfg, [pool, test])
-    records, excluded = _preextract_samples(cfg, gateway, pool.samples)
-    artifact = {
-        "kind": "preextraction",
-        "split": "pool",
-        "provider": gateway.provider.name,
-        "model_id": cfg.model_id,
-        "order": [s.id for s in pool.samples],
-        "samples": records,
-        "excluded": excluded,
-    }
+    artifact = _preextraction(cfg, gateway, pool.samples, "pool")
     path = cfg.run_dir / PREEXTRACT
     _write_json(path, artifact)
     outcome = StageOutcome(
@@ -210,7 +213,7 @@ def stage_preextract(cfg: PipelineConfig) -> StageOutcome:
         artifacts={PREEXTRACT: path},
         info={
             "pool_size": len(pool.samples),
-            "excluded": len(excluded),
+            "excluded": len(artifact["excluded"]),
             "llm_calls": gateway.stats.provider_calls,
             "cache_hits": gateway.stats.cache_hits,
         },
@@ -219,9 +222,8 @@ def stage_preextract(cfg: PipelineConfig) -> StageOutcome:
     return outcome
 
 
-def _load_preextraction(path: Path) -> tuple[dict[str, list[str]], list[str]]:
+def _verbalizations(artifact: dict) -> tuple[dict[str, list[str]], list[str]]:
     """Verbalizations by included sample id (artifact order) plus excluded ids."""
-    artifact = _read_json(path)
     excluded = set(artifact["excluded"])
     verbal = {
         sid: artifact["samples"][sid]["verbalizations"]
@@ -234,7 +236,7 @@ def _load_preextraction(path: Path) -> tuple[dict[str, list[str]], list[str]]:
 def stage_distances(cfg: PipelineConfig) -> StageOutcome:
     """Pairwise triple-set distances over the pre-extracted pool."""
     pre_path = _require(cfg.run_dir / PREEXTRACT, "preextract")
-    verbal, excluded = _load_preextraction(pre_path)
+    verbal, excluded = _verbalizations(_read_json(pre_path))
     if len(verbal) < 1:
         raise RuntimeError("no pool samples with pre-extracted triples")
     embedder = build_embedder(cfg)
@@ -293,7 +295,7 @@ def _pairwise_from_retriever(cfg: PipelineConfig, pool: Dataset,
     model = load_checkpoint(ckpt, embedder)
     pre_path = cfg.run_dir / PREEXTRACT
     if pre_path.exists():
-        verbal, excluded = _load_preextraction(pre_path)
+        verbal, excluded = _verbalizations(_read_json(pre_path))
         included = set(verbal)
         pool_samples = [s for s in pool.samples if s.id in included]
     else:
@@ -309,46 +311,43 @@ def _pairwise_direct(cfg: PipelineConfig, pool: Dataset,
     """Pre-extract the test samples too and take triple-set distances
     straight into the pool-to-test matrix; no retriever involved."""
     pre_path = _require(cfg.run_dir / PREEXTRACT, "preextract")
-    pool_verbal, excluded_pool = _load_preextraction(pre_path)
+    pool_verbal, excluded_pool = _verbalizations(_read_json(pre_path))
 
     gateway = build_gateway(cfg, [pool, test])
-    records, excluded_test = _preextract_samples(cfg, gateway, test.samples)
-    test_artifact = {
-        "kind": "preextraction",
-        "split": "test",
-        "provider": gateway.provider.name,
-        "model_id": cfg.model_id,
-        "order": [s.id for s in test.samples],
-        "samples": records,
-        "excluded": excluded_test,
-    }
+    test_artifact = _preextraction(cfg, gateway, test.samples, "test")
     _write_json(cfg.run_dir / PREEXTRACT_TEST, test_artifact)
-
-    test_verbal = {
-        s.id: records[s.id]["verbalizations"]
-        for s in test.samples
-        if s.id not in set(excluded_test)
-    }
+    test_verbal, _ = _verbalizations(test_artifact)
     if not pool_verbal or not test_verbal:
         raise RuntimeError("direct distance mode needs non-empty pre-extractions on both sides")
     embedder = build_embedder(cfg)
     pool_embedded = embed_triple_sets(pool_verbal, embedder)
     test_embedded = embed_triple_sets(test_verbal, embedder)
-    pool_ids = list(pool_embedded)
-    test_ids = list(test_embedded)
-    entries = np.zeros((len(pool_ids), len(test_ids)), dtype=np.float64)
-    for i, pid in enumerate(pool_ids):
-        for j, tid in enumerate(test_ids):
-            entries[i, j] = set_distance(pool_embedded[pid], test_embedded[tid])
-    P = PairwiseDistanceSet(tuple(pool_ids), tuple(test_ids), entries,
+    entries = set_distances(list(pool_embedded.values()), list(test_embedded.values()))
+    P = PairwiseDistanceSet(tuple(pool_embedded), tuple(test_embedded), entries,
                             provider=f"direct/{embedder.name}")
     info = {
         "excluded_pool": excluded_pool,
-        "excluded_test": excluded_test,
+        "excluded_test": test_artifact["excluded"],
         "llm_calls": gateway.stats.provider_calls,
         "cache_hits": gateway.stats.cache_hits,
     }
     return P, info
+
+
+def _select(cfg: PipelineConfig, P: PairwiseDistanceSet, schema: Optional[Schema],
+            oracle: AnnotationOracle) -> SelectionResult:
+    """Run the configured strategy, passing it the settings it takes by
+    parameter name.  The function is looked up in this module's namespace
+    rather than called from ``STRATEGIES``, so a wrapper installed on
+    ``pipeline.select_<name>`` sees the call."""
+    select = globals()[STRATEGIES[cfg.strategy].__name__]
+    settings = {"P": P, "pool_ids": P.unlabeled_ids, "B": cfg.budget, "u": cfg.top_u,
+                "seed": cfg.seed, "schema": schema, "oracle": oracle}
+    params = inspect.signature(select).parameters
+    if "schema" in params and schema is None:
+        raise RuntimeError(f"{cfg.strategy} strategy needs a schema; "
+                           "the pool file carries no labels")
+    return select(**{name: settings[name] for name in params})
 
 
 def stage_select(cfg: PipelineConfig) -> StageOutcome:
@@ -364,16 +363,7 @@ def stage_select(cfg: PipelineConfig) -> StageOutcome:
     P.save(pairwise_path)
 
     oracle = AnnotationOracle(pool.gold)
-    if cfg.strategy == "topk":
-        result = select_top_k(P, u=cfg.top_u, B=cfg.budget)
-    elif cfg.strategy == "balance":
-        if pool.schema is None:
-            raise RuntimeError("balance strategy needs a schema; the pool file carries no labels")
-        result = select_balance(P, pool.schema, cfg.budget, oracle, u=cfg.top_u)
-    elif cfg.strategy == "coverage":
-        result = select_coverage(P, cfg.budget)
-    else:
-        result = select_random(P.unlabeled_ids, cfg.budget, cfg.seed)
+    result = _select(cfg, P, pool.schema, oracle)
 
     annotations = {sid: oracle.annotate(sid).triples.to_list() for sid in result.chosen}
     artifact = result.to_json_dict()

@@ -324,12 +324,16 @@ def compute_P(model: RetrieverModel, pool_samples: Sequence[Sample],
         raise ValueError("both pool and test sets must be non-empty")
     pool = model.encode_samples(pool_samples)
     test = model.encode_samples(test_samples)
-    # cell-by-cell 1-D norms: bitwise identical to the defining single-pair
-    # distance, unlike a broadcast axis reduction whose summation order differs
+    # One pool row at a time, so the temporary is (M, d), never (N, M, d).
+    # Each cell must keep the bits of the defining single-pair distance, the
+    # 1-D ``np.linalg.norm(pool[i] - test[j])``, which squares and sums with
+    # BLAS ddot.  ``np.vecdot`` reduces each row with the same ddot, so it
+    # matches; ``einsum`` and ``(diff * diff).sum(-1)`` add in another order
+    # and are off by up to 6.7e-16.
     entries = np.empty((len(pool_samples), len(test_samples)), dtype=np.float64)
-    for i in range(entries.shape[0]):
-        for j in range(entries.shape[1]):
-            entries[i, j] = np.linalg.norm(pool[i] - test[j])
+    for i, row in enumerate(pool):
+        diff = row - test
+        entries[i] = np.sqrt(np.vecdot(diff, diff))
     return PairwiseDistanceSet(
         unlabeled_ids=tuple(s.id for s in pool_samples),
         test_ids=tuple(s.id for s in test_samples),

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import Mapping, Optional, Sequence
+from typing import Callable, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -70,19 +70,25 @@ class SelectionResult:
         return out
 
 
+def _id_ranks(ids: Sequence[str]) -> np.ndarray:
+    """Position of each id in ascending id order (equal ids by row)."""
+    ranks = np.empty(len(ids), dtype=np.int64)
+    ranks[sorted(range(len(ids)), key=ids.__getitem__)] = np.arange(len(ids))
+    return ranks
+
+
 def _ranked_pool(P: PairwiseDistanceSet, u: int) -> tuple[list[int], np.ndarray, int]:
     """Global pool order: frequency among per-test u-nearest lists (desc),
     then total distance to the test set (asc), then id (asc)."""
     entries = P.entries
-    n, m = entries.shape
-    freq = np.zeros(n, dtype=np.int64)
-    for j in range(m):
-        nearest = sorted(range(n), key=lambda i: (entries[i, j], i))[:u]
-        freq[nearest] += 1
+    # a stable sort breaks distance ties within a test column by row
+    nearest = np.argsort(entries, axis=0, kind="stable")[:u]
+    freq = np.bincount(nearest.ravel(), minlength=P.n)
     totals = entries.sum(axis=1)
-    ranked = sorted(range(n), key=lambda i: (-freq[i], totals[i], P.unlabeled_ids[i]))
-    ties = sum(1 for a, b in zip(ranked, ranked[1:]) if freq[a] == freq[b])
-    return ranked, freq, ties
+    ranked = np.lexsort((_id_ranks(P.unlabeled_ids), totals, -freq))
+    ranked_freq = freq[ranked]
+    ties = int(np.count_nonzero(ranked_freq[1:] == ranked_freq[:-1]))
+    return ranked.tolist(), freq, ties
 
 
 def select_top_k(P: PairwiseDistanceSet, u: int, B: int) -> SelectionResult:
@@ -140,14 +146,17 @@ def select_balance(P: PairwiseDistanceSet, schema: Schema, B: int,
     )
 
     chosen = list(accepted)
+    chosen_set, checked_set = set(chosen), set(checked)
     for sid in ranked_ids:
         if len(chosen) >= min(B, P.n):
             break
-        if sid not in chosen:
+        if sid not in chosen_set:
             oracle.check(sid)
-            if sid not in checked:
+            if sid not in checked_set:
                 checked.append(sid)
+                checked_set.add(sid)
             chosen.append(sid)
+            chosen_set.add(sid)
 
     return SelectionResult(
         strategy="balance", budget=B, chosen=tuple(chosen),
@@ -161,41 +170,42 @@ def select_coverage(P: PairwiseDistanceSet, B: int) -> SelectionResult:
     """Greedy coverage: each round scores every live pool row by the sum of
     its ceil(M/B) smallest distances to still-live test columns, picks the
     minimizer, and discards that row plus the test columns it covered.  Stops
-    early once every test column is covered."""
+    early once every test column is covered.
+
+    A row's score adds its smallest distances in ascending order, left to
+    right; ties in score go to the lower id.  A round counts as a tie-break
+    hit when, in row order, some live row's score equals the lowest score of
+    the rows before it."""
     if B < 1:
         raise ValueError("B must be >= 1")
     entries = P.entries
-    n, m = P.n, P.m
-    block = math.ceil(m / B)  # frozen at loop start
-    live_rows = set(range(n))
-    live_cols = set(range(m))
+    block = math.ceil(P.m / B)  # frozen at loop start
+    id_ranks = _id_ranks(P.unlabeled_ids)
+    live_rows = np.ones(P.n, dtype=bool)
+    live_cols = np.ones(P.m, dtype=bool)
     chosen: list[str] = []
     covered: dict[str, tuple[str, ...]] = {}
     ties = 0
 
     for _ in range(B):
-        if not live_cols or not live_rows:
+        rows, cols = np.flatnonzero(live_rows), np.flatnonzero(live_cols)
+        if not rows.size or not cols.size:
             break
-        best_key = None
-        best_row = -1
-        best_cols: list[int] = []
-        tie_seen = False
-        for i in sorted(live_rows):
-            cols = sorted(live_cols, key=lambda j: (entries[i, j], j))[:block]
-            total = float(sum(entries[i, j] for j in cols))
-            key = (total, P.unlabeled_ids[i])
-            if best_key is None or key < best_key:
-                tie_seen = tie_seen or (best_key is not None and key[0] == best_key[0])
-                best_key, best_row, best_cols = key, i, cols
-            elif key[0] == best_key[0]:
-                tie_seen = True
-        if tie_seen:
+        live = entries[np.ix_(rows, cols)]
+        k = min(block, cols.size)
+        smallest = np.sort(np.partition(live, k - 1, axis=1)[:, :k], axis=1)
+        totals = np.zeros(rows.size, dtype=np.float64)
+        for slot in range(k):
+            totals += smallest[:, slot]
+        if np.any(totals[1:] == np.minimum.accumulate(totals)[:-1]):
             ties += 1
-        sid = P.unlabeled_ids[best_row]
+        best = np.lexsort((id_ranks[rows], totals))[0]
+        best_cols = cols[np.argsort(live[best], kind="stable")[:k]]
+        sid = P.unlabeled_ids[rows[best]]
         chosen.append(sid)
         covered[sid] = tuple(P.test_ids[j] for j in best_cols)
-        live_rows.discard(best_row)
-        live_cols.difference_update(best_cols)
+        live_rows[rows[best]] = False
+        live_cols[best_cols] = False
 
     return SelectionResult(
         strategy="coverage", budget=B, chosen=tuple(chosen),
@@ -213,6 +223,16 @@ def select_random(pool_ids: Sequence[str], B: int, seed: int) -> SelectionResult
     chosen = tuple(random.Random(seed).sample(list(pool_ids), B))
     return SelectionResult(strategy="random", budget=B, chosen=chosen,
                            checked_ids=chosen, seed=seed)
+
+
+# Every strategy by name.  The config, the CLI choices and the select stage
+# read the names from here.
+STRATEGIES: dict[str, Callable[..., SelectionResult]] = {
+    "topk": select_top_k,
+    "balance": select_balance,
+    "coverage": select_coverage,
+    "random": select_random,
+}
 
 
 def order_demonstrations(chosen: Sequence[str], P: PairwiseDistanceSet,

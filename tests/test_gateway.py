@@ -212,3 +212,30 @@ class TestHttpChatProvider:
         provider = HttpChatProvider("https://x.test", api_key="k", post=post)
         with pytest.raises(TransientProviderError, match="connection failure"):
             provider.generate(request())
+
+
+class TestUnreadableCacheEntry:
+    @pytest.mark.parametrize("damage", ["truncate", "no_text"])
+    def test_unreadable_entry_is_a_miss_and_is_rewritten(self, tmp_path, damage):
+        req = request()
+        first = LlmGateway(CountingProvider("answer"), tmp_path / "cache")
+        first.complete(req)
+        path = tmp_path / "cache" / f"{first.cache_key(req)}.json"
+        whole = path.read_text(encoding="utf-8")
+        if damage == "truncate":
+            path.write_text(whole[: len(whole) // 2], encoding="utf-8")
+        else:
+            path.write_text(json.dumps({"provider": "counting"}), encoding="utf-8")
+
+        provider = CountingProvider("answer")
+        gw = LlmGateway(provider, tmp_path / "cache")
+        response = gw.complete(req)
+        assert response.text == "answer" and not response.from_cache
+        assert provider.calls == 1
+        assert gw.stats.unreadable_cache_entries == 1 and gw.stats.cache_hits == 0
+        assert json.loads(path.read_text(encoding="utf-8"))["text"] == "answer"
+        assert sorted(p.name for p in path.parent.iterdir()) == [path.name]
+
+        again = LlmGateway(CountingProvider("unused"), tmp_path / "cache")
+        assert again.complete(req).from_cache
+        assert again.stats.unreadable_cache_entries == 0

@@ -1,0 +1,282 @@
+"""The array kernels against the loop versions they replaced.
+
+The ``reference_*`` functions below are the loop implementations of
+``pool_distances``, ``compute_P``, ``_ranked_pool`` and ``select_coverage``
+as they were before the array kernels, kept verbatim (only renamed) as
+oracles.  The kernels must agree with them bit for bit: equal float entries,
+and equal chosen ids, covered tests, tie-break counts and checked ids.
+Matrices are built from a few distinct values with duplicated rows and
+columns, so that distance and score ties are common.
+"""
+import math
+
+import numpy as np
+from hypothesis import given, settings, strategies as st
+
+from tripleforge.core import Sample
+from tripleforge.retriever import PairwiseDistanceSet, RetrieverModel, compute_P
+from tripleforge.selection import SelectionResult, _ranked_pool, select_coverage
+from tripleforge.similarity import (
+    HashingEmbedder,
+    PoolDistanceMatrix,
+    embed_triple_sets,
+    pool_distances,
+    set_distance,
+    set_distances,
+)
+
+
+# --- oracles: the loop versions -------------------------------------------------
+
+def reference_set_distance(zi, zj) -> float:
+    a = np.atleast_2d(np.asarray(zi, dtype=np.float64))
+    b = np.atleast_2d(np.asarray(zj, dtype=np.float64))
+    if a.size == 0 or b.size == 0:
+        raise ValueError("set distance undefined for empty triple set")
+    if a.shape[1] != b.shape[1]:
+        raise ValueError(f"embedding dim mismatch: {a.shape[1]} vs {b.shape[1]}")
+    pairwise = np.linalg.norm(a[:, None, :] - b[None, :, :], axis=-1)
+    return float(pairwise.min(axis=1).mean() + pairwise.min(axis=0).mean())
+
+
+def reference_pool_distances(preextracted, provider, memoize=True) -> PoolDistanceMatrix:
+    """All-pairs set distances over the pool, in the mapping's id order."""
+    embedded = embed_triple_sets(preextracted, provider, memoize=memoize)
+    ids = list(embedded.keys())
+    n = len(ids)
+    entries = np.zeros((n, n), dtype=np.float64)
+    for i in range(n):
+        for j in range(i + 1, n):
+            d = reference_set_distance(embedded[ids[i]], embedded[ids[j]])
+            entries[i, j] = d
+            entries[j, i] = d
+    return PoolDistanceMatrix(sample_ids=tuple(ids), entries=entries,
+                              provider=provider.name, dim=provider.dim)
+
+
+def reference_compute_P(model, pool_samples, test_samples) -> PairwiseDistanceSet:
+    """Project every sample once and take all pool-to-test L2 distances."""
+    if not pool_samples or not test_samples:
+        raise ValueError("both pool and test sets must be non-empty")
+    pool = model.encode_samples(pool_samples)
+    test = model.encode_samples(test_samples)
+    # cell-by-cell 1-D norms: bitwise identical to the defining single-pair
+    # distance, unlike a broadcast axis reduction whose summation order differs
+    entries = np.empty((len(pool_samples), len(test_samples)), dtype=np.float64)
+    for i in range(entries.shape[0]):
+        for j in range(entries.shape[1]):
+            entries[i, j] = np.linalg.norm(pool[i] - test[j])
+    return PairwiseDistanceSet(
+        unlabeled_ids=tuple(s.id for s in pool_samples),
+        test_ids=tuple(s.id for s in test_samples),
+        entries=entries,
+        provider=f"retriever/{model.base.name}",
+    )
+
+
+def reference_ranked_pool(P, u):
+    """Global pool order: frequency among per-test u-nearest lists (desc),
+    then total distance to the test set (asc), then id (asc)."""
+    entries = P.entries
+    n, m = entries.shape
+    freq = np.zeros(n, dtype=np.int64)
+    for j in range(m):
+        nearest = sorted(range(n), key=lambda i: (entries[i, j], i))[:u]
+        freq[nearest] += 1
+    totals = entries.sum(axis=1)
+    ranked = sorted(range(n), key=lambda i: (-freq[i], totals[i], P.unlabeled_ids[i]))
+    ties = sum(1 for a, b in zip(ranked, ranked[1:]) if freq[a] == freq[b])
+    return ranked, freq, ties
+
+
+def reference_select_coverage(P, B) -> SelectionResult:
+    """Greedy coverage: each round scores every live pool row by the sum of
+    its ceil(M/B) smallest distances to still-live test columns, picks the
+    minimizer, and discards that row plus the test columns it covered.  Stops
+    early once every test column is covered."""
+    if B < 1:
+        raise ValueError("B must be >= 1")
+    entries = P.entries
+    n, m = P.n, P.m
+    block = math.ceil(m / B)  # frozen at loop start
+    live_rows = set(range(n))
+    live_cols = set(range(m))
+    chosen: list[str] = []
+    covered: dict[str, tuple[str, ...]] = {}
+    ties = 0
+
+    for _ in range(B):
+        if not live_cols or not live_rows:
+            break
+        best_key = None
+        best_row = -1
+        best_cols: list[int] = []
+        tie_seen = False
+        for i in sorted(live_rows):
+            cols = sorted(live_cols, key=lambda j: (entries[i, j], j))[:block]
+            total = float(sum(entries[i, j] for j in cols))
+            key = (total, P.unlabeled_ids[i])
+            if best_key is None or key < best_key:
+                tie_seen = tie_seen or (best_key is not None and key[0] == best_key[0])
+                best_key, best_row, best_cols = key, i, cols
+            elif key[0] == best_key[0]:
+                tie_seen = True
+        if tie_seen:
+            ties += 1
+        sid = P.unlabeled_ids[best_row]
+        chosen.append(sid)
+        covered[sid] = tuple(P.test_ids[j] for j in best_cols)
+        live_rows.discard(best_row)
+        live_cols.difference_update(best_cols)
+
+    return SelectionResult(
+        strategy="coverage", budget=B, chosen=tuple(chosen),
+        checked_ids=tuple(chosen), tie_break_hits=ties,
+        covered_tests=covered,
+    )
+
+
+# --- inputs with forced ties ----------------------------------------------------
+
+@st.composite
+def tied_matrices(draw, max_rows=8, max_cols=10):
+    """(n, m) non-negative matrix over a few distinct values, inexact in binary
+    so that summation order shows, with some rows and columns duplicated."""
+    n = draw(st.integers(1, max_rows))
+    m = draw(st.integers(1, max_cols))
+    levels = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).random(4) * 3.0
+    codes = np.array(draw(st.lists(st.integers(0, 3), min_size=n * m, max_size=n * m)))
+    entries = levels[codes].reshape(n, m)
+    for _ in range(draw(st.integers(0, 2))):
+        entries[draw(st.integers(0, n - 1))] = entries[draw(st.integers(0, n - 1))]
+    for _ in range(draw(st.integers(0, 2))):
+        entries[:, draw(st.integers(0, m - 1))] = entries[:, draw(st.integers(0, m - 1))]
+    return entries
+
+
+@st.composite
+def distance_sets(draw):
+    entries = draw(tied_matrices())
+    n, m = entries.shape
+    # ids out of row order, so the id tie-break differs from the row tie-break
+    pool_ids = draw(st.permutations([f"p{i:02d}" for i in range(n)]))
+    return PairwiseDistanceSet(tuple(pool_ids), tuple(f"t{j}" for j in range(m)), entries)
+
+
+@st.composite
+def embedding_sets(draw, dim):
+    """Embedding sets built from a few rows of small integers and inexact
+    floats; sets repeat rows and whole sets repeat, so minima tie."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rows = np.vstack([rng.integers(-2, 3, size=(3, dim)), rng.normal(size=(3, dim))])
+    sizes = draw(st.lists(st.integers(1, 10), min_size=1, max_size=6))
+    sets = [rows[draw(st.lists(st.integers(0, 5), min_size=k, max_size=k))] for k in sizes]
+    return sets + sets[:draw(st.integers(0, 2))]
+
+
+# --- similarity -------------------------------------------------------------------
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), dim=st.integers(1, 20))
+def test_set_distances_match_the_pairwise_loop(data, dim):
+    A = data.draw(embedding_sets(dim))
+    B = data.draw(embedding_sets(dim))
+    expected = np.array([[reference_set_distance(a, b) for b in B] for a in A])
+    assert np.array_equal(set_distances(A, B), expected)
+    assert set_distance(A[0], B[-1]) == expected[0, -1]
+
+
+VOCAB = ["ann", "bob", "works", "for", "acme", "lives", "in", "paris", "kill", "org"]
+
+
+@settings(max_examples=30, deadline=None)
+@given(texts=st.lists(
+    st.lists(st.lists(st.sampled_from(VOCAB), min_size=1, max_size=4).map(" ".join),
+             min_size=1, max_size=9),
+    min_size=1, max_size=40))
+def test_pool_distances_match_the_loop_version(texts):
+    preextracted = {f"s{i}": verbal for i, verbal in enumerate(texts)}
+    provider = HashingEmbedder(dim=16)
+    got = pool_distances(preextracted, provider)
+    want = reference_pool_distances(preextracted, provider)
+    assert got.sample_ids == want.sample_ids
+    assert np.array_equal(got.entries, want.entries)
+
+
+def test_pool_distance_cells_equal_set_distance_bitwise():
+    rng = np.random.default_rng(7)
+    words = VOCAB + ["x", "y", "z"]
+    preextracted = {
+        f"s{i}": [" ".join(rng.choice(words, 3)) for _ in range(int(rng.integers(1, 12)))]
+        for i in range(70)  # more than one band of the upper triangle
+    }
+    provider = HashingEmbedder(dim=64)
+    matrix = pool_distances(preextracted, provider)
+    embedded = embed_triple_sets(preextracted, provider)
+    sets = [embedded[sid] for sid in matrix.sample_ids]
+    for i in range(matrix.n):
+        for j in range(matrix.n):
+            expected = 0.0 if i == j else set_distance(sets[i], sets[j])
+            assert matrix.entries[i, j] == expected
+
+
+# --- retriever --------------------------------------------------------------------
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1),
+       pool_words=st.lists(st.sampled_from(VOCAB), min_size=1, max_size=12),
+       test_words=st.lists(st.sampled_from(VOCAB), min_size=1, max_size=12))
+def test_compute_P_matches_the_cell_by_cell_norms(seed, pool_words, test_words):
+    base = HashingEmbedder(dim=32)
+    rng = np.random.default_rng(seed)
+    model = RetrieverModel(base=base, weights=np.eye(32) + 0.3 * rng.normal(size=(32, 32)),
+                           bias=rng.normal(size=32))
+    # one- and two-word sentences repeat, so whole rows and columns repeat
+    pool = [Sample(f"p{i}", " ".join(pool_words[i:i + 2])) for i in range(len(pool_words))]
+    test = [Sample(f"t{j}", " ".join(test_words[j:j + 2])) for j in range(len(test_words))]
+    got = compute_P(model, pool, test)
+    want = reference_compute_P(model, pool, test)
+    assert (got.unlabeled_ids, got.test_ids, got.provider) == (
+        want.unlabeled_ids, want.test_ids, want.provider)
+    assert np.array_equal(got.entries, want.entries)
+
+
+# --- selection --------------------------------------------------------------------
+
+@settings(max_examples=150, deadline=None)
+@given(P=distance_sets(), u=st.integers(1, 10))
+def test_ranked_pool_matches_the_sorted_loop(P, u):
+    ranked, freq, ties = _ranked_pool(P, u)
+    want_ranked, want_freq, want_ties = reference_ranked_pool(P, u)
+    assert ranked == want_ranked
+    assert np.array_equal(freq, want_freq)
+    assert ties == want_ties and type(ties) is int
+
+
+@settings(max_examples=150, deadline=None)
+@given(P=distance_sets(), B=st.integers(1, 12))
+def test_select_coverage_matches_the_greedy_loop(P, B):
+    got = select_coverage(P, B)
+    want = reference_select_coverage(P, B)
+    assert got.chosen == want.chosen
+    assert got.covered_tests == want.covered_tests
+    assert got.tie_break_hits == want.tie_break_hits
+    assert got.checked_ids == want.checked_ids
+    assert got.to_json_dict() == want.to_json_dict()
+
+
+def test_select_coverage_counts_ties_on_an_all_equal_matrix():
+    P = PairwiseDistanceSet(("b", "a", "c"), ("x", "y", "z"), np.ones((3, 3)))
+    got, want = select_coverage(P, 2), reference_select_coverage(P, 2)
+    assert got == want
+    assert got.chosen == ("a", "b") and got.tie_break_hits == 2
+
+
+def test_select_coverage_sums_scores_left_to_right():
+    # Added left to right, row "z" scores 1.4 and row "a" 1.4000000000000001;
+    # numpy's pairwise sum gives both 1.4 and would hand the pick to "a".
+    entries = np.array([[0.1] * 7 + [0.7], [0.1] * 5 + [0.3] * 3])
+    P = PairwiseDistanceSet(("z", "a"), tuple(f"t{j}" for j in range(8)), entries)
+    got, want = select_coverage(P, 1), reference_select_coverage(P, 1)
+    assert got == want
+    assert got.chosen == ("z",) and got.tie_break_hits == 0

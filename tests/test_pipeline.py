@@ -207,6 +207,28 @@ class TestConfig:
         assert cfg.effective_cache_dir == Path("/tmp/r/cache")
 
 
+class TestConfigComments:
+    def write(self, tmp_path, body):
+        path = tmp_path / "run.cfg"
+        path.write_text(body, encoding="utf-8")
+        return path
+
+    def test_hash_inside_a_value_is_kept(self, tmp_path):
+        path = self.write(tmp_path, "endpoint_url = http://h/v1#x\nmodel_id = m#2\n")
+        cfg = load_config(path)
+        assert cfg.endpoint_url == "http://h/v1#x" and cfg.model_id == "m#2"
+
+    def test_hash_after_whitespace_starts_a_comment(self, tmp_path):
+        path = self.write(tmp_path, (
+            "endpoint_url = http://h/v1#x # note\n"
+            "budget = 7\t# tab before the hash\n"
+            "#strategy = topk\n"
+        ))
+        cfg = load_config(path)
+        assert cfg.endpoint_url == "http://h/v1#x" and cfg.budget == 7
+        assert cfg.strategy == "coverage"
+
+
 class TestCli:
     def write_config(self, tmp_path):
         path = tmp_path / "run.cfg"
