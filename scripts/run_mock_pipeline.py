@@ -16,7 +16,6 @@ from tripleforge.config import PipelineConfig
 from tripleforge.pipeline import STAGES
 
 ROOT = Path(__file__).resolve().parent.parent
-STAGE_ORDER = ("preextract", "distances", "train", "select", "run", "eval", "cost")
 
 
 def run_combo(workdir: Path, name: str, **overrides) -> dict:
@@ -29,8 +28,8 @@ def run_combo(workdir: Path, name: str, **overrides) -> dict:
         learning_rate=1e-3,
         **overrides,
     )
-    for stage in STAGE_ORDER:
-        STAGES[stage](cfg)
+    for stage in STAGES.values():
+        stage(cfg)
     eval_report = json.loads((cfg.run_dir / "eval_report.json").read_text())
     cost_report = json.loads((cfg.run_dir / "cost_report.json").read_text())
     selection = json.loads((cfg.run_dir / "selection.json").read_text())

@@ -44,7 +44,6 @@ from .similarity import (
     PoolDistanceMatrix,
     pool_distances,
     set_distance,
-    triple_distance,
 )
 
 __version__ = "0.1.0"

@@ -13,6 +13,7 @@ import sys
 
 from .config import ConfigError, apply_overrides, load_config
 from .pipeline import STAGES, UpstreamMissingError
+from .prompting import PromptFormat
 from .selection import STRATEGIES
 
 
@@ -31,7 +32,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int)
         p.add_argument("--distance-source", dest="distance_source",
                        choices=["retriever", "direct"])
-        p.add_argument("--format", choices=["tableie", "textie", "codeie"])
+        p.add_argument("--format", choices=[f.value for f in PromptFormat])
         p.add_argument("--provider", choices=["real", "mock"])
     return parser
 

@@ -8,10 +8,11 @@ a run can be launched from anywhere.  CLI flags override file values.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import Optional
+from typing import Optional, get_type_hints
 
+from .prompting import PromptFormat
 from .selection import STRATEGIES
 
 
@@ -57,6 +58,12 @@ class PipelineConfig:
     def __post_init__(self) -> None:
         if self.provider not in ("mock", "real"):
             raise ConfigError(f"provider must be mock or real, got {self.provider!r}")
+        if self.embedder not in ("hash", "http"):
+            raise ConfigError(f"embedder must be hash or http, got {self.embedder!r}")
+        try:
+            PromptFormat.parse(self.format)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
         if self.strategy not in STRATEGIES:
             raise ConfigError(f"unknown strategy {self.strategy!r}; choose from {', '.join(STRATEGIES)}")
         if self.distance_source not in ("retriever", "direct"):
@@ -86,13 +93,7 @@ class PipelineConfig:
         return out
 
 
-_PATH_KEYS = {"pool_path", "test_path", "run_dir", "cache_dir", "checkpoint_path"}
-_INT_KEYS = {"retry_attempts", "concurrency", "embedding_dim", "budget", "top_u",
-             "seed", "epochs", "batch_size", "max_pairs"}
-_FLOAT_KEYS = {"backoff_base", "learning_rate", "validation_fraction", "weight_decay"}
-_STR_KEYS = {"provider", "model_id", "endpoint_url", "embedder", "embedding_endpoint",
-             "embedding_model", "format", "strategy", "distance_source", "demo_order"}
-_ALL_KEYS = _PATH_KEYS | _INT_KEYS | _FLOAT_KEYS | _STR_KEYS
+_KEY_TYPES = get_type_hints(PipelineConfig)
 _COMMENT = re.compile(r"(?:^|(?<=\s))#")
 
 
@@ -111,17 +112,14 @@ def load_config(path: str | Path) -> PipelineConfig:
         key, _, value = line.partition("=")
         key = key.strip()
         value = value.strip()
-        if key not in _ALL_KEYS:
+        kind = _KEY_TYPES.get(key)
+        if kind is None:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
         try:
-            if key in _PATH_KEYS:
+            if kind in (Path, Optional[Path]):
                 values[key] = (base / value).resolve() if value else None
-            elif key in _INT_KEYS:
-                values[key] = int(value)
-            elif key in _FLOAT_KEYS:
-                values[key] = float(value)
             else:
-                values[key] = value
+                values[key] = kind(value)
         except ValueError as exc:
             raise ConfigError(f"{path}:{lineno}: bad value for {key!r}: {exc}") from exc
     return PipelineConfig(**values)

@@ -7,7 +7,7 @@ correct predictions count as false positives rather than inflating TP.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Mapping, Sequence
 
 from .core import Triple, TripleSet
@@ -41,13 +41,6 @@ def _greedy_match(preds: Sequence[Triple], golds: Sequence[Triple]) -> tuple[lis
                 hits[idx] = True
                 break
     return hits, consumed
-
-
-def match_triples(preds: Sequence[Triple], golds: Sequence[Triple]) -> tuple[int, int, int]:
-    """(tp, fp, fn) for one sample under greedy one-to-one matching."""
-    hits, consumed = _greedy_match(preds, golds)
-    tp = sum(hits)
-    return tp, len(preds) - tp, len(golds) - tp
 
 
 @dataclass(frozen=True)
@@ -173,13 +166,7 @@ class CostReport:
             raise ValueError("cost report requires min <= avg <= max")
 
     def to_json_dict(self) -> dict:
-        return {
-            "total_chars": self.total_chars,
-            "avg_chars": self.avg_chars,
-            "min_chars": self.min_chars,
-            "max_chars": self.max_chars,
-            "count": self.count,
-        }
+        return asdict(self)
 
     def to_table_text(self) -> str:
         headers = ["# Total", "# Avg.", "# Min.", "# Max."]

@@ -44,7 +44,6 @@ class LlmRequest:
     model_id: str
     prompt: str
     temperature: float = 0.0
-    max_output_chars_hint: int = 2048
     stop_sequences: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:

@@ -149,12 +149,11 @@ def build_gateway(cfg: PipelineConfig,
 
 
 def build_embedder(cfg: PipelineConfig) -> EmbeddingProvider:
-    if cfg.embedder == "hash":
-        return HashingEmbedder(dim=cfg.embedding_dim)
+    """The configured embedder; ``PipelineConfig`` admits only hash and http."""
     if cfg.embedder == "http":
         return HttpEmbeddingProvider(cfg.embedding_endpoint, cfg.embedding_model,
                                      dim=cfg.embedding_dim)
-    raise ValueError(f"unknown embedder {cfg.embedder!r}")
+    return HashingEmbedder(dim=cfg.embedding_dim)
 
 
 def _complete_all(cfg: PipelineConfig, gateway: LlmGateway,

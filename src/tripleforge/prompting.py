@@ -11,7 +11,7 @@ import enum
 import logging
 import re
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence, Union
 
 from .core import Sample, Triple, TripleSet, align_entity_offsets
 
@@ -91,25 +91,17 @@ def _unescape(text: str) -> str:
 
 
 def _split_unescaped(text: str, sep: str, maxsplit: int = -1) -> list[str]:
-    """Split on an unescaped separator sequence, leaving escapes intact."""
+    """Split on an unescaped separator sequence, leaving escapes intact.
+
+    One regex matches escape pairs and separators left to right, so the
+    ordinary characters between them cost no Python work."""
     parts: list[str] = []
-    buf: list[str] = []
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\\" and i + 1 < n:
-            buf.append(text[i:i + 2])
-            i += 2
-            continue
-        if text.startswith(sep, i) and (maxsplit < 0 or len(parts) < maxsplit):
-            parts.append("".join(buf))
-            buf = []
-            i += len(sep)
-            continue
-        buf.append(ch)
-        i += 1
-    parts.append("".join(buf))
+    start = 0
+    for m in re.finditer(r"\\(?s:.)|" + re.escape(sep), text):
+        if m.group() == sep and (maxsplit < 0 or len(parts) < maxsplit):
+            parts.append(text[start:m.start()])
+            start = m.end()
+    parts.append(text[start:])
     return parts
 
 
@@ -152,46 +144,74 @@ def serialize_triples(fmt: PromptFormat, ts: TripleSet) -> str:
 
 
 # --- parsing --------------------------------------------------------------
+# One loop serves all grammars.  A grammar's line reader takes a stripped,
+# non-blank line and returns the five fields (predicate, subject type,
+# subject, object type, object), None for a line to skip silently, or the
+# reason the line is rejected.
 
-def _is_table_header(stripped: str) -> bool:
-    return stripped in (TABLE_HEADER, TABLE_HEADER.rstrip("|"))
-
-
-def _split_table_cells(line: str) -> Optional[list[str]]:
-    """Interior cells of a pipe row, honoring ``\\|`` escapes.
-
-    A missing final pipe is tolerated (the residue becomes the last cell);
-    returns None when the line does not start with a pipe.
-    """
-    if not line.startswith("|"):
-        return None
-    cells: list[str] = []
-    buf: list[str] = []
-    i = 1
-    n = len(line)
-    while i < n:
-        ch = line[i]
-        if ch == "\\" and i + 1 < n:
-            buf.append(line[i:i + 2])
-            i += 2
-            continue
-        if ch == "|":
-            cells.append("".join(buf))
-            buf = []
-            i += 1
-            continue
-        buf.append(ch)
-        i += 1
-    residue = "".join(buf)
-    if residue.strip():
-        cells.append(residue)
-    return cells
+Fields = Union[list[str], str, None]
 
 
 def _is_divider_row(cells: Sequence[str]) -> bool:
     # markdown separator rows like |---|:--:|; never produced by the
     # serializer, whose step cell is always numeric
     return all(c.strip() and set(c.strip()) <= set("-:= ") for c in cells)
+
+
+def _table_fields(stripped: str) -> Fields:
+    if stripped in (TABLE_HEADER, TABLE_HEADER.rstrip("|")):
+        return None
+    if not stripped.startswith("|"):
+        return "not a table row"
+    cells = _split_unescaped(stripped[1:], "|")
+    if not cells[-1].strip():
+        cells.pop()  # the final pipe's empty cell; a missing final pipe is tolerated
+    if _is_divider_row(cells):
+        return None
+    if len(cells) != 6:
+        return f"wrong cell count: expected 6, got {len(cells)}"
+    return [_unescape(c.strip()) for c in cells[1:]]
+
+
+def _text_fields(stripped: str) -> Fields:
+    if not (stripped.startswith("(") and stripped.endswith(")")):
+        return "not a parenthesized triple"
+    segments = _split_unescaped(stripped[1:-1], ", ")
+    if len(segments) != 3:
+        return f"wrong segment count: expected 3, got {len(segments)}"
+    subj_part = _split_unescaped(segments[0], ": ", maxsplit=1)
+    obj_part = _split_unescaped(segments[2], ": ", maxsplit=1)
+    if len(subj_part) != 2 or len(obj_part) != 2:
+        return "missing 'type: surface' separator"
+    return [_unescape(x) for x in (segments[1], subj_part[0], subj_part[1],
+                                   obj_part[0], obj_part[1])]
+
+
+_QUOTED = r'"((?:[^"\\]|\\.)*)"'
+
+_CODE_ROW = re.compile(
+    r"^triple\(predicate=" + _QUOTED
+    + r", subject_type=" + _QUOTED
+    + r", subject=" + _QUOTED
+    + r", object_type=" + _QUOTED
+    + r", object=" + _QUOTED + r"\)$"
+)
+
+
+def _code_fields(stripped: str) -> Fields:
+    if stripped == CODE_HEADER:
+        return None
+    m = _CODE_ROW.match(stripped)
+    if m is None:
+        return "not a triple(...) call"
+    return [_unescape(g) for g in m.groups()]
+
+
+_LINE_READERS = {
+    PromptFormat.TABLEIE: _table_fields,
+    PromptFormat.TEXTIE: _text_fields,
+    PromptFormat.CODEIE: _code_fields,
+}
 
 
 def _triple_from_fields(fields: Sequence[str], sentence: str) -> Triple:
@@ -207,102 +227,25 @@ def _triple_from_fields(fields: Sequence[str], sentence: str) -> Triple:
     )
 
 
-def _parse_table(raw: str, sentence: str):
-    triples: list[Triple] = []
-    diagnostics: list[tuple[str, str]] = []
-    for line in raw.splitlines():
-        stripped = line.strip()
-        if not stripped:
-            continue
-        if _is_table_header(stripped):
-            continue
-        cells = _split_table_cells(stripped)
-        if cells is None:
-            diagnostics.append((line, "not a table row"))
-            continue
-        if _is_divider_row(cells):
-            continue
-        if len(cells) != 6:
-            diagnostics.append((line, f"wrong cell count: expected 6, got {len(cells)}"))
-            continue
-        fields = [_unescape(c.strip()) for c in cells[1:]]
-        try:
-            triples.append(_triple_from_fields(fields, sentence))
-        except ValueError as exc:
-            diagnostics.append((line, f"invalid triple: {exc}"))
-    return triples, diagnostics
-
-
-def _parse_text(raw: str, sentence: str):
-    triples: list[Triple] = []
-    diagnostics: list[tuple[str, str]] = []
-    for line in raw.splitlines():
-        stripped = line.strip()
-        if not stripped:
-            continue
-        if not (stripped.startswith("(") and stripped.endswith(")") and len(stripped) >= 2):
-            diagnostics.append((line, "not a parenthesized triple"))
-            continue
-        segments = _split_unescaped(stripped[1:-1], ", ")
-        if len(segments) != 3:
-            diagnostics.append((line, f"wrong segment count: expected 3, got {len(segments)}"))
-            continue
-        subj_part = _split_unescaped(segments[0], ": ", maxsplit=1)
-        obj_part = _split_unescaped(segments[2], ": ", maxsplit=1)
-        if len(subj_part) != 2 or len(obj_part) != 2:
-            diagnostics.append((line, "missing 'type: surface' separator"))
-            continue
-        fields = [_unescape(x) for x in (segments[1], subj_part[0], subj_part[1],
-                                         obj_part[0], obj_part[1])]
-        try:
-            triples.append(_triple_from_fields(fields, sentence))
-        except ValueError as exc:
-            diagnostics.append((line, f"invalid triple: {exc}"))
-    return triples, diagnostics
-
-
-_QUOTED = r'"((?:[^"\\]|\\.)*)"'
-
-_CODE_ROW = re.compile(
-    r"^triple\(predicate=" + _QUOTED
-    + r", subject_type=" + _QUOTED
-    + r", subject=" + _QUOTED
-    + r", object_type=" + _QUOTED
-    + r", object=" + _QUOTED + r"\)$"
-)
-
-
-def _parse_code(raw: str, sentence: str):
-    triples: list[Triple] = []
-    diagnostics: list[tuple[str, str]] = []
-    for line in raw.splitlines():
-        stripped = line.strip()
-        if not stripped:
-            continue
-        if stripped == CODE_HEADER:
-            continue
-        m = _CODE_ROW.match(stripped)
-        if m is None:
-            diagnostics.append((line, "not a triple(...) call"))
-            continue
-        fields = [_unescape(g) for g in m.groups()]
-        try:
-            triples.append(_triple_from_fields(fields, sentence))
-        except ValueError as exc:
-            diagnostics.append((line, f"invalid triple: {exc}"))
-    return triples, diagnostics
-
-
 def parse_output(fmt: PromptFormat, raw: str, sentence: str) -> ParsedExtraction:
     """Parse raw model output against ``sentence``; never raises on bad input."""
-    if fmt is PromptFormat.TABLEIE:
-        triples, diagnostics = _parse_table(raw, sentence)
-    elif fmt is PromptFormat.TEXTIE:
-        triples, diagnostics = _parse_text(raw, sentence)
-    elif fmt is PromptFormat.CODEIE:
-        triples, diagnostics = _parse_code(raw, sentence)
-    else:
-        raise ValueError(f"unhandled format {fmt}")
+    read = _LINE_READERS[fmt]
+    triples: list[Triple] = []
+    diagnostics: list[tuple[str, str]] = []
+    for line in raw.splitlines():
+        stripped = line.strip()
+        if not stripped:
+            continue
+        fields = read(stripped)
+        if fields is None:
+            continue
+        if isinstance(fields, str):
+            diagnostics.append((line, fields))
+            continue
+        try:
+            triples.append(_triple_from_fields(fields, sentence))
+        except ValueError as exc:
+            diagnostics.append((line, f"invalid triple: {exc}"))
     return ParsedExtraction(
         triples=TripleSet.of(triples),
         skipped_rows=len(diagnostics),

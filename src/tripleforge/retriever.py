@@ -1,4 +1,4 @@
-"""Trainable sample retriever: an affine projection over a frozen base
+"""Trainable sample retriever: a linear projection over a frozen base
 embedder, regressed so that projected L2 distances between raw sentences
 approximate the triple-set distances computed from pre-extractions.  The
 trained model scores unseen test samples without any further LLM calls.
@@ -9,7 +9,7 @@ import json
 import random
 import struct
 import zlib
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -20,6 +20,11 @@ from .similarity import EmbeddingProvider, PoolDistanceMatrix
 
 CHECKPOINT_MAGIC = b"TFRETRV1"
 CHECKPOINT_VERSION = 1
+
+# AdamW moment decay rates and denominator guard
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
 
 class CheckpointError(RuntimeError):
@@ -34,9 +39,6 @@ class TrainConfig:
     validation_fraction: float = 0.10
     seed: int = 0
     weight_decay: float = 0.01
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     max_pairs: int = 0  # 0 = train on every pool pair
 
     def __post_init__(self) -> None:
@@ -46,16 +48,16 @@ class TrainConfig:
             raise ValueError("epochs >= 0, batch_size >= 1, learning_rate > 0 required")
 
 
-Pair = tuple[int, int, float]
-
-
 @dataclass(frozen=True)
 class TrainingPairs:
-    """All unordered pool pairs with their target distances, split so that a
-    held-out sample's pairs all land in validation (no endpoint leakage)."""
+    """All unordered pool pairs ``(i, j)``, ``i < j``, as ``(k, 2)`` row-index
+    arrays with their target distances alongside, split so that a held-out
+    sample's pairs all land in validation (no endpoint leakage)."""
 
-    train: tuple[Pair, ...]
-    validation: tuple[Pair, ...]
+    train: np.ndarray
+    train_targets: np.ndarray
+    validation: np.ndarray
+    validation_targets: np.ndarray
     held_out: tuple[int, ...]
 
 
@@ -68,33 +70,22 @@ def make_training_pairs(matrix: PoolDistanceMatrix, validation_fraction: float =
     indices = list(range(n))
     rng.shuffle(indices)
     held_count = min(max(1, round(validation_fraction * n)), n - 2)
-    held = set(indices[:held_count])
+    held = np.zeros(n, dtype=bool)
+    held[indices[:held_count]] = True
 
-    train: list[Pair] = []
-    validation: list[Pair] = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            pair = (i, j, float(matrix.entries[i, j]))
-            (validation if i in held or j in held else train).append(pair)
+    pairs = np.stack(np.triu_indices(n, 1), axis=1)  # row-major, like the i < j loop
+    in_validation = held[pairs[:, 0]] | held[pairs[:, 1]]
+    train, validation = pairs[~in_validation], pairs[in_validation]
     if max_pairs > 0 and len(train) > max_pairs:
-        train = rng.sample(train, max_pairs)
-        train.sort()
-    return TrainingPairs(train=tuple(train), validation=tuple(validation),
-                         held_out=tuple(sorted(held)))
+        train = train[sorted(rng.sample(range(len(train)), max_pairs))]
+    return TrainingPairs(train=train, train_targets=matrix.entries[train[:, 0], train[:, 1]],
+                         validation=validation,
+                         validation_targets=matrix.entries[validation[:, 0], validation[:, 1]],
+                         held_out=tuple(np.flatnonzero(held).tolist()))
 
 
 # --- loss kernel ------------------------------------------------------------
 # For a pair (i, j) with target D the loss is (D - ||W e_i - W e_j||)^2.
-# The bias of the affine head cancels in every pairwise difference, so its
-# gradient is identically zero and it stays at initialization.
-
-def _pair_arrays(pairs: Sequence[Pair], embeddings: np.ndarray):
-    idx_i = np.fromiter((p[0] for p in pairs), dtype=np.int64, count=len(pairs))
-    idx_j = np.fromiter((p[1] for p in pairs), dtype=np.int64, count=len(pairs))
-    targets = np.fromiter((p[2] for p in pairs), dtype=np.float64, count=len(pairs))
-    diffs = embeddings[idx_i] - embeddings[idx_j]
-    return diffs, targets
-
 
 def batch_loss(weights: np.ndarray, diffs: np.ndarray, targets: np.ndarray) -> float:
     """Sum of squared residuals between targets and projected distances."""
@@ -120,18 +111,16 @@ class TrainingHistory:
     best_epoch: int
 
     def to_json_dict(self) -> dict:
-        return {
-            "initial_validation_loss": self.initial_validation_loss,
-            "epochs": self.epochs,
-            "best_epoch": self.best_epoch,
-        }
+        return asdict(self)
 
 
-def _mean_pair_loss(weights: np.ndarray, pairs: Sequence[Pair], embeddings: np.ndarray) -> float:
-    if not pairs:
-        return 0.0
-    diffs, targets = _pair_arrays(pairs, embeddings)
-    return batch_loss(weights, diffs, targets) / len(pairs)
+def _pair_diffs(pairs: np.ndarray, embeddings: np.ndarray) -> np.ndarray:
+    return embeddings[pairs[:, 0]] - embeddings[pairs[:, 1]]
+
+
+def _mean_pair_loss(weights: np.ndarray, pairs: np.ndarray, targets: np.ndarray,
+                    embeddings: np.ndarray) -> float:
+    return batch_loss(weights, _pair_diffs(pairs, embeddings), targets) / len(pairs)
 
 
 def train(pairs: TrainingPairs, embeddings: np.ndarray,
@@ -142,13 +131,13 @@ def train(pairs: TrainingPairs, embeddings: np.ndarray,
     base-embedding distances) and returns the weights of the epoch with the
     lowest validation loss; epoch 0 is the initialization itself.
     """
-    if not pairs.train:
+    if not len(pairs.train):
         raise ValueError("no training pairs")
     embeddings = np.asarray(embeddings, dtype=np.float64)
     dim = embeddings.shape[1]
     weights = np.eye(dim, dtype=np.float64)
 
-    init_val = _mean_pair_loss(weights, pairs.validation, embeddings)
+    init_val = _mean_pair_loss(weights, pairs.validation, pairs.validation_targets, embeddings)
     best_val = init_val
     best_weights = weights.copy()
     best_epoch = 0
@@ -159,28 +148,29 @@ def train(pairs: TrainingPairs, embeddings: np.ndarray,
     v = np.zeros_like(weights)
     step = 0
     order = np.arange(len(pairs.train))
-    train_list = list(pairs.train)
 
     for epoch in range(1, config.epochs + 1):
         rng.shuffle(order)
         epoch_loss = 0.0
         for start in range(0, len(order), config.batch_size):
-            batch = [train_list[k] for k in order[start:start + config.batch_size]]
-            diffs, targets = _pair_arrays(batch, embeddings)
+            batch = order[start:start + config.batch_size]
+            diffs = _pair_diffs(pairs.train[batch], embeddings)
+            targets = pairs.train_targets[batch]
             loss = batch_loss(weights, diffs, targets)
             if not np.isfinite(loss):
                 raise RuntimeError(f"divergence: non-finite training loss at epoch {epoch}")
             epoch_loss += loss
             grad = batch_grad(weights, diffs, targets)
             step += 1
-            m = config.beta1 * m + (1 - config.beta1) * grad
-            v = config.beta2 * v + (1 - config.beta2) * grad * grad
-            m_hat = m / (1 - config.beta1 ** step)
-            v_hat = v / (1 - config.beta2 ** step)
+            m = ADAM_BETA1 * m + (1 - ADAM_BETA1) * grad
+            v = ADAM_BETA2 * v + (1 - ADAM_BETA2) * grad * grad
+            m_hat = m / (1 - ADAM_BETA1 ** step)
+            v_hat = v / (1 - ADAM_BETA2 ** step)
             weights = weights - config.learning_rate * (
-                m_hat / (np.sqrt(v_hat) + config.eps) + config.weight_decay * weights
+                m_hat / (np.sqrt(v_hat) + ADAM_EPS) + config.weight_decay * weights
             )
-        val_loss = _mean_pair_loss(weights, pairs.validation, embeddings)
+        val_loss = _mean_pair_loss(weights, pairs.validation, pairs.validation_targets,
+                                   embeddings)
         if not np.isfinite(val_loss):
             raise RuntimeError(f"divergence: non-finite validation loss at epoch {epoch}")
         history.append({
@@ -201,34 +191,25 @@ def train(pairs: TrainingPairs, embeddings: np.ndarray,
 
 @dataclass(frozen=True)
 class RetrieverModel:
-    """Frozen base embedder plus a trainable affine projection."""
+    """Frozen base embedder plus a trainable linear projection."""
 
     base: EmbeddingProvider
     weights: np.ndarray
-    bias: np.ndarray
 
     def __post_init__(self) -> None:
         weights = np.asarray(self.weights, dtype=np.float64)
-        bias = np.asarray(self.bias, dtype=np.float64)
         if weights.ndim != 2 or weights.shape[1] != self.base.dim:
             raise ValueError(f"weights must be (out_dim, {self.base.dim}), got {weights.shape}")
-        if bias.shape != (weights.shape[0],):
-            raise ValueError(f"bias must be ({weights.shape[0]},), got {bias.shape}")
-        if not (np.all(np.isfinite(weights)) and np.all(np.isfinite(bias))):
+        if not np.all(np.isfinite(weights)):
             raise ValueError("model parameters must be finite")
         object.__setattr__(self, "weights", weights)
-        object.__setattr__(self, "bias", bias)
 
     @classmethod
     def identity(cls, base: EmbeddingProvider) -> "RetrieverModel":
-        return cls(base=base, weights=np.eye(base.dim), bias=np.zeros(base.dim))
-
-    @property
-    def out_dim(self) -> int:
-        return self.weights.shape[0]
+        return cls(base=base, weights=np.eye(base.dim))
 
     def encode(self, text: str) -> np.ndarray:
-        return self.weights @ self.base.embed(text) + self.bias
+        return self.weights @ self.base.embed(text)
 
     def encode_samples(self, samples: Sequence[Sample]) -> np.ndarray:
         return np.stack([self.encode(s.text) for s in samples])
@@ -246,7 +227,7 @@ def train_retriever(texts_by_id: Mapping[str, str], matrix: PoolDistanceMatrix,
     pairs = make_training_pairs(matrix, validation_fraction=config.validation_fraction,
                                 seed=config.seed, max_pairs=config.max_pairs)
     weights, history = train(pairs, embeddings, config)
-    return RetrieverModel(base=base, weights=weights, bias=np.zeros(weights.shape[0])), history
+    return RetrieverModel(base=base, weights=weights), history
 
 
 # --- pool-to-test distances ---------------------------------------------------
@@ -279,10 +260,6 @@ class PairwiseDistanceSet:
     @property
     def m(self) -> int:
         return len(self.test_ids)
-
-    def scaled(self, factor: float) -> "PairwiseDistanceSet":
-        return PairwiseDistanceSet(self.unlabeled_ids, self.test_ids,
-                                   self.entries * factor, self.provider)
 
     def to_json_dict(self) -> dict:
         return {
@@ -343,10 +320,14 @@ def compute_P(model: RetrieverModel, pool_samples: Sequence[Sample],
 
 
 # --- checkpoints ---------------------------------------------------------------
+# Format v1 was written for an affine head and ends its parameters with an
+# ``out_dim`` float64 bias block.  Only projected differences are ever used,
+# so a bias cancels and could never train; the block is kept as reserved
+# zeros, written as such and skipped on load, so v1 files keep their bytes.
 
 def save_checkpoint(model: RetrieverModel, path: str | Path) -> None:
     """Binary checkpoint: magic, version, base provider name, dims, row-major
-    little-endian float64 parameters, CRC32 trailer."""
+    little-endian float64 weights, the reserved zero block, CRC32 trailer."""
     name = model.base.name.encode("utf-8")
     out_dim, base_dim = model.weights.shape
     blob = bytearray()
@@ -355,7 +336,7 @@ def save_checkpoint(model: RetrieverModel, path: str | Path) -> None:
     blob += struct.pack("<I", len(name)) + name
     blob += struct.pack("<II", base_dim, out_dim)
     blob += np.ascontiguousarray(model.weights, dtype="<f8").tobytes()
-    blob += np.ascontiguousarray(model.bias, dtype="<f8").tobytes()
+    blob += bytes(out_dim * 8)
     blob += struct.pack("<I", zlib.crc32(bytes(blob)) & 0xFFFFFFFF)
     Path(path).write_bytes(bytes(blob))
 
@@ -389,7 +370,6 @@ def load_checkpoint(path: str | Path, base: EmbeddingProvider) -> RetrieverModel
     w_bytes = out_dim * base_dim * 8
     weights = np.frombuffer(body, dtype="<f8", count=out_dim * base_dim,
                             offset=offset).reshape(out_dim, base_dim)
-    bias = np.frombuffer(body, dtype="<f8", count=out_dim, offset=offset + w_bytes)
     if offset + w_bytes + out_dim * 8 != len(body):
         raise CheckpointError(f"{path}: truncated or oversized parameter block")
-    return RetrieverModel(base=base, weights=weights.copy(), bias=bias.copy())
+    return RetrieverModel(base=base, weights=weights.copy())

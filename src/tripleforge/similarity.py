@@ -96,15 +96,6 @@ class HttpEmbeddingProvider:
         return vec
 
 
-def triple_distance(a: np.ndarray, b: np.ndarray) -> float:
-    """Euclidean distance between two embedded triples."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.shape != b.shape:
-        raise ValueError(f"embedding dim mismatch: {a.shape} vs {b.shape}")
-    return float(np.linalg.norm(a - b))
-
-
 def set_distance(zi: Sequence[np.ndarray] | np.ndarray,
                  zj: Sequence[np.ndarray] | np.ndarray) -> float:
     """Average Pompeiu-Hausdorff distance between two sets of embeddings:
@@ -263,11 +254,10 @@ _TRIANGLE_BAND = 32
 
 
 def embed_triple_sets(preextracted: Mapping[str, Sequence[str]],
-                      provider: EmbeddingProvider,
-                      memoize: bool = True) -> dict[str, np.ndarray]:
-    """Embed each sample's verbalized triples; one provider call per unique
-    verbalization when memoization is on."""
-    memo: Optional[dict[str, np.ndarray]] = {} if memoize else None
+                      provider: EmbeddingProvider) -> dict[str, np.ndarray]:
+    """Embed each sample's verbalized triples, with one provider call per
+    unique verbalization."""
+    memo: dict[str, np.ndarray] = {}
     out: dict[str, np.ndarray] = {}
     for sid, verbalizations in preextracted.items():
         if not verbalizations:
@@ -276,25 +266,20 @@ def embed_triple_sets(preextracted: Mapping[str, Sequence[str]],
             )
         rows = []
         for text in verbalizations:
-            if memo is not None and text in memo:
-                rows.append(memo[text])
-                continue
-            vec = provider.embed(text)
-            if memo is not None:
-                memo[text] = vec
-            rows.append(vec)
+            if text not in memo:
+                memo[text] = provider.embed(text)
+            rows.append(memo[text])
         out[sid] = np.stack(rows)
     return out
 
 
 def pool_distances(preextracted: Mapping[str, Sequence[str]],
-                   provider: EmbeddingProvider,
-                   memoize: bool = True) -> PoolDistanceMatrix:
+                   provider: EmbeddingProvider) -> PoolDistanceMatrix:
     """All-pairs set distances over the pool, in the mapping's id order.
 
     Only the upper triangle is computed, in bands of rows, and then mirrored;
     ``set_distance`` is symmetric to the bit."""
-    embedded = embed_triple_sets(preextracted, provider, memoize=memoize)
+    embedded = embed_triple_sets(preextracted, provider)
     ids = list(embedded.keys())
     sets = list(embedded.values())
     n = len(ids)

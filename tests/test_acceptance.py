@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from tripleforge.core import AnnotationOracle, Sample, Schema, Triple, TripleSet
-from tripleforge.evaluation import match_triples, micro_f1
+from tripleforge.evaluation import micro_f1
 from tripleforge.pipeline import EVAL_JSON, STAGES
 from tripleforge.prompting import PromptFormat, parse_output, serialize_triples
 from tripleforge.retriever import (
@@ -147,7 +147,7 @@ def test_c3_selection_rescale_invariance():
                 "random": select_random(ids, min(B, n), seed=5).chosen,
             }
             for c in (0.5, 2.0, 10.0):
-                scaled = P.scaled(c)
+                scaled = PairwiseDistanceSet(P.unlabeled_ids, P.test_ids, P.entries * c)
                 assert select_top_k(scaled, u, B).chosen == baseline["topk"]
                 assert select_coverage(scaled, B).chosen == baseline["coverage"]
                 assert select_balance(scaled, schema, B, AnnotationOracle(gold),
@@ -296,8 +296,9 @@ def test_c7_evaluation_oracle():
         assert (report.tp, report.fp, report.fn) == (1, 1, 1)
 
         duplicate = make_triple(s="BOOTH", s_span=(0, 5), o_span=(11, 18))
-        tp, fp, fn = match_triples([gold_a, duplicate], [gold_a])
-        assert (tp, fp, fn) == (1, 1, 0)
+        report = micro_f1({"s1": TripleSet.of([gold_a, duplicate])},
+                          {"s1": TripleSet.of([gold_a])})
+        assert (report.tp, report.fp, report.fn) == (1, 1, 0)
 
 
 # --- 8: annotation budget accounting ---------------------------------------------------

@@ -7,7 +7,6 @@ from tripleforge.evaluation import (
     CostReport,
     EvalReport,
     cost_report,
-    match_triples,
     micro_f1,
     strict_match,
 )
@@ -18,6 +17,12 @@ from conftest import make_triple
 def spanned(pred="Kill", st="Per", s="Booth", ot="Per", o="Lincoln",
             s_span=(0, 5), o_span=(11, 18)):
     return make_triple(pred=pred, st=st, s=s, ot=ot, o=o, s_span=s_span, o_span=o_span)
+
+
+def one_sample_counts(preds, golds):
+    """(tp, fp, fn) of micro_f1 over a single sample."""
+    report = micro_f1({"s1": TripleSet.of(preds)}, {"s1": TripleSet.of(golds)})
+    return report.tp, report.fp, report.fn
 
 
 class TestStrictMatch:
@@ -70,8 +75,7 @@ class TestMicroF1:
         # the single gold triple but only one may consume it
         dup = spanned(s="BOOTH")
         preds = [spanned(), dup]
-        tp, fp, fn = match_triples(preds, [GOLD_A])
-        assert (tp, fp, fn) == (1, 1, 0)
+        assert one_sample_counts(preds, [GOLD_A]) == (1, 1, 0)
 
     def test_unknown_sample_id_rejected(self):
         with pytest.raises(ValueError, match="unknown sample ids"):
@@ -89,13 +93,13 @@ class TestMicroF1:
         rng = random.Random(0)
         preds = [GOLD_A, GOLD_B, PRED_C]
         gold = [GOLD_A, GOLD_B]
-        base = match_triples(preds, gold)
+        base = one_sample_counts(preds, gold)
         for _ in range(10):
             p2 = preds[:]
             g2 = gold[:]
             rng.shuffle(p2)
             rng.shuffle(g2)
-            assert match_triples(p2, g2) == base
+            assert one_sample_counts(p2, g2) == base
 
     def test_unalignable_entities_counted_and_scored_fp(self):
         pred = make_triple()  # no spans recovered

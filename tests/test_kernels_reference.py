@@ -1,20 +1,28 @@
 """The array kernels against the loop versions they replaced.
 
 The ``reference_*`` functions below are the loop implementations of
-``pool_distances``, ``compute_P``, ``_ranked_pool`` and ``select_coverage``
-as they were before the array kernels, kept verbatim (only renamed) as
-oracles.  The kernels must agree with them bit for bit: equal float entries,
+``pool_distances``, ``compute_P``, ``_ranked_pool``, ``select_coverage``,
+``make_training_pairs`` and the parsers' ``_split_unescaped`` as they were
+before the array kernels (and the regex splitter), kept verbatim as oracles
+apart from renaming and returning pairs as tuples.  The kernels must agree with them bit for bit: equal float entries,
 and equal chosen ids, covered tests, tie-break counts and checked ids.
 Matrices are built from a few distinct values with duplicated rows and
 columns, so that distance and score ties are common.
 """
 import math
+import random
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from tripleforge.core import Sample
-from tripleforge.retriever import PairwiseDistanceSet, RetrieverModel, compute_P
+from tripleforge.prompting import _split_unescaped
+from tripleforge.retriever import (
+    PairwiseDistanceSet,
+    RetrieverModel,
+    compute_P,
+    make_training_pairs,
+)
 from tripleforge.selection import SelectionResult, _ranked_pool, select_coverage
 from tripleforge.similarity import (
     HashingEmbedder,
@@ -39,9 +47,9 @@ def reference_set_distance(zi, zj) -> float:
     return float(pairwise.min(axis=1).mean() + pairwise.min(axis=0).mean())
 
 
-def reference_pool_distances(preextracted, provider, memoize=True) -> PoolDistanceMatrix:
+def reference_pool_distances(preextracted, provider) -> PoolDistanceMatrix:
     """All-pairs set distances over the pool, in the mapping's id order."""
-    embedded = embed_triple_sets(preextracted, provider, memoize=memoize)
+    embedded = embed_triple_sets(preextracted, provider)
     ids = list(embedded.keys())
     n = len(ids)
     entries = np.zeros((n, n), dtype=np.float64)
@@ -134,6 +142,49 @@ def reference_select_coverage(P, B) -> SelectionResult:
         checked_ids=tuple(chosen), tie_break_hits=ties,
         covered_tests=covered,
     )
+
+
+def reference_make_training_pairs(matrix, validation_fraction, seed, max_pairs):
+    """(train, validation, held_out) with pairs as (i, j, target) tuples."""
+    n = matrix.n
+    rng = random.Random(seed)
+    indices = list(range(n))
+    rng.shuffle(indices)
+    held_count = min(max(1, round(validation_fraction * n)), n - 2)
+    held = set(indices[:held_count])
+    train = []
+    validation = []
+    for i in range(n):
+        for j in range(i + 1, n):
+            pair = (i, j, float(matrix.entries[i, j]))
+            (validation if i in held or j in held else train).append(pair)
+    if max_pairs > 0 and len(train) > max_pairs:
+        train = rng.sample(train, max_pairs)
+        train.sort()
+    return tuple(train), tuple(validation), tuple(sorted(held))
+
+
+def reference_split_unescaped(text, sep, maxsplit=-1):
+    """Split on an unescaped separator sequence, leaving escapes intact."""
+    parts = []
+    buf = []
+    i = 0
+    n = len(text)
+    while i < n:
+        ch = text[i]
+        if ch == "\\" and i + 1 < n:
+            buf.append(text[i:i + 2])
+            i += 2
+            continue
+        if text.startswith(sep, i) and (maxsplit < 0 or len(parts) < maxsplit):
+            parts.append("".join(buf))
+            buf = []
+            i += len(sep)
+            continue
+        buf.append(ch)
+        i += 1
+    parts.append("".join(buf))
+    return parts
 
 
 # --- inputs with forced ties ----------------------------------------------------
@@ -229,8 +280,7 @@ def test_pool_distance_cells_equal_set_distance_bitwise():
 def test_compute_P_matches_the_cell_by_cell_norms(seed, pool_words, test_words):
     base = HashingEmbedder(dim=32)
     rng = np.random.default_rng(seed)
-    model = RetrieverModel(base=base, weights=np.eye(32) + 0.3 * rng.normal(size=(32, 32)),
-                           bias=rng.normal(size=32))
+    model = RetrieverModel(base=base, weights=np.eye(32) + 0.3 * rng.normal(size=(32, 32)))
     # one- and two-word sentences repeat, so whole rows and columns repeat
     pool = [Sample(f"p{i}", " ".join(pool_words[i:i + 2])) for i in range(len(pool_words))]
     test = [Sample(f"t{j}", " ".join(test_words[j:j + 2])) for j in range(len(test_words))]
@@ -239,6 +289,30 @@ def test_compute_P_matches_the_cell_by_cell_norms(seed, pool_words, test_words):
     assert (got.unlabeled_ids, got.test_ids, got.provider) == (
         want.unlabeled_ids, want.test_ids, want.provider)
     assert np.array_equal(got.entries, want.entries)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(3, 30), fraction=st.floats(0.01, 0.99), seed=st.integers(0, 2**16),
+       max_pairs=st.integers(0, 60))
+def test_training_pairs_match_the_pair_loop(n, fraction, seed, max_pairs):
+    points = np.random.default_rng(seed).normal(size=(n, 2))
+    entries = np.linalg.norm(points[:, None, :] - points[None, :, :], axis=-1)
+    matrix = PoolDistanceMatrix(tuple(f"s{i}" for i in range(n)), entries, "stub", 2)
+    got = make_training_pairs(matrix, fraction, seed, max_pairs)
+    train, validation, held = reference_make_training_pairs(matrix, fraction, seed, max_pairs)
+    assert got.held_out == held
+    for pairs, targets, want in ((got.train, got.train_targets, train),
+                                 (got.validation, got.validation_targets, validation)):
+        assert [(int(i), int(j), float(d)) for (i, j), d in zip(pairs, targets)] == list(want)
+
+
+# --- parsing ----------------------------------------------------------------------
+
+@settings(max_examples=500, deadline=None)
+@given(text=st.text(alphabet=st.sampled_from(list("a|,: \\\x1c")), max_size=24),
+       sep=st.sampled_from(["|", ", ", ": "]), maxsplit=st.sampled_from([-1, 0, 1, 2]))
+def test_split_unescaped_matches_the_character_loop(text, sep, maxsplit):
+    assert _split_unescaped(text, sep, maxsplit) == reference_split_unescaped(text, sep, maxsplit)
 
 
 # --- selection --------------------------------------------------------------------

@@ -202,6 +202,16 @@ class TestConfig:
         with pytest.raises(ConfigError, match="provider"):
             PipelineConfig(provider="llm")
 
+    def test_format_and_embedder_validated_before_any_stage(self, tmp_path):
+        # both are read only by later stages, after preextract's provider calls
+        with pytest.raises(ConfigError, match="format 'bogus'"):
+            PipelineConfig(format="bogus")
+        with pytest.raises(ConfigError, match="embedder"):
+            PipelineConfig(embedder="nope")
+        with pytest.raises(ConfigError, match="embedder"):
+            load_config(self.write(tmp_path, "provider = real\nembedder = nope\n"))
+        assert PipelineConfig(format="codeie", embedder="http").format == "codeie"
+
     def test_default_cache_dir_under_run_dir(self):
         cfg = PipelineConfig(run_dir=Path("/tmp/r"))
         assert cfg.effective_cache_dir == Path("/tmp/r/cache")

@@ -276,7 +276,7 @@ class TestRescaleInvariance:
                 sid: [rng.choice(["A", "B"])] for sid in P.unlabeled_ids
             })
             for c in (0.5, 2.0, 10.0):
-                scaled = P.scaled(c)
+                scaled = PairwiseDistanceSet(P.unlabeled_ids, P.test_ids, P.entries * c)
                 assert select_top_k(P, 2, B).chosen == select_top_k(scaled, 2, B).chosen
                 assert select_coverage(P, B).chosen == select_coverage(scaled, B).chosen
                 assert (select_balance(P, schema, B, AnnotationOracle(gold), u=2).chosen

@@ -10,7 +10,6 @@ from tripleforge.similarity import (
     embed_triple_sets,
     pool_distances,
     set_distance,
-    triple_distance,
 )
 
 from conftest import StubEmbedder
@@ -30,23 +29,11 @@ def brute_force_set_distance(zi, zj):
     return directed(zi, zj) + directed(zj, zi)
 
 
-class TestTripleDistance:
-    def test_identity(self):
-        assert triple_distance(np.array([1.0, 2.0]), np.array([1.0, 2.0])) == 0.0
-
-    def test_pythagorean(self):
-        assert triple_distance(np.array([0.0, 0.0]), np.array([3.0, 4.0])) == 5.0
-
-    def test_symmetry(self):
-        a, b = np.array([1.0, -2.0, 0.5]), np.array([0.0, 3.0, 2.5])
-        assert triple_distance(a, b) == triple_distance(b, a)
-
+class TestSetDistance:
     def test_dim_mismatch(self):
         with pytest.raises(ValueError, match="dim mismatch"):
-            triple_distance(np.zeros(2), np.zeros(3))
+            set_distance([np.zeros(2)], [np.zeros(3)])
 
-
-class TestSetDistance:
     def test_identical_sets_zero(self):
         z = [np.array([1.0, 2.0]), np.array([3.0, 4.0])]
         assert set_distance(z, z) == 0.0
@@ -139,13 +126,6 @@ class TestPoolDistances:
         perm = [m2.sample_ids.index(sid) for sid in m1.sample_ids]
         assert np.array_equal(m1.entries, m2.entries[np.ix_(perm, perm)])
 
-    def test_memoized_and_plain_paths_identical(self):
-        provider = HashingEmbedder(dim=32)
-        pre = {"a": ["x y", "y z"], "b": ["x y"], "c": ["q r", "y z"]}
-        with_memo = pool_distances(pre, provider, memoize=True)
-        without = pool_distances(pre, provider, memoize=False)
-        assert np.array_equal(with_memo.entries, without.entries)
-
     def test_memoization_embeds_each_unique_text_once(self):
         calls = []
 
@@ -155,7 +135,7 @@ class TestPoolDistances:
                 return super().embed(text)
 
         pre = {"a": ["same", "other"], "b": ["same"], "c": ["same", "other"]}
-        embed_triple_sets(pre, SpyEmbedder(dim=16), memoize=True)
+        embed_triple_sets(pre, SpyEmbedder(dim=16))
         assert sorted(calls) == ["other", "same"]
 
     def test_empty_preextraction_rejected(self):
