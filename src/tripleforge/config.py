@@ -13,6 +13,7 @@ from pathlib import Path
 from typing import Optional, get_type_hints
 
 from .prompting import PromptFormat
+from .retriever import TrainConfig
 from .selection import STRATEGIES
 
 
@@ -70,8 +71,21 @@ class PipelineConfig:
             raise ConfigError(f"distance_source must be retriever or direct, got {self.distance_source!r}")
         if self.demo_order not in ("similar-last", "similar-first"):
             raise ConfigError(f"demo_order must be similar-last or similar-first, got {self.demo_order!r}")
-        if self.budget < 1:
-            raise ConfigError("budget must be >= 1")
+        for name in ("budget", "top_u", "retry_attempts", "concurrency", "embedding_dim"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be >= 1")
+        try:
+            self.train_config()
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
+
+    def train_config(self) -> TrainConfig:
+        """The retriever training settings; ``TrainConfig`` checks their ranges."""
+        return TrainConfig(
+            epochs=self.epochs, batch_size=self.batch_size, learning_rate=self.learning_rate,
+            validation_fraction=self.validation_fraction, seed=self.seed,
+            weight_decay=self.weight_decay, max_pairs=self.max_pairs,
+        )
 
     @property
     def effective_cache_dir(self) -> Path:

@@ -166,6 +166,8 @@ class LlmGateway:
                  concurrency: int = 4, sleep: Callable[[float], None] = time.sleep):
         if max_attempts < 1:
             raise ValueError("max_attempts must be >= 1")
+        if concurrency < 1:
+            raise ValueError("concurrency must be >= 1")
         self.provider = provider
         self.cache_dir = Path(cache_dir)
         self.cache_dir.mkdir(parents=True, exist_ok=True)

@@ -35,7 +35,6 @@ from .prompting import (
 )
 from .retriever import (
     PairwiseDistanceSet,
-    TrainConfig,
     compute_P,
     load_checkpoint,
     save_checkpoint,
@@ -258,12 +257,7 @@ def stage_train(cfg: PipelineConfig) -> StageOutcome:
     pool = load_dataset(cfg.pool_path, "train")
     texts = {s.id: s.text for s in pool.samples}
     embedder = build_embedder(cfg)
-    train_config = TrainConfig(
-        epochs=cfg.epochs, batch_size=cfg.batch_size, learning_rate=cfg.learning_rate,
-        validation_fraction=cfg.validation_fraction, seed=cfg.seed,
-        weight_decay=cfg.weight_decay, max_pairs=cfg.max_pairs,
-    )
-    model, history = train_retriever(texts, matrix, embedder, train_config)
+    model, history = train_retriever(texts, matrix, embedder, cfg.train_config())
     ckpt = cfg.effective_checkpoint_path
     ckpt.parent.mkdir(parents=True, exist_ok=True)
     save_checkpoint(model, ckpt)
@@ -411,8 +405,7 @@ def stage_run(cfg: PipelineConfig) -> StageOutcome:
     predictions: dict[str, list] = {}
     diagnostics: dict[str, list] = {}
     skipped_total = 0
-    texts = _complete_all(cfg, gateway,
-                          [render_few_shot(fmt, demos, s) for s in test.samples])
+    texts = _complete_all(cfg, gateway, render_few_shot(fmt, demos, test.samples))
     for sample, text in zip(test.samples, texts):
         parsed = parse_output(fmt, text, sample.text)
         outputs[sample.id] = text

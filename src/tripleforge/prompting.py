@@ -260,9 +260,16 @@ def render_zero_shot(sample: Sample) -> str:
     return f"{ZERO_SHOT_INSTRUCTION}\n{sample.text}\n{TABLE_HEADER}"
 
 
-def render_few_shot(fmt: PromptFormat, demos: Sequence[Demonstration], query: Sample) -> str:
-    """Compose a few-shot prompt from demonstrations already sorted by
-    ascending similarity (most similar demonstration adjacent to the query)."""
+def render_few_shot(fmt: PromptFormat, demos: Sequence[Demonstration],
+                    queries: Sequence[Sample]) -> list[str]:
+    """Compose one few-shot prompt per query from demonstrations already
+    sorted by ascending similarity (most similar demonstration adjacent to
+    the query).
+
+    Every query shares the same demonstrations, so the demonstration block
+    is checked, warned about and rendered once per batch; only the query
+    text differs between the returned prompts.  The prompt bytes are the
+    gateway's cache keys and must not change."""
     scores = [d.similarity_score for d in demos]
     if any(a > b for a, b in zip(scores, scores[1:])):
         raise ValueError("demonstration order violated: similarity scores must be ascending")
@@ -282,11 +289,9 @@ def render_few_shot(fmt: PromptFormat, demos: Sequence[Demonstration], query: Sa
             parts.append(serialized)
             parts.append("\n")
         parts.append("\n")
-    parts.append(query.text)
-    if fmt is PromptFormat.TABLEIE:
-        parts.append("\n")
-        parts.append(TABLE_HEADER)
-    return "".join(parts)
+    prefix = "".join(parts)
+    suffix = "\n" + TABLE_HEADER if fmt is PromptFormat.TABLEIE else ""
+    return [prefix + query.text + suffix for query in queries]
 
 
 def count_characters(outputs: Sequence[str]) -> tuple[int, float, int, int]:

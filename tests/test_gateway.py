@@ -96,6 +96,12 @@ class TestCacheAndRetry:
         gw2 = LlmGateway(provider, tmp_path / "cache", max_attempts=2, sleep=lambda _: None)
         assert gw2.complete(request()).text == "recovered"
 
+    def test_zero_concurrency_rejected(self, tmp_path):
+        # a zero-slot semaphore would block the first complete() for ever;
+        # only construct the gateway, never call it
+        with pytest.raises(ValueError, match="concurrency"):
+            LlmGateway(CountingProvider(), tmp_path / "cache", concurrency=0)
+
 
 class TestCacheKey:
     def test_identical_requests_same_key(self, tmp_path):

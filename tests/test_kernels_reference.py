@@ -2,21 +2,33 @@
 
 The ``reference_*`` functions below are the loop implementations of
 ``pool_distances``, ``compute_P``, ``_ranked_pool``, ``select_coverage``,
-``make_training_pairs`` and the parsers' ``_split_unescaped`` as they were
-before the array kernels (and the regex splitter), kept verbatim as oracles
-apart from renaming and returning pairs as tuples.  The kernels must agree with them bit for bit: equal float entries,
-and equal chosen ids, covered tests, tie-break counts and checked ids.
+``make_training_pairs``, the parsers' ``_split_unescaped`` and the
+per-query ``render_few_shot`` as they were before the array kernels (and the
+regex splitter and the batch renderer), kept verbatim as oracles apart from
+renaming and returning pairs as tuples.  The kernels must agree with them bit
+for bit: equal float entries, equal chosen ids, covered tests, tie-break
+counts and checked ids, and equal prompt strings.
 Matrices are built from a few distinct values with duplicated rows and
 columns, so that distance and score ties are common.
 """
+import hashlib
+import logging
 import math
 import random
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from tripleforge.core import Sample
-from tripleforge.prompting import _split_unescaped
+from tripleforge.core import Sample, Triple, TripleSet, load_dataset
+from tripleforge.prompting import (
+    FEW_SHOT_INSTRUCTION,
+    TABLE_HEADER,
+    Demonstration,
+    PromptFormat,
+    _split_unescaped,
+    render_few_shot,
+    serialize_triples,
+)
 from tripleforge.retriever import (
     PairwiseDistanceSet,
     RetrieverModel,
@@ -32,6 +44,10 @@ from tripleforge.similarity import (
     set_distance,
     set_distances,
 )
+
+from conftest import DATA_DIR
+
+log = logging.getLogger(__name__)
 
 
 # --- oracles: the loop versions -------------------------------------------------
@@ -187,6 +203,35 @@ def reference_split_unescaped(text, sep, maxsplit=-1):
     return parts
 
 
+def reference_render_few_shot(fmt, demos, query) -> str:
+    """Compose a few-shot prompt from demonstrations already sorted by
+    ascending similarity (most similar demonstration adjacent to the query)."""
+    scores = [d.similarity_score for d in demos]
+    if any(a > b for a, b in zip(scores, scores[1:])):
+        raise ValueError("demonstration order violated: similarity scores must be ascending")
+    for d in demos:
+        if d.is_empty_gold:
+            log.warning("demonstration %s has no gold triples", d.sample.id)
+
+    parts: list[str] = [FEW_SHOT_INSTRUCTION, "\n"]
+    for d in demos:
+        parts.append(d.sample.text)
+        parts.append("\n")
+        if fmt is PromptFormat.TABLEIE:
+            parts.append(TABLE_HEADER)
+            parts.append("\n")
+        serialized = serialize_triples(fmt, d.gold)
+        if serialized:
+            parts.append(serialized)
+            parts.append("\n")
+        parts.append("\n")
+    parts.append(query.text)
+    if fmt is PromptFormat.TABLEIE:
+        parts.append("\n")
+        parts.append(TABLE_HEADER)
+    return "".join(parts)
+
+
 # --- inputs with forced ties ----------------------------------------------------
 
 @st.composite
@@ -313,6 +358,61 @@ def test_training_pairs_match_the_pair_loop(n, fraction, seed, max_pairs):
        sep=st.sampled_from(["|", ", ", ": "]), maxsplit=st.sampled_from([-1, 0, 1, 2]))
 def test_split_unescaped_matches_the_character_loop(text, sep, maxsplit):
     assert _split_unescaped(text, sep, maxsplit) == reference_split_unescaped(text, sep, maxsplit)
+
+
+# --- prompting --------------------------------------------------------------------
+
+# every structural character of the three grammars, plus the escape character
+# (a triple's fields must be non-blank)
+cell_text = st.text(alphabet=st.sampled_from(list("ab |\",:()\\")), min_size=1,
+                    max_size=10).filter(str.strip)
+
+
+@st.composite
+def demonstration_lists(draw):
+    """0-5 demonstrations in ascending score order, some with empty gold."""
+    count = draw(st.integers(0, 5))
+    scores = sorted(draw(st.lists(st.sampled_from([0.1, 0.5, 0.9]),
+                                  min_size=count, max_size=count)))
+    demos = []
+    for k, score in enumerate(scores):
+        triples = draw(st.lists(st.builds(
+            Triple, predicate=cell_text, subject_type=cell_text, subject=cell_text,
+            object_type=cell_text, object=cell_text), max_size=3))
+        demos.append(Demonstration(Sample(f"d{k}", draw(cell_text)),
+                                   TripleSet.of(triples), score))
+    return demos
+
+
+@settings(max_examples=200, deadline=None)
+@given(fmt=st.sampled_from(list(PromptFormat)), demos=demonstration_lists(),
+       texts=st.lists(cell_text, min_size=1, max_size=5))
+def test_batch_render_matches_the_per_query_render(fmt, demos, texts):
+    queries = [Sample(f"q{k}", text) for k, text in enumerate(texts)]
+    assert render_few_shot(fmt, demos, queries) == [
+        reference_render_few_shot(fmt, demos, q) for q in queries]
+
+
+# sha256 of the NUL-joined few-shot prompts for the mini test set, with every
+# pool sample as a demonstration; taken from the per-query renderer.  The
+# prompt bytes are the gateway's cache keys, so any change here orphans every
+# cached response.
+MINI_PROMPT_SHA256 = {
+    PromptFormat.TABLEIE: "1fe798f0b9b621011dce257505d567df9e2ea4e9f24a19c4e02dbd7fb2e5b4cd",
+    PromptFormat.TEXTIE: "b054648097a7e3aa677c18a6a55c7794e08e23abb797c159ef59abf00b44adbf",
+    PromptFormat.CODEIE: "3ad97a91f9aa193979cb5f2b5f86e9947c1030cdc51199099b893a535e0279be",
+}
+
+
+def test_mini_fixture_prompt_bytes_pinned():
+    pool = load_dataset(DATA_DIR / "train.jsonl", "train")
+    test = load_dataset(DATA_DIR / "test.jsonl", "test")
+    demos = [Demonstration(s, pool.gold[s.id].triples, float(k))
+             for k, s in enumerate(pool.samples)]
+    for fmt, want in MINI_PROMPT_SHA256.items():
+        prompts = render_few_shot(fmt, demos, test.samples)
+        assert len(prompts) == len(test.samples)
+        assert hashlib.sha256("\0".join(prompts).encode("utf-8")).hexdigest() == want, fmt
 
 
 # --- selection --------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import json
+from dataclasses import asdict
 from pathlib import Path
 
 import pytest
@@ -211,6 +212,34 @@ class TestConfig:
         with pytest.raises(ConfigError, match="embedder"):
             load_config(self.write(tmp_path, "provider = real\nembedder = nope\n"))
         assert PipelineConfig(format="codeie", embedder="http").format == "codeie"
+
+    @pytest.mark.parametrize("setting, value, message", [
+        ("concurrency", 0, "concurrency must be >= 1"),
+        ("top_u", 0, "top_u must be >= 1"),
+        ("retry_attempts", 0, "retry_attempts must be >= 1"),
+        ("embedding_dim", 0, "embedding_dim must be >= 1"),
+        ("batch_size", 0, "batch_size >= 1"),
+        ("learning_rate", -1.0, "learning_rate > 0"),
+        ("epochs", -1, "epochs >= 0"),
+        ("validation_fraction", 2.0, "validation_fraction"),
+    ])
+    def test_numeric_settings_validated_before_any_stage(self, tmp_path, setting, value,
+                                                         message):
+        # rejected when the config is built, before preextract's provider
+        # calls; a zero concurrency would block the first call, so none is made
+        with pytest.raises(ConfigError, match=message):
+            PipelineConfig(**{setting: value})
+        with pytest.raises(ConfigError, match=message):
+            load_config(self.write(tmp_path, f"{setting} = {value}\n"))
+        with pytest.raises(ConfigError, match=message):
+            apply_overrides(PipelineConfig(), **{setting: value})
+
+    def test_train_config_mirrors_the_settings(self):
+        cfg = PipelineConfig(epochs=0, batch_size=3, learning_rate=0.5, seed=7,
+                             validation_fraction=0.25, weight_decay=0.0, max_pairs=9)
+        assert asdict(cfg.train_config()) == dict(
+            epochs=0, batch_size=3, learning_rate=0.5, validation_fraction=0.25, seed=7,
+            weight_decay=0.0, max_pairs=9)
 
     def test_default_cache_dir_under_run_dir(self):
         cfg = PipelineConfig(run_dir=Path("/tmp/r"))

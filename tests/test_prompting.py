@@ -1,3 +1,5 @@
+import logging
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -168,7 +170,7 @@ def demo(sid, text, triples, score):
 class TestRenderFewShot:
     def test_zero_demos_degenerates_to_plural_zero_shot(self):
         query = Sample("q", "Booth shot Lincoln.")
-        prompt = render_few_shot(PromptFormat.TABLEIE, [], query)
+        [prompt] = render_few_shot(PromptFormat.TABLEIE, [], [query])
         assert prompt == (
             f"{FEW_SHOT_INSTRUCTION}\nBooth shot Lincoln.\n{TABLE_HEADER}"
         )
@@ -178,7 +180,7 @@ class TestRenderFewShot:
             demo("d1", "Far example .", [make_triple()], 0.2),
             demo("d2", "Near example .", [make_triple(o="Kennedy")], 0.9),
         ]
-        prompt = render_few_shot(PromptFormat.TABLEIE, demos, Sample("q", "Query ."))
+        [prompt] = render_few_shot(PromptFormat.TABLEIE, demos, [Sample("q", "Query .")])
         lines = prompt.splitlines()
         assert lines.index("Near example .") > lines.index("Far example .")
         assert lines[-2] == "Query ."
@@ -189,11 +191,11 @@ class TestRenderFewShot:
             demo("d2", "b", [make_triple()], 0.2),
         ]
         with pytest.raises(ValueError, match="demonstration order violated"):
-            render_few_shot(PromptFormat.TABLEIE, demos, Sample("q", "x"))
+            render_few_shot(PromptFormat.TABLEIE, demos, [Sample("q", "x")])
 
     def test_header_count_is_demos_plus_one(self):
         demos = [demo(f"d{i}", f"Sentence {i} .", [make_triple()], float(i)) for i in range(5)]
-        prompt = render_few_shot(PromptFormat.TABLEIE, demos, Sample("q", "Query ."))
+        [prompt] = render_few_shot(PromptFormat.TABLEIE, demos, [Sample("q", "Query .")])
         assert prompt.count(TABLE_HEADER) == 6
 
     def test_demos_separated_by_blank_line(self):
@@ -201,20 +203,35 @@ class TestRenderFewShot:
             demo("d1", "One .", [make_triple()], 0.1),
             demo("d2", "Two .", [make_triple()], 0.2),
         ]
-        prompt = render_few_shot(PromptFormat.TEXTIE, demos, Sample("q", "Query ."))
+        [prompt] = render_few_shot(PromptFormat.TEXTIE, demos, [Sample("q", "Query .")])
         assert "(Per: Booth, Kill, Per: Lincoln)\n\nTwo ." in prompt
 
     def test_codeie_demo_blocks_include_def_header(self):
         demos = [demo("d1", "One .", [make_triple()], 0.1)]
-        prompt = render_few_shot(PromptFormat.CODEIE, demos, Sample("q", "Query ."))
+        [prompt] = render_few_shot(PromptFormat.CODEIE, demos, [Sample("q", "Query .")])
         assert prompt.count(CODE_HEADER) == 1
         assert prompt.splitlines()[-1] == "Query ."
 
     def test_byte_deterministic(self):
         demos = [demo("d1", "One .", [make_triple()], 0.1)]
         query = Sample("q", "Query .")
-        assert (render_few_shot(PromptFormat.TABLEIE, demos, query)
-                == render_few_shot(PromptFormat.TABLEIE, demos, query))
+        assert (render_few_shot(PromptFormat.TABLEIE, demos, [query])
+                == render_few_shot(PromptFormat.TABLEIE, demos, [query]))
+
+    def test_empty_gold_warned_once_per_batch(self, caplog):
+        demos = [
+            demo("d1", "Nothing here .", [], 0.1),
+            demo("d2", "One .", [make_triple()], 0.2),
+            demo("d3", "Nor here .", [], 0.3),
+        ]
+        queries = [Sample(f"q{i}", f"Query {i} .") for i in range(3)]
+        with caplog.at_level(logging.WARNING, logger="tripleforge.prompting"):
+            prompts = render_few_shot(PromptFormat.TABLEIE, demos, queries)
+        assert len(prompts) == 3
+        assert [r.getMessage() for r in caplog.records] == [
+            "demonstration d1 has no gold triples",
+            "demonstration d3 has no gold triples",
+        ]
 
 
 class TestCountCharacters:
