@@ -1,13 +1,12 @@
 """Uniform completion interface over chat-completion HTTP APIs and a
-deterministic mock, with a content-addressed disk cache, bounded retries with
-exponential backoff, and call accounting.
+deterministic mock, with a content-addressed append-only response log,
+bounded retries with exponential backoff, and call accounting.
 """
 from __future__ import annotations
 
 import hashlib
 import json
 import os
-import tempfile
 import threading
 import time
 from dataclasses import dataclass
@@ -21,6 +20,7 @@ from .prompting import TABLE_HEADER, PromptFormat, serialize_triples
 
 API_KEY_ENV = "TRIPLEFORGE_API_KEY"
 RETRYABLE_STATUSES = frozenset({429, 500, 502, 503, 504})
+CACHE_LOG = "completions.log"
 
 
 class GatewayError(RuntimeError):
@@ -156,9 +156,13 @@ class GatewayStats:
 class LlmGateway:
     """Caching, retrying front end over a completion provider.
 
-    Responses are cached one file per content key; writes are atomic
-    (temp file + rename) so concurrent workers never observe a torn entry.
-    At most ``concurrency`` provider calls are in flight at once.
+    Responses are cached in one append-only log, ``cache_dir/completions.log``.
+    Each line is the 64-hex cache key, a tab, and the compact JSON entry
+    ``{"model_id", "provider", "text"}``; the last line for a key wins.  The
+    log is read into memory once, on first use, and an entry is decoded only
+    when its key is looked up.  A miss appends its line with one ``O_APPEND``
+    write under the gateway lock.  At most ``concurrency`` provider calls are
+    in flight at once.
     """
 
     def __init__(self, provider: CompletionProvider, cache_dir: str | Path,
@@ -171,11 +175,16 @@ class LlmGateway:
         self.provider = provider
         self.cache_dir = Path(cache_dir)
         self.cache_dir.mkdir(parents=True, exist_ok=True)
+        self.cache_log = self.cache_dir / CACHE_LOG
         self.max_attempts = max_attempts
         self.backoff_base = backoff_base
         self._sleep = sleep
         self._slots = threading.Semaphore(concurrency)
         self._lock = threading.Lock()
+        # key bytes -> raw entry bytes; None until the log is first read
+        self._index: Optional[dict[bytes, bytes]] = None
+        # the log ends in a line torn by a crash mid-append
+        self._torn_tail = False
         self.stats = GatewayStats()
 
     def cache_key(self, request: LlmRequest) -> str:
@@ -194,18 +203,29 @@ class LlmGateway:
         )
         return hashlib.sha256(material.encode("utf-8")).hexdigest()
 
-    def _cache_path(self, key: str) -> Path:
-        return self.cache_dir / f"{key}.json"
+    def _loaded_index(self) -> dict[bytes, bytes]:
+        """The log's entries by key, read on first use.  Call with the lock
+        held."""
+        if self._index is None:
+            try:
+                data = self.cache_log.read_bytes()
+            except FileNotFoundError:
+                data = b""
+            self._torn_tail = bool(data) and not data.endswith(b"\n")
+            # JSON escapes control characters, so a newline only ends a line
+            self._index = {line[:64]: line[65:] for line in data.split(b"\n") if line}
+        return self._index
 
-    def _read_cache(self, key: str) -> Optional[str]:
+    def _read_cache(self, key: bytes) -> Optional[str]:
         """Cached text, or None on a miss.  An entry that cannot be parsed
         (truncated JSON, no ``"text"``) is counted and treated as a miss, so
-        the completion is regenerated and the entry atomically replaced."""
-        try:
-            with self._cache_path(key).open(encoding="utf-8") as fh:
-                entry = json.load(fh)
-        except FileNotFoundError:
+        the completion is regenerated and its new line shadows the bad one."""
+        with self._lock:
+            raw = self._loaded_index().get(key)
+        if raw is None:
             return None
+        try:
+            entry = json.loads(raw)
         except (json.JSONDecodeError, UnicodeDecodeError):
             entry = None
         text = entry.get("text") if isinstance(entry, dict) else None
@@ -215,25 +235,31 @@ class LlmGateway:
             return None
         return text
 
-    def _write_cache(self, key: str, request: LlmRequest, text: str) -> None:
-        entry = {
-            "text": text,
-            "provider": self.provider.name,
-            "model_id": request.model_id,
-            "prompt_sha256": hashlib.sha256(request.prompt.encode("utf-8")).hexdigest(),
-        }
-        fd, tmp = tempfile.mkstemp(dir=self.cache_dir, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                json.dump(entry, fh, ensure_ascii=False, sort_keys=True)
-            os.replace(tmp, self._cache_path(key))
-        except BaseException:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
-            raise
+    def _write_cache(self, key: bytes, request: LlmRequest, text: str) -> None:
+        entry = json.dumps(
+            {"model_id": request.model_id, "provider": self.provider.name, "text": text},
+            ensure_ascii=False, sort_keys=True, separators=(",", ":"),
+        ).encode("utf-8")
+        line = key + b"\t" + entry + b"\n"
+        with self._lock:
+            index = self._loaded_index()
+            if self._torn_tail:
+                # end the torn line so that it cannot absorb this one
+                line = b"\n" + line
+            fd = os.open(self.cache_log, os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o644)
+            try:
+                # a write that fails part-way leaves a torn line behind
+                self._torn_tail = True
+                pending = memoryview(line)
+                while pending:
+                    pending = pending[os.write(fd, pending):]
+                self._torn_tail = False
+            finally:
+                os.close(fd)
+            index[key] = entry
 
     def complete(self, request: LlmRequest) -> LlmResponse:
-        key = self.cache_key(request)
+        key = self.cache_key(request).encode("ascii")
         cached = self._read_cache(key)
         if cached is not None:
             with self._lock:

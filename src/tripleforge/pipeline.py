@@ -147,6 +147,17 @@ def build_gateway(cfg: PipelineConfig,
                       concurrency=cfg.concurrency)
 
 
+def _call_counts(gateway: LlmGateway) -> dict[str, int]:
+    """The gateway's call accounting, for a stage's manifest info."""
+    stats = gateway.stats
+    return {
+        "llm_calls": stats.provider_calls,
+        "cache_hits": stats.cache_hits,
+        "retries": stats.retries,
+        "unreadable_cache_entries": stats.unreadable_cache_entries,
+    }
+
+
 def build_embedder(cfg: PipelineConfig) -> EmbeddingProvider:
     """The configured embedder; ``PipelineConfig`` admits only hash and http."""
     if cfg.embedder == "http":
@@ -212,8 +223,7 @@ def stage_preextract(cfg: PipelineConfig) -> StageOutcome:
         info={
             "pool_size": len(pool.samples),
             "excluded": len(artifact["excluded"]),
-            "llm_calls": gateway.stats.provider_calls,
-            "cache_hits": gateway.stats.cache_hits,
+            **_call_counts(gateway),
         },
     )
     _update_manifest(cfg, outcome)
@@ -321,8 +331,7 @@ def _pairwise_direct(cfg: PipelineConfig, pool: Dataset,
     info = {
         "excluded_pool": excluded_pool,
         "excluded_test": test_artifact["excluded"],
-        "llm_calls": gateway.stats.provider_calls,
-        "cache_hits": gateway.stats.cache_hits,
+        **_call_counts(gateway),
     }
     return P, info
 
@@ -436,8 +445,7 @@ def stage_run(cfg: PipelineConfig) -> StageOutcome:
             "test_size": len(test.samples),
             "demonstrations": len(demos),
             "parse_skipped_rows": skipped_total,
-            "llm_calls": gateway.stats.provider_calls,
-            "cache_hits": gateway.stats.cache_hits,
+            **_call_counts(gateway),
         },
     )
     _update_manifest(cfg, outcome)

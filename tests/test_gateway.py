@@ -1,9 +1,15 @@
+import errno
 import json
+import os
+import sys
+import threading
 
 import pytest
 
+from tripleforge.config import PipelineConfig
 from tripleforge.core import TripleSet
 from tripleforge.gateway import (
+    CACHE_LOG,
     GatewayError,
     HttpChatProvider,
     LlmGateway,
@@ -11,6 +17,7 @@ from tripleforge.gateway import (
     MockEchoGoldProvider,
     TransientProviderError,
 )
+from tripleforge.pipeline import _complete_all
 from tripleforge.prompting import PromptFormat, render_zero_shot, serialize_triples
 
 from conftest import make_triple
@@ -26,6 +33,21 @@ class CountingProvider:
     def generate(self, request):
         self.calls += 1
         return self.reply
+
+
+class EchoProvider:
+    """Answers each prompt with itself; safe to call from several threads."""
+
+    name = "echo"
+
+    def __init__(self):
+        self.calls = 0
+        self._lock = threading.Lock()
+
+    def generate(self, request):
+        with self._lock:
+            self.calls += 1
+        return f"echo:{request.prompt}"
 
 
 class FlakyProvider:
@@ -45,6 +67,17 @@ class FlakyProvider:
 
 def request(prompt="hello", **kw):
     return LlmRequest(model_id="m1", prompt=prompt, **kw)
+
+
+def log_lines(cache_dir):
+    """(key, raw JSON entry) for each line of the completion log, in order."""
+    text = (cache_dir / CACHE_LOG).read_text(encoding="utf-8")
+    return [tuple(line.split("\t", 1)) for line in text.split("\n") if line]
+
+
+def last_entry(cache_dir, key):
+    """The raw entry of the last log line for ``key``: the one that wins."""
+    return [raw for k, raw in log_lines(cache_dir) if k == key][-1]
 
 
 class TestCacheAndRetry:
@@ -70,8 +103,12 @@ class TestCacheAndRetry:
         gw = LlmGateway(CountingProvider("body"), tmp_path / "cache")
         req = request()
         gw.complete(req)
-        entry = json.loads((tmp_path / "cache" / f"{gw.cache_key(req)}.json").read_text())
+        [(key, raw)] = log_lines(tmp_path / "cache")
+        assert key == gw.cache_key(req)
+        entry = json.loads(raw)
         assert entry["text"] == "body"
+        assert raw == json.dumps({"model_id": "m1", "provider": "counting", "text": "body"},
+                                 separators=(",", ":"))
 
     def test_transient_failures_retried_with_backoff(self, tmp_path):
         sleeps = []
@@ -226,12 +263,15 @@ class TestUnreadableCacheEntry:
         req = request()
         first = LlmGateway(CountingProvider("answer"), tmp_path / "cache")
         first.complete(req)
-        path = tmp_path / "cache" / f"{first.cache_key(req)}.json"
-        whole = path.read_text(encoding="utf-8")
+        path = tmp_path / "cache" / CACHE_LOG
+        key = first.cache_key(req)
+        [(_, whole)] = log_lines(tmp_path / "cache")
         if damage == "truncate":
-            path.write_text(whole[: len(whole) // 2], encoding="utf-8")
+            # a crash mid-append: half the entry and no final newline
+            path.write_text(f"{key}\t{whole[: len(whole) // 2]}", encoding="utf-8")
         else:
-            path.write_text(json.dumps({"provider": "counting"}), encoding="utf-8")
+            path.write_text(f"{key}\t{json.dumps({'provider': 'counting'})}\n",
+                            encoding="utf-8")
 
         provider = CountingProvider("answer")
         gw = LlmGateway(provider, tmp_path / "cache")
@@ -239,9 +279,90 @@ class TestUnreadableCacheEntry:
         assert response.text == "answer" and not response.from_cache
         assert provider.calls == 1
         assert gw.stats.unreadable_cache_entries == 1 and gw.stats.cache_hits == 0
-        assert json.loads(path.read_text(encoding="utf-8"))["text"] == "answer"
+        assert json.loads(last_entry(tmp_path / "cache", key))["text"] == "answer"
         assert sorted(p.name for p in path.parent.iterdir()) == [path.name]
 
         again = LlmGateway(CountingProvider("unused"), tmp_path / "cache")
         assert again.complete(req).from_cache
         assert again.stats.unreadable_cache_entries == 0
+
+
+class TestCompletionLog:
+    def test_torn_final_line_does_not_absorb_the_next_append(self, tmp_path):
+        cache = tmp_path / "cache"
+        first = LlmGateway(EchoProvider(), cache)
+        for prompt in ("a", "b", "c"):
+            first.complete(request(prompt))
+        path = cache / CACHE_LOG
+        whole = path.read_bytes()
+        path.write_bytes(whole[:-10])  # the line for "c" loses its tail
+
+        second = LlmGateway(EchoProvider(), cache)
+        assert not second.complete(request("d")).from_cache
+
+        provider = EchoProvider()
+        fresh = LlmGateway(provider, cache)
+        for prompt in ("a", "b", "d"):
+            response = fresh.complete(request(prompt))
+            assert response.from_cache and response.text == f"echo:{prompt}"
+        assert provider.calls == 0
+        assert fresh.complete(request("c")).text == "echo:c"
+        assert provider.calls == 1 and fresh.stats.unreadable_cache_entries == 1
+
+    def test_failed_append_does_not_absorb_the_next_one(self, tmp_path, monkeypatch):
+        cache = tmp_path / "cache"
+        gw = LlmGateway(EchoProvider(), cache)
+        gw.complete(request("a"))
+        write = os.write
+
+        def half_then_full_disk(fd, data):
+            write(fd, bytes(data[: len(data) // 2]))
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        with monkeypatch.context() as m:
+            m.setattr(os, "write", half_then_full_disk)
+            with pytest.raises(OSError):
+                gw.complete(request("b"))
+        gw.complete(request("c"))
+
+        provider = EchoProvider()
+        fresh = LlmGateway(provider, cache)
+        assert all(fresh.complete(request(p)).from_cache for p in ("a", "c"))
+        assert provider.calls == 0
+
+    def test_last_line_for_a_key_wins(self, tmp_path):
+        cache = tmp_path / "cache"
+        first = LlmGateway(CountingProvider("old"), cache)
+        req = request()
+        first.complete(req)
+        entry = {"model_id": "m1", "provider": "counting", "text": "new"}
+        with (cache / CACHE_LOG).open("a", encoding="utf-8") as fh:
+            fh.write(f"{first.cache_key(req)}\t{json.dumps(entry)}\n")
+
+        provider = CountingProvider("unused")
+        fresh = LlmGateway(provider, cache)
+        response = fresh.complete(req)
+        assert response.from_cache and response.text == "new"
+        assert provider.calls == 0
+
+    def test_concurrent_completions_share_one_log(self, tmp_path):
+        cache = tmp_path / "cache"
+        cfg = PipelineConfig(pool_path=tmp_path / "pool.jsonl",
+                             test_path=tmp_path / "test.jsonl",
+                             run_dir=tmp_path / "run", concurrency=4)
+        gw = LlmGateway(EchoProvider(), cache, concurrency=cfg.concurrency)
+        prompts = [f"prompt {i}" for i in range(50)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            texts = _complete_all(cfg, gw, prompts)
+        finally:
+            sys.setswitchinterval(interval)
+        assert texts == [f"echo:{p}" for p in prompts]
+        assert [p.name for p in cache.iterdir()] == [CACHE_LOG]
+
+        lines = log_lines(cache)
+        assert len(lines) == 50
+        expected = {gw.cache_key(LlmRequest(model_id=cfg.model_id, prompt=p)): f"echo:{p}"
+                    for p in prompts}
+        assert {key: json.loads(raw)["text"] for key, raw in lines} == expected

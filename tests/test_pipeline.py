@@ -7,6 +7,7 @@ import pytest
 from tripleforge import cli
 from tripleforge.config import ConfigError, PipelineConfig, apply_overrides, load_config
 from tripleforge.core import TripleSet
+from tripleforge.gateway import CACHE_LOG, MockEchoGoldProvider, TransientProviderError
 from tripleforge.pipeline import (
     EVAL_JSON,
     MANIFEST,
@@ -108,6 +109,42 @@ class TestFullPipeline:
         assert entry["sha256"] == hashlib.sha256(
             (cfg.run_dir / PREEXTRACT).read_bytes()).hexdigest()
         assert manifest["config"]["budget"] == cfg.budget
+
+    def test_manifest_records_retries_and_unreadable_entries(self, run_config,
+                                                             monkeypatch):
+        cfg = run_config(distance_source="direct", strategy="topk", budget=3,
+                         backoff_base=0.0, concurrency=1)
+        stages = ("preextract", "select", "run")
+        for name in stages:
+            STAGES[name](cfg)
+        # strip the text from every logged entry, so each lookup is an
+        # unreadable entry, and fail each regenerated prompt's first attempt
+        log = cfg.effective_cache_dir / CACHE_LOG
+        log.write_bytes(b"".join(line[:65] + b"{}\n"
+                                 for line in log.read_bytes().splitlines()))
+        generate = MockEchoGoldProvider.generate
+        failed = set()
+
+        def flaky(self, request):
+            if request.prompt not in failed:
+                failed.add(request.prompt)
+                raise TransientProviderError("HTTP 503", status=503)
+            return generate(self, request)
+
+        monkeypatch.setattr(MockEchoGoldProvider, "generate", flaky)
+        for name in stages:
+            STAGES[name](cfg)
+
+        info = {name: entry["info"] for name, entry in
+                json.loads((cfg.run_dir / MANIFEST).read_text())["stages"].items()}
+        sizes = {"preextract": info["preextract"]["pool_size"],
+                 "select": info["run"]["test_size"], "run": info["run"]["test_size"]}
+        for name in stages:
+            n = sizes[name]
+            assert info[name]["unreadable_cache_entries"] == n
+            assert info[name]["retries"] == n
+            assert info[name]["llm_calls"] == 2 * n
+            assert info[name]["cache_hits"] == 0
 
     def test_direct_mode_needs_no_checkpoint(self, run_config):
         cfg = run_config(distance_source="direct", strategy="topk", budget=3)
