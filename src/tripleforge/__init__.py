@@ -24,7 +24,6 @@ from .prompting import (
     serialize_triples,
 )
 from .retriever import (
-    PairwiseDistanceSet,
     RetrieverModel,
     TrainConfig,
     compute_P,
@@ -41,6 +40,7 @@ from .selection import (
 )
 from .similarity import (
     HashingEmbedder,
+    PairwiseDistanceSet,
     PoolDistanceMatrix,
     pool_distances,
     set_distance,

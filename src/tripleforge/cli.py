@@ -11,10 +11,9 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .config import ConfigError, apply_overrides, load_config
+from .config import CHOICES, ConfigError, apply_overrides, load_config
 from .pipeline import STAGES, UpstreamMissingError
 from .prompting import PromptFormat
-from .selection import STRATEGIES
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -27,30 +26,21 @@ def _build_parser() -> argparse.ArgumentParser:
     for name, fn in STAGES.items():
         p = sub.add_parser(name, help=(fn.__doc__ or "").strip().splitlines()[0])
         p.add_argument("--config", required=True, help="path to the key-value config file")
-        p.add_argument("--strategy", choices=list(STRATEGIES))
+        # every other flag overrides the config key it is named after
+        for key in ("strategy", "distance_source", "provider"):
+            p.add_argument(f"--{key.replace('_', '-')}", dest=key, choices=CHOICES[key])
         p.add_argument("--budget", type=int)
         p.add_argument("--seed", type=int)
-        p.add_argument("--distance-source", dest="distance_source",
-                       choices=["retriever", "direct"])
         p.add_argument("--format", choices=[f.value for f in PromptFormat])
-        p.add_argument("--provider", choices=["real", "mock"])
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    overrides = vars(_build_parser().parse_args(argv))
+    command, config = overrides.pop("command"), overrides.pop("config")
     try:
-        cfg = load_config(args.config)
-        cfg = apply_overrides(
-            cfg,
-            strategy=args.strategy,
-            budget=args.budget,
-            seed=args.seed,
-            distance_source=args.distance_source,
-            format=args.format,
-            provider=args.provider,
-        )
-        outcome = STAGES[args.command](cfg)
+        cfg = apply_overrides(load_config(config), **overrides)
+        outcome = STAGES[command](cfg)
     except (ConfigError, UpstreamMissingError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -21,6 +21,17 @@ class ConfigError(ValueError):
     pass
 
 
+# The settings that take one of a fixed set of values, checked by
+# ``PipelineConfig`` and offered as choices by the CLI.
+CHOICES: dict[str, tuple[str, ...]] = {
+    "provider": ("mock", "real"),
+    "embedder": ("hash", "http"),
+    "strategy": tuple(STRATEGIES),
+    "distance_source": ("retriever", "direct"),
+    "demo_order": ("similar-last", "similar-first"),
+}
+
+
 @dataclass
 class PipelineConfig:
     pool_path: Path = Path("train.jsonl")
@@ -28,26 +39,26 @@ class PipelineConfig:
     run_dir: Path = Path("runs/default")
     cache_dir: Optional[Path] = None  # defaults to <run_dir>/cache
 
-    provider: str = "mock"  # mock | real
+    provider: str = "mock"
     model_id: str = "mock-echo-gold"
     endpoint_url: str = ""
     retry_attempts: int = 3
     backoff_base: float = 0.5
     concurrency: int = 4
 
-    embedder: str = "hash"  # hash | http
+    embedder: str = "hash"
     embedding_dim: int = 64
     embedding_endpoint: str = ""
     embedding_model: str = ""
 
     format: str = "tableie"  # tableie | textie | codeie
-    strategy: str = "coverage"  # a key of selection.STRATEGIES
+    strategy: str = "coverage"
     budget: int = 5
     top_u: int = 5
     seed: int = 0
-    distance_source: str = "retriever"  # retriever | direct
+    distance_source: str = "retriever"
     checkpoint_path: Optional[Path] = None  # defaults to <run_dir>/retriever.ckpt
-    demo_order: str = "similar-last"  # similar-last | similar-first
+    demo_order: str = "similar-last"
 
     epochs: int = 5
     batch_size: int = 16
@@ -57,20 +68,14 @@ class PipelineConfig:
     max_pairs: int = 0
 
     def __post_init__(self) -> None:
-        if self.provider not in ("mock", "real"):
-            raise ConfigError(f"provider must be mock or real, got {self.provider!r}")
-        if self.embedder not in ("hash", "http"):
-            raise ConfigError(f"embedder must be hash or http, got {self.embedder!r}")
+        for name, allowed in CHOICES.items():
+            if getattr(self, name) not in allowed:
+                raise ConfigError(f"{name} must be one of {', '.join(allowed)}, "
+                                  f"got {getattr(self, name)!r}")
         try:
             PromptFormat.parse(self.format)
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
-        if self.strategy not in STRATEGIES:
-            raise ConfigError(f"unknown strategy {self.strategy!r}; choose from {', '.join(STRATEGIES)}")
-        if self.distance_source not in ("retriever", "direct"):
-            raise ConfigError(f"distance_source must be retriever or direct, got {self.distance_source!r}")
-        if self.demo_order not in ("similar-last", "similar-first"):
-            raise ConfigError(f"demo_order must be similar-last or similar-first, got {self.demo_order!r}")
         for name in ("budget", "top_u", "retry_attempts", "concurrency", "embedding_dim"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1")

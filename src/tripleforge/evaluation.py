@@ -63,20 +63,7 @@ class EvalReport:
     unalignable_entities: int = 0
 
     def to_json_dict(self) -> dict:
-        return {
-            "precision": self.precision,
-            "recall": self.recall,
-            "f1": self.f1,
-            "tp": self.tp,
-            "fp": self.fp,
-            "fn": self.fn,
-            "per_relation": {
-                r: {"tp": c.tp, "fp": c.fp, "fn": c.fn}
-                for r, c in sorted(self.per_relation.items())
-            },
-            "parse_skipped_rows": self.parse_skipped_rows,
-            "unalignable_entities": self.unalignable_entities,
-        }
+        return asdict(self)
 
     def to_table_text(self) -> str:
         lines = [

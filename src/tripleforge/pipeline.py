@@ -34,7 +34,6 @@ from .prompting import (
     render_zero_shot,
 )
 from .retriever import (
-    PairwiseDistanceSet,
     compute_P,
     load_checkpoint,
     save_checkpoint,
@@ -53,6 +52,7 @@ from .similarity import (
     EmbeddingProvider,
     HashingEmbedder,
     HttpEmbeddingProvider,
+    PairwiseDistanceSet,
     PoolDistanceMatrix,
     embed_triple_sets,
     pool_distances,
@@ -63,10 +63,10 @@ from .similarity import (
 MANIFEST = "manifest.json"
 PREEXTRACT = "preextract.json"
 PREEXTRACT_TEST = "preextract_test.json"
-POOL_DISTANCES = "pool_distances.json"
+POOL_DISTANCES = "pool_distances.npz"
 CHECKPOINT = "retriever.ckpt"
 TRAINING_HISTORY = "training_history.json"
-PAIRWISE = "pairwise_distances.json"
+PAIRWISE = "pairwise_distances.npz"
 SELECTION = "selection.json"
 OUTPUTS = "outputs.json"
 PREDICTIONS = "predictions.json"
@@ -379,9 +379,12 @@ def stage_select(cfg: PipelineConfig) -> StageOutcome:
     selection_path = cfg.run_dir / SELECTION
     _write_json(selection_path, artifact)
 
+    artifacts = {PAIRWISE: pairwise_path, SELECTION: selection_path}
+    if cfg.distance_source == "direct":
+        artifacts[PREEXTRACT_TEST] = cfg.run_dir / PREEXTRACT_TEST
     outcome = StageOutcome(
         stage="select",
-        artifacts={PAIRWISE: pairwise_path, SELECTION: selection_path},
+        artifacts=artifacts,
         info={**info, "strategy": cfg.strategy, "budget": cfg.budget,
               "chosen": list(result.chosen),
               "checked_count": result.checked_count,

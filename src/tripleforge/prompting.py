@@ -55,12 +55,11 @@ class ParsedExtraction:
     """Result of parsing raw model output: recovered triples plus skip audit."""
 
     triples: TripleSet
-    skipped_rows: int
     diagnostics: tuple[tuple[str, str], ...] = ()
 
-    def __post_init__(self) -> None:
-        if self.skipped_rows != len(self.diagnostics):
-            raise ValueError("skipped_rows must equal the number of diagnostics")
+    @property
+    def skipped_rows(self) -> int:
+        return len(self.diagnostics)
 
 
 # --- escaping -------------------------------------------------------------
@@ -246,11 +245,7 @@ def parse_output(fmt: PromptFormat, raw: str, sentence: str) -> ParsedExtraction
             triples.append(_triple_from_fields(fields, sentence))
         except ValueError as exc:
             diagnostics.append((line, f"invalid triple: {exc}"))
-    return ParsedExtraction(
-        triples=TripleSet.of(triples),
-        skipped_rows=len(diagnostics),
-        diagnostics=tuple(diagnostics),
-    )
+    return ParsedExtraction(triples=TripleSet.of(triples), diagnostics=tuple(diagnostics))
 
 
 # --- prompt assembly ------------------------------------------------------

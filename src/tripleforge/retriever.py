@@ -5,7 +5,6 @@ trained model scores unseen test samples without any further LLM calls.
 """
 from __future__ import annotations
 
-import json
 import random
 import struct
 import zlib
@@ -16,7 +15,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .core import Sample
-from .similarity import EmbeddingProvider, PoolDistanceMatrix
+from .similarity import EmbeddingProvider, PairwiseDistanceSet, PoolDistanceMatrix
 
 CHECKPOINT_MAGIC = b"TFRETRV1"
 CHECKPOINT_VERSION = 1
@@ -231,68 +230,6 @@ def train_retriever(texts_by_id: Mapping[str, str], matrix: PoolDistanceMatrix,
 
 
 # --- pool-to-test distances ---------------------------------------------------
-
-@dataclass(frozen=True)
-class PairwiseDistanceSet:
-    """N x M distances between candidate-pool samples and test samples."""
-
-    unlabeled_ids: tuple[str, ...]
-    test_ids: tuple[str, ...]
-    entries: np.ndarray
-    provider: str = ""
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "unlabeled_ids", tuple(self.unlabeled_ids))
-        object.__setattr__(self, "test_ids", tuple(self.test_ids))
-        entries = np.asarray(self.entries, dtype=np.float64)
-        if entries.shape != (len(self.unlabeled_ids), len(self.test_ids)):
-            raise ValueError(
-                f"entries must be {len(self.unlabeled_ids)}x{len(self.test_ids)}, got {entries.shape}"
-            )
-        if entries.size and (np.any(entries < 0) or not np.all(np.isfinite(entries))):
-            raise ValueError("entries must be finite and non-negative")
-        object.__setattr__(self, "entries", entries)
-
-    @property
-    def n(self) -> int:
-        return len(self.unlabeled_ids)
-
-    @property
-    def m(self) -> int:
-        return len(self.test_ids)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "kind": "pairwise_distance_set",
-            "n": self.n,
-            "m": self.m,
-            "unlabeled_ids": list(self.unlabeled_ids),
-            "test_ids": list(self.test_ids),
-            "provider": self.provider,
-            "entries": self.entries.tolist(),
-        }
-
-    @classmethod
-    def from_json_dict(cls, raw: Mapping) -> "PairwiseDistanceSet":
-        if raw.get("kind") != "pairwise_distance_set":
-            raise ValueError(f"not a pairwise distance artifact: kind={raw.get('kind')!r}")
-        return cls(
-            unlabeled_ids=tuple(raw["unlabeled_ids"]),
-            test_ids=tuple(raw["test_ids"]),
-            entries=np.asarray(raw["entries"], dtype=np.float64),
-            provider=raw.get("provider", ""),
-        )
-
-    def save(self, path: str | Path) -> None:
-        Path(path).write_text(
-            json.dumps(self.to_json_dict(), sort_keys=True, ensure_ascii=False) + "\n",
-            encoding="utf-8",
-        )
-
-    @classmethod
-    def load(cls, path: str | Path) -> "PairwiseDistanceSet":
-        return cls.from_json_dict(json.loads(Path(path).read_text(encoding="utf-8")))
-
 
 def compute_P(model: RetrieverModel, pool_samples: Sequence[Sample],
               test_samples: Sequence[Sample]) -> PairwiseDistanceSet:

@@ -19,7 +19,7 @@ import numpy as np
 
 from .core import AnnotationOracle, Sample, Schema, TripleSet
 from .prompting import Demonstration
-from .retriever import PairwiseDistanceSet
+from .similarity import PairwiseDistanceSet
 
 
 @dataclass(frozen=True)

@@ -8,7 +8,6 @@ triples (unlike the classical max-of-min form).
 from __future__ import annotations
 
 import hashlib
-import json
 import math
 import os
 from dataclasses import dataclass
@@ -24,7 +23,6 @@ from .gateway import API_KEY_ENV, GatewayError
 class EmbeddingProvider(Protocol):
     name: str
     dim: int
-    deterministic: bool
 
     def embed(self, text: str) -> np.ndarray: ...
 
@@ -37,8 +35,6 @@ class HashingEmbedder:
     so it is the default for tests and offline runs; hashes come from
     blake2b, not the salted builtin ``hash``.
     """
-
-    deterministic = True
 
     def __init__(self, dim: int = 64):
         if dim < 1:
@@ -62,8 +58,6 @@ class HashingEmbedder:
 class HttpEmbeddingProvider:
     """Embeddings over an HTTP endpoint: POSTs ``{model, input}`` and reads
     ``data[i].embedding``."""
-
-    deterministic = False
 
     def __init__(self, endpoint_url: str, model_id: str, dim: int,
                  api_key: Optional[str] = None, api_key_env: str = API_KEY_ENV,
@@ -191,6 +185,57 @@ def set_distances(A_sets: Sequence[Sequence[np.ndarray] | np.ndarray],
     return out
 
 
+# --- distance matrices ----------------------------------------------------
+# The pool x pool matrix that the retriever regresses onto and the pool x test
+# matrix that selection reads share one validator and one file format.
+
+POOL_KIND = "pool_distance_matrix"
+PAIRWISE_KIND = "pairwise_distance_set"
+_MEMBERS = ("kind", "provider", "row_ids", "col_ids", "entries")
+
+
+def _checked_entries(entries, rows: int, cols: int) -> np.ndarray:
+    """``entries`` as a ``rows x cols`` float64 array of distances."""
+    entries = np.asarray(entries, dtype=np.float64)
+    if entries.shape != (rows, cols):
+        raise ValueError(f"entries must be {rows}x{cols}, got {entries.shape}")
+    if not np.all(np.isfinite(entries)) or np.any(entries < 0):
+        raise ValueError("entries must be finite and non-negative")
+    return entries
+
+
+def _text_array(value: str | list[str]) -> np.ndarray:
+    array = np.array(value, dtype=np.str_)
+    if array.tolist() != value:
+        raise ValueError("numpy string arrays drop a trailing NUL of an id or provider")
+    return array
+
+
+def save_distances(path: str | Path, kind: str, row_ids: Sequence[str],
+                   col_ids: Sequence[str], entries: np.ndarray, provider: str) -> None:
+    """Write a distance matrix as one uncompressed ``.npz`` of ``_MEMBERS``.
+    ``zipfile`` stamps every member with a fixed 1980 date, so equal
+    matrices save to equal bytes."""
+    arrays = {"kind": _text_array(kind), "provider": _text_array(provider),
+              "row_ids": _text_array(list(row_ids)), "col_ids": _text_array(list(col_ids)),
+              "entries": _checked_entries(entries, len(row_ids), len(col_ids))}
+    with open(path, "wb") as fh:
+        np.savez(fh, **arrays)
+
+
+def load_distances(path: str | Path, kind: str
+                   ) -> tuple[tuple[str, ...], tuple[str, ...], np.ndarray, str]:
+    """``(row_ids, col_ids, entries, provider)`` of a ``save_distances`` file
+    of the given kind; refuses pickled members and any other kind."""
+    with np.load(path, allow_pickle=False) as data:
+        stored, provider, rows, cols, entries = (data[name] for name in _MEMBERS)
+    if stored.tolist() != kind:
+        raise ValueError(f"{path}: not a {kind} artifact: kind={stored.tolist()!r}")
+    if entries.dtype != np.float64:
+        raise ValueError(f"{path}: entries must be float64, got {entries.dtype}")
+    return tuple(rows.tolist()), tuple(cols.tolist()), entries, str(provider)
+
+
 @dataclass(frozen=True)
 class PoolDistanceMatrix:
     """Symmetric pairwise set distances over the candidate pool."""
@@ -198,54 +243,57 @@ class PoolDistanceMatrix:
     sample_ids: tuple[str, ...]
     entries: np.ndarray
     provider: str
-    dim: int
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "sample_ids", tuple(self.sample_ids))
-        entries = np.asarray(self.entries, dtype=np.float64)
-        n = len(self.sample_ids)
-        if entries.shape != (n, n):
-            raise ValueError(f"entries must be {n}x{n}, got {entries.shape}")
-        if n and (not np.allclose(entries, entries.T, atol=1e-9) or np.any(np.diag(entries) != 0)):
+        entries = _checked_entries(self.entries, self.n, self.n)
+        if not np.allclose(entries, entries.T, atol=1e-9) or np.any(np.diag(entries) != 0):
             raise ValueError("entries must be symmetric with a zero diagonal")
-        if np.any(entries < 0) or not np.all(np.isfinite(entries)):
-            raise ValueError("entries must be finite and non-negative")
         object.__setattr__(self, "entries", entries)
 
     @property
     def n(self) -> int:
         return len(self.sample_ids)
 
-    def to_json_dict(self) -> dict:
-        return {
-            "kind": "pool_distance_matrix",
-            "n": self.n,
-            "sample_ids": list(self.sample_ids),
-            "dim": self.dim,
-            "provider": self.provider,
-            "entries": self.entries.tolist(),
-        }
-
-    @classmethod
-    def from_json_dict(cls, raw: Mapping) -> "PoolDistanceMatrix":
-        if raw.get("kind") != "pool_distance_matrix":
-            raise ValueError(f"not a pool distance matrix artifact: kind={raw.get('kind')!r}")
-        return cls(
-            sample_ids=tuple(raw["sample_ids"]),
-            entries=np.asarray(raw["entries"], dtype=np.float64),
-            provider=raw["provider"],
-            dim=int(raw["dim"]),
-        )
-
     def save(self, path: str | Path) -> None:
-        Path(path).write_text(
-            json.dumps(self.to_json_dict(), sort_keys=True, ensure_ascii=False) + "\n",
-            encoding="utf-8",
-        )
+        save_distances(path, POOL_KIND, self.sample_ids, self.sample_ids, self.entries,
+                       self.provider)
 
     @classmethod
     def load(cls, path: str | Path) -> "PoolDistanceMatrix":
-        return cls.from_json_dict(json.loads(Path(path).read_text(encoding="utf-8")))
+        rows, _, entries, provider = load_distances(path, POOL_KIND)
+        return cls(rows, entries, provider)
+
+
+@dataclass(frozen=True)
+class PairwiseDistanceSet:
+    """N x M distances between candidate-pool samples and test samples."""
+
+    unlabeled_ids: tuple[str, ...]
+    test_ids: tuple[str, ...]
+    entries: np.ndarray
+    provider: str = ""
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "unlabeled_ids", tuple(self.unlabeled_ids))
+        object.__setattr__(self, "test_ids", tuple(self.test_ids))
+        object.__setattr__(self, "entries", _checked_entries(self.entries, self.n, self.m))
+
+    @property
+    def n(self) -> int:
+        return len(self.unlabeled_ids)
+
+    @property
+    def m(self) -> int:
+        return len(self.test_ids)
+
+    def save(self, path: str | Path) -> None:
+        save_distances(path, PAIRWISE_KIND, self.unlabeled_ids, self.test_ids, self.entries,
+                       self.provider)
+
+    @classmethod
+    def load(cls, path: str | Path) -> "PairwiseDistanceSet":
+        return cls(*load_distances(path, PAIRWISE_KIND))
 
 
 # Pool rows per band of the upper triangle: smaller bands compute fewer cells
@@ -288,4 +336,4 @@ def pool_distances(preextracted: Mapping[str, Sequence[str]],
         upper[s0:s0 + _TRIANGLE_BAND, s0:] = set_distances(sets[s0:s0 + _TRIANGLE_BAND], sets[s0:])
     upper = np.triu(upper, 1)
     return PoolDistanceMatrix(sample_ids=tuple(ids), entries=upper + upper.T,
-                              provider=provider.name, dim=provider.dim)
+                              provider=provider.name)

@@ -31,8 +31,6 @@ def make_gold_store(relations_by_id: dict[str, list[str]]) -> dict[str, GoldAnno
 class StubEmbedder:
     """Embedding provider over a fixed text -> vector table."""
 
-    deterministic = True
-
     def __init__(self, table: dict[str, list[float]], name: str = "stub"):
         self._table = {k: np.asarray(v, dtype=np.float64) for k, v in table.items()}
         dims = {v.shape[0] for v in self._table.values()}

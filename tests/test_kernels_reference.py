@@ -74,8 +74,7 @@ def reference_pool_distances(preextracted, provider) -> PoolDistanceMatrix:
             d = reference_set_distance(embedded[ids[i]], embedded[ids[j]])
             entries[i, j] = d
             entries[j, i] = d
-    return PoolDistanceMatrix(sample_ids=tuple(ids), entries=entries,
-                              provider=provider.name, dim=provider.dim)
+    return PoolDistanceMatrix(sample_ids=tuple(ids), entries=entries, provider=provider.name)
 
 
 def reference_compute_P(model, pool_samples, test_samples) -> PairwiseDistanceSet:
@@ -342,7 +341,7 @@ def test_compute_P_matches_the_cell_by_cell_norms(seed, pool_words, test_words):
 def test_training_pairs_match_the_pair_loop(n, fraction, seed, max_pairs):
     points = np.random.default_rng(seed).normal(size=(n, 2))
     entries = np.linalg.norm(points[:, None, :] - points[None, :, :], axis=-1)
-    matrix = PoolDistanceMatrix(tuple(f"s{i}" for i in range(n)), entries, "stub", 2)
+    matrix = PoolDistanceMatrix(tuple(f"s{i}" for i in range(n)), entries, "stub")
     got = make_training_pairs(matrix, fraction, seed, max_pairs)
     train, validation, held = reference_make_training_pairs(matrix, fraction, seed, max_pairs)
     assert got.held_out == held

@@ -1,3 +1,4 @@
+import hashlib
 import json
 from dataclasses import asdict
 from pathlib import Path
@@ -5,7 +6,13 @@ from pathlib import Path
 import pytest
 
 from tripleforge import cli
-from tripleforge.config import ConfigError, PipelineConfig, apply_overrides, load_config
+from tripleforge.config import (
+    CHOICES,
+    ConfigError,
+    PipelineConfig,
+    apply_overrides,
+    load_config,
+)
 from tripleforge.core import TripleSet
 from tripleforge.gateway import CACHE_LOG, MockEchoGoldProvider, TransientProviderError
 from tripleforge.pipeline import (
@@ -23,6 +30,7 @@ from tripleforge.pipeline import (
     stage_select,
     stage_train,
 )
+from tripleforge.similarity import PoolDistanceMatrix
 
 from conftest import DATA_DIR
 
@@ -45,8 +53,8 @@ class TestFullPipeline:
         cfg = run_config()
         run_all(cfg)
         artifact_names = [
-            "preextract.json", "pool_distances.json", "retriever.ckpt",
-            "pairwise_distances.json", "selection.json", "outputs.json",
+            "preextract.json", "pool_distances.npz", "retriever.ckpt",
+            "pairwise_distances.npz", "selection.json", "outputs.json",
             "predictions.json", "eval_report.json", "eval_report.txt",
             "cost_report.json", "cost_report.txt",
         ]
@@ -80,8 +88,8 @@ class TestFullPipeline:
         artifact = json.loads((cfg.run_dir / PREEXTRACT).read_text())
         assert artifact["excluded"] == ["x99"]
         stage_distances(cfg)
-        matrix = json.loads((cfg.run_dir / "pool_distances.json").read_text())
-        assert matrix["n"] == 20 and "x99" not in matrix["sample_ids"]
+        matrix = PoolDistanceMatrix.load(cfg.run_dir / "pool_distances.npz")
+        assert matrix.n == 20 and "x99" not in matrix.sample_ids
         # the excluded sample never becomes a candidate downstream
         stage_train(cfg)
         stage_select(cfg)
@@ -151,6 +159,11 @@ class TestFullPipeline:
         stage_preextract(cfg)
         outcome = stage_select(cfg)  # train was never run
         assert (cfg.run_dir / PREEXTRACT_TEST).exists()
+        # the test pre-extraction is a select artifact, hashed in the manifest
+        manifest = json.loads((cfg.run_dir / MANIFEST).read_text())
+        entry = manifest["stages"]["select"]["artifacts"][PREEXTRACT_TEST]
+        assert entry["sha256"] == hashlib.sha256(
+            (cfg.run_dir / PREEXTRACT_TEST).read_bytes()).hexdigest()
         assert len(outcome.info["chosen"]) == 3
         run_outcome = stage_run(cfg)
         stage_eval(cfg)
@@ -239,6 +252,23 @@ class TestConfig:
             PipelineConfig(strategy="best-effort")
         with pytest.raises(ConfigError, match="provider"):
             PipelineConfig(provider="llm")
+
+    @pytest.mark.parametrize("key", ["demo_order", "distance_source", "embedder", "provider",
+                                     "strategy"])
+    def test_choice_settings_checked_against_one_table(self, key):
+        with pytest.raises(ConfigError, match=f"{key} must be one of .*, got 'bogus'"):
+            PipelineConfig(**{key: "bogus"})
+        for value in CHOICES[key]:
+            assert getattr(PipelineConfig(**{key: value}), key) == value
+
+    @pytest.mark.parametrize("key", ["strategy", "distance_source", "provider"])
+    def test_cli_flags_offer_the_table_choices(self, key, capsys):
+        flag = "--" + key.replace("_", "-")
+        parser = cli._build_parser()
+        for value in CHOICES[key]:
+            assert getattr(parser.parse_args(["select", "--config", "c", flag, value]), key) == value
+        with pytest.raises(SystemExit):
+            parser.parse_args(["select", "--config", "c", flag, "bogus"])
 
     def test_format_and_embedder_validated_before_any_stage(self, tmp_path):
         # both are read only by later stages, after preextract's provider calls

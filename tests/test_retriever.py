@@ -28,10 +28,10 @@ def distance_matrix_from(points: np.ndarray, transform=None) -> np.ndarray:
     return np.linalg.norm(projected[:, None, :] - projected[None, :, :], axis=-1)
 
 
-def make_matrix(points: np.ndarray, transform=None, dim=None) -> PoolDistanceMatrix:
+def make_matrix(points: np.ndarray, transform=None) -> PoolDistanceMatrix:
     entries = distance_matrix_from(points, transform)
     ids = tuple(f"s{i:02d}" for i in range(len(points)))
-    return PoolDistanceMatrix(ids, entries, "stub", dim or points.shape[1])
+    return PoolDistanceMatrix(ids, entries, "stub")
 
 
 def same_pairs(a, b) -> bool:
@@ -241,7 +241,7 @@ class TestTrainRetriever:
         embeddings = np.stack([base.embed(t) for t in texts.values()])
         planted = rng.normal(size=(16, 16)) * 0.5
         entries = distance_matrix_from(embeddings, planted)
-        matrix = PoolDistanceMatrix(tuple(texts), entries, base.name, 16)
+        matrix = PoolDistanceMatrix(tuple(texts), entries, base.name)
         cfg = TrainConfig(epochs=120, learning_rate=0.02, seed=0, weight_decay=0.0)
         model, history = train_retriever(texts, matrix, base, cfg)
         final = min(e["validation_loss_mean"] for e in history.epochs)
@@ -317,8 +317,7 @@ class TestCheckpoints:
         rng = np.random.default_rng(31)
         texts_a = {f"a{i}": f"first corpus sentence {i}" for i in range(8)}
         emb_a = np.stack([base.embed(t) for t in texts_a.values()])
-        matrix = PoolDistanceMatrix(tuple(texts_a), distance_matrix_from(emb_a),
-                                    base.name, 16)
+        matrix = PoolDistanceMatrix(tuple(texts_a), distance_matrix_from(emb_a), base.name)
         model, _ = train_retriever(texts_a, matrix, base,
                                    TrainConfig(epochs=5, learning_rate=0.01, seed=0))
         path = tmp_path / "model.ckpt"
@@ -334,7 +333,7 @@ class TestPairwiseDistanceSet:
     def test_save_load_round_trip(self, tmp_path):
         P = PairwiseDistanceSet(("a", "b"), ("t1", "t2", "t3"),
                                 np.arange(6, dtype=float).reshape(2, 3), provider="x")
-        path = tmp_path / "p.json"
+        path = tmp_path / "p.npz"
         P.save(path)
         loaded = PairwiseDistanceSet.load(path)
         assert loaded.unlabeled_ids == P.unlabeled_ids

@@ -1,11 +1,16 @@
+import time
+
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from tripleforge.gateway import GatewayError
 from tripleforge.similarity import (
+    PAIRWISE_KIND,
+    POOL_KIND,
     HashingEmbedder,
     HttpEmbeddingProvider,
+    PairwiseDistanceSet,
     PoolDistanceMatrix,
     embed_triple_sets,
     pool_distances,
@@ -144,26 +149,143 @@ class TestPoolDistances:
 
     def test_save_load_round_trip(self, tmp_path):
         matrix = pool_distances({"a": ["u"], "b": ["v"]}, self.fixture_provider())
-        path = tmp_path / "pool.json"
+        path = tmp_path / "pool.npz"
         matrix.save(path)
         loaded = PoolDistanceMatrix.load(path)
         assert loaded.sample_ids == matrix.sample_ids
         assert np.array_equal(loaded.entries, matrix.entries)
-        assert loaded.provider == matrix.provider and loaded.dim == matrix.dim
+        assert loaded.provider == matrix.provider
 
 
 class TestPoolDistanceMatrixInvariants:
     def test_asymmetry_rejected(self):
         with pytest.raises(ValueError, match="symmetric"):
-            PoolDistanceMatrix(("a", "b"), np.array([[0.0, 1.0], [2.0, 0.0]]), "p", 2)
+            PoolDistanceMatrix(("a", "b"), np.array([[0.0, 1.0], [2.0, 0.0]]), "p")
 
     def test_negative_rejected(self):
         with pytest.raises(ValueError, match="non-negative"):
-            PoolDistanceMatrix(("a", "b"), np.array([[0.0, -1.0], [-1.0, 0.0]]), "p", 2)
+            PoolDistanceMatrix(("a", "b"), np.array([[0.0, -1.0], [-1.0, 0.0]]), "p")
 
     def test_shape_rejected(self):
         with pytest.raises(ValueError, match="entries must be"):
-            PoolDistanceMatrix(("a",), np.zeros((2, 2)), "p", 2)
+            PoolDistanceMatrix(("a",), np.zeros((2, 2)), "p")
+
+
+# ids numpy's fixed-width strings can hold: anything without a trailing NUL
+sample_ids = st.text(max_size=8).filter(lambda s: not s.endswith("\x00"))
+distances = st.floats(0, 1e300, allow_nan=False, allow_infinity=False)
+function_scoped_tmp = settings(max_examples=40, deadline=None,
+                               suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+@st.composite
+def pool_matrices(draw) -> PoolDistanceMatrix:
+    ids = draw(st.lists(sample_ids, max_size=6))
+    n = len(ids)
+    upper = np.zeros((n, n))
+    upper[np.triu_indices(n, 1)] = draw(st.lists(distances, min_size=n * (n - 1) // 2,
+                                                 max_size=n * (n - 1) // 2))
+    return PoolDistanceMatrix(tuple(ids), upper + upper.T, draw(sample_ids))
+
+
+@st.composite
+def pairwise_sets(draw) -> PairwiseDistanceSet:
+    rows = draw(st.lists(sample_ids, max_size=5))
+    cols = draw(st.lists(sample_ids, max_size=5))
+    cells = draw(st.lists(distances, min_size=len(rows) * len(cols),
+                          max_size=len(rows) * len(cols)))
+    entries = np.array(cells, dtype=np.float64).reshape(len(rows), len(cols))
+    return PairwiseDistanceSet(tuple(rows), tuple(cols), entries, draw(sample_ids))
+
+
+def write_raw(path, **members):
+    """An ``.npz`` shaped like a one-cell pairwise set file, with ``members``
+    replacing its arrays."""
+    arrays = {"kind": np.array(PAIRWISE_KIND), "provider": np.array("p"),
+              "row_ids": np.array(["a"]), "col_ids": np.array(["t"]),
+              "entries": np.array([[1.0]])}
+    arrays.update(members)
+    with open(path, "wb") as fh:
+        np.savez(fh, **arrays)
+
+
+class TestDistanceMatrixFiles:
+    @given(matrix=pool_matrices())
+    @function_scoped_tmp
+    def test_pool_round_trip(self, tmp_path, matrix):
+        path = tmp_path / "pool.npz"
+        matrix.save(path)
+        loaded = PoolDistanceMatrix.load(path)
+        assert loaded.sample_ids == matrix.sample_ids and loaded.provider == matrix.provider
+        assert np.array_equal(loaded.entries, matrix.entries)
+
+    @given(P=pairwise_sets())
+    @function_scoped_tmp
+    def test_pairwise_round_trip(self, tmp_path, P):
+        path = tmp_path / "pairwise.npz"
+        P.save(path)
+        loaded = PairwiseDistanceSet.load(path)
+        assert (loaded.unlabeled_ids, loaded.test_ids, loaded.provider) == (
+            P.unlabeled_ids, P.test_ids, P.provider)
+        assert np.array_equal(loaded.entries, P.entries)
+
+    def test_equal_matrices_save_to_equal_bytes(self, tmp_path, monkeypatch):
+        def pair():
+            entries = np.array([[0.0, 0.5, 2.0], [0.5, 0.0, 1.25], [2.0, 1.25, 0.0]])
+            return (PoolDistanceMatrix(("a", "b", "c"), entries, "hash-64"),
+                    PairwiseDistanceSet(("a", "b"), ("t1", "t2", "t3"), entries[:2].copy(), "x"))
+
+        first, second = pair(), pair()
+        for matrix, name in zip(first, ("pool", "pairwise")):
+            matrix.save(tmp_path / f"{name}-1.npz")
+        # a later clock changes no byte: zip members carry a fixed timestamp
+        later = time.time() + 86400 * 400
+        localtime = time.localtime
+        monkeypatch.setattr(time, "time", lambda: later)
+        monkeypatch.setattr(time, "localtime", lambda secs=None: localtime(later))
+        for matrix, name in zip(second, ("pool", "pairwise")):
+            matrix.save(tmp_path / f"{name}-2.npz")
+        for name in ("pool", "pairwise"):
+            assert (tmp_path / f"{name}-1.npz").read_bytes() == (
+                tmp_path / f"{name}-2.npz").read_bytes()
+
+    def test_load_rejects_the_other_kind(self, tmp_path):
+        entries = np.array([[0.0, 1.0], [1.0, 0.0]])
+        PoolDistanceMatrix(("a", "b"), entries, "p").save(tmp_path / "pool.npz")
+        PairwiseDistanceSet(("a", "b"), ("a", "b"), entries).save(tmp_path / "pairwise.npz")
+        with pytest.raises(ValueError, match=f"not a {PAIRWISE_KIND} artifact"):
+            PairwiseDistanceSet.load(tmp_path / "pool.npz")
+        with pytest.raises(ValueError, match=f"not a {POOL_KIND} artifact"):
+            PoolDistanceMatrix.load(tmp_path / "pairwise.npz")
+
+    def test_raw_file_loads(self, tmp_path):
+        write_raw(tmp_path / "p.npz")
+        P = PairwiseDistanceSet.load(tmp_path / "p.npz")
+        assert (P.unlabeled_ids, P.test_ids, P.entries.tolist(), P.provider) == (
+            ("a",), ("t",), [[1.0]], "p")
+
+    @pytest.mark.parametrize("members, message", [
+        ({"entries": np.array([[-1.0]])}, "non-negative"),
+        ({"entries": np.array([[np.nan]])}, "finite"),
+        ({"entries": np.array([[1.0]], dtype=object)}, "allow_pickle"),
+        ({"row_ids": np.array(["a"], dtype=object)}, "allow_pickle"),
+        ({"entries": np.array([[1.0]], dtype=np.float32)}, "float64"),
+        ({"entries": np.array([[1.0, 2.0]])}, "entries must be 1x1"),
+    ], ids=["negative", "nan", "object-entries", "object-ids", "float32", "shape"])
+    def test_load_rejects_bad_members(self, tmp_path, members, message):
+        write_raw(tmp_path / "p.npz", **members)
+        with pytest.raises(ValueError, match=message):
+            PairwiseDistanceSet.load(tmp_path / "p.npz")
+
+    def test_save_rejects_ids_numpy_cannot_hold(self, tmp_path):
+        path = tmp_path / "p.npz"
+        PairwiseDistanceSet(("a",), ("t",), [[1.0]]).save(path)
+        before = path.read_bytes()
+        with pytest.raises(ValueError, match="trailing NUL"):
+            PairwiseDistanceSet(("a",), ("t\x00",), [[1.0]]).save(path)
+        with pytest.raises(ValueError, match="trailing NUL"):
+            PoolDistanceMatrix(("s\x00",), [[0.0]], "p").save(path)
+        assert path.read_bytes() == before  # a refused save leaves the file alone
 
 
 class FakeResponse:
