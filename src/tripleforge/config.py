@@ -7,6 +7,7 @@ a run can be launched from anywhere.  CLI flags override file values.
 """
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -79,6 +80,8 @@ class PipelineConfig:
         for name in ("budget", "top_u", "retry_attempts", "concurrency", "embedding_dim"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1")
+        if not 0 <= self.backoff_base < math.inf:
+            raise ConfigError("backoff_base must be >= 0 and finite")
         try:
             self.train_config()
         except ValueError as exc:

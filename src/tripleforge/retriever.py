@@ -5,6 +5,7 @@ trained model scores unseen test samples without any further LLM calls.
 """
 from __future__ import annotations
 
+import math
 import random
 import struct
 import zlib
@@ -43,8 +44,13 @@ class TrainConfig:
     def __post_init__(self) -> None:
         if not 0 < self.validation_fraction < 1:
             raise ValueError("validation_fraction must be in (0, 1)")
-        if self.epochs < 0 or self.batch_size < 1 or self.learning_rate <= 0:
-            raise ValueError("epochs >= 0, batch_size >= 1, learning_rate > 0 required")
+        if self.epochs < 0 or self.batch_size < 1 or not 0 < self.learning_rate < math.inf:
+            raise ValueError(
+                "epochs >= 0, batch_size >= 1, learning_rate > 0 and finite required")
+        if not 0 <= self.weight_decay < math.inf:
+            raise ValueError("weight_decay must be >= 0 and finite")
+        if self.max_pairs < 0:
+            raise ValueError("max_pairs must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -103,6 +109,28 @@ def batch_grad(weights: np.ndarray, diffs: np.ndarray, targets: np.ndarray) -> n
     return (projected * coeff[:, None]).T @ diffs
 
 
+def _loss_and_grad(weights: np.ndarray, diffs: np.ndarray,
+                   targets: np.ndarray) -> tuple[float, np.ndarray | None]:
+    """``batch_loss`` and ``batch_grad`` from one forward pass, bit for bit.
+
+    The row norms are ``np.linalg.norm``'s own ``sqrt(add.reduce(p * p))``
+    and the loss is ``np.sum``'s own ``add.reduce``; ``np.vecdot`` or ``@``
+    would add in another order.  ``(r - t)**2`` equals ``(t - r)**2``
+    exactly, so one residual serves both results.  A non-finite loss comes
+    back without a gradient, which would only raise floating-point warnings
+    before the caller stops.
+    """
+    projected = diffs @ weights.T
+    radii = np.sqrt(np.add.reduce(projected * projected, axis=1))
+    residuals = radii - targets
+    loss = float(np.add.reduce(residuals * residuals))
+    if not math.isfinite(loss):
+        return loss, None
+    coeff = np.divide(2.0 * residuals, radii, out=np.zeros_like(radii), where=radii > 1e-12)
+    projected *= coeff[:, None]
+    return loss, projected.T @ diffs
+
+
 @dataclass
 class TrainingHistory:
     initial_validation_loss: float
@@ -145,29 +173,41 @@ def train(pairs: TrainingPairs, embeddings: np.ndarray,
     rng = np.random.default_rng(config.seed)
     m = np.zeros_like(weights)
     v = np.zeros_like(weights)
+    update = np.empty_like(weights)
+    scratch = np.empty_like(weights)
     step = 0
     order = np.arange(len(pairs.train))
 
     for epoch in range(1, config.epochs + 1):
         rng.shuffle(order)
+        left, right = pairs.train[order, 0], pairs.train[order, 1]
+        targets = pairs.train_targets[order]
         epoch_loss = 0.0
         for start in range(0, len(order), config.batch_size):
-            batch = order[start:start + config.batch_size]
-            diffs = _pair_diffs(pairs.train[batch], embeddings)
-            targets = pairs.train_targets[batch]
-            loss = batch_loss(weights, diffs, targets)
-            if not np.isfinite(loss):
+            batch = slice(start, start + config.batch_size)
+            diffs = embeddings.take(left[batch], axis=0) - embeddings.take(right[batch], axis=0)
+            loss, grad = _loss_and_grad(weights, diffs, targets[batch])
+            if not math.isfinite(loss):
                 raise RuntimeError(f"divergence: non-finite training loss at epoch {epoch}")
             epoch_loss += loss
-            grad = batch_grad(weights, diffs, targets)
             step += 1
-            m = ADAM_BETA1 * m + (1 - ADAM_BETA1) * grad
-            v = ADAM_BETA2 * v + (1 - ADAM_BETA2) * grad * grad
-            m_hat = m / (1 - ADAM_BETA1 ** step)
-            v_hat = v / (1 - ADAM_BETA2 ** step)
-            weights = weights - config.learning_rate * (
-                m_hat / (np.sqrt(v_hat) + ADAM_EPS) + config.weight_decay * weights
-            )
+            # AdamW in place, each operation in the order of
+            #   m = b1 m + (1 - b1) g;  v = b2 v + (1 - b2) g g
+            #   w = w - lr (m_hat / (sqrt(v_hat) + eps) + wd w)
+            # so the weights keep their bits.
+            m *= ADAM_BETA1
+            m += np.multiply(grad, 1 - ADAM_BETA1, out=update)
+            v *= ADAM_BETA2
+            np.multiply(grad, 1 - ADAM_BETA2, out=update)
+            v += np.multiply(update, grad, out=update)
+            np.divide(m, 1 - ADAM_BETA1 ** step, out=update)
+            np.divide(v, 1 - ADAM_BETA2 ** step, out=scratch)
+            np.sqrt(scratch, out=scratch)
+            scratch += ADAM_EPS
+            update /= scratch
+            update += np.multiply(weights, config.weight_decay, out=scratch)
+            update *= config.learning_rate
+            weights -= update
         val_loss = _mean_pair_loss(weights, pairs.validation, pairs.validation_targets,
                                    embeddings)
         if not np.isfinite(val_loss):

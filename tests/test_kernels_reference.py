@@ -4,10 +4,12 @@ The ``reference_*`` functions below are the loop implementations of
 ``pool_distances``, ``compute_P``, ``_ranked_pool``, ``select_coverage``,
 ``make_training_pairs``, the parsers' ``_split_unescaped`` and the
 per-query ``render_few_shot`` as they were before the array kernels (and the
-regex splitter and the batch renderer), kept verbatim as oracles apart from
-renaming and returning pairs as tuples.  The kernels must agree with them bit
-for bit: equal float entries, equal chosen ids, covered tests, tie-break
-counts and checked ids, and equal prompt strings.
+regex splitter and the batch renderer), and ``train`` as it was before its
+fused loss-and-gradient step and in-place AdamW update, kept verbatim as
+oracles apart from renaming and returning pairs as tuples.  The kernels must
+agree with them bit for bit: equal float entries, equal chosen ids, covered
+tests, tie-break counts and checked ids, equal prompt strings, and equal
+weight bytes and training history.
 Matrices are built from a few distinct values with duplicated rows and
 columns, so that distance and score ties are common.
 """
@@ -30,10 +32,22 @@ from tripleforge.prompting import (
     serialize_triples,
 )
 from tripleforge.retriever import (
+    ADAM_BETA1,
+    ADAM_BETA2,
+    ADAM_EPS,
     PairwiseDistanceSet,
     RetrieverModel,
+    TrainConfig,
+    TrainingHistory,
+    TrainingPairs,
+    _loss_and_grad,
+    _mean_pair_loss,
+    _pair_diffs,
+    batch_grad,
+    batch_loss,
     compute_P,
     make_training_pairs,
+    train,
 )
 from tripleforge.selection import SelectionResult, _ranked_pool, select_coverage
 from tripleforge.similarity import (
@@ -177,6 +191,70 @@ def reference_make_training_pairs(matrix, validation_fraction, seed, max_pairs):
         train = rng.sample(train, max_pairs)
         train.sort()
     return tuple(train), tuple(validation), tuple(sorted(held))
+
+
+def reference_train(pairs: TrainingPairs, embeddings: np.ndarray,
+                    config: TrainConfig) -> tuple[np.ndarray, TrainingHistory]:
+    """Mini-batch AdamW regression of the projection weights.
+
+    Starts from the identity (so the untrained retriever reproduces raw
+    base-embedding distances) and returns the weights of the epoch with the
+    lowest validation loss; epoch 0 is the initialization itself.
+    """
+    if not len(pairs.train):
+        raise ValueError("no training pairs")
+    embeddings = np.asarray(embeddings, dtype=np.float64)
+    dim = embeddings.shape[1]
+    weights = np.eye(dim, dtype=np.float64)
+
+    init_val = _mean_pair_loss(weights, pairs.validation, pairs.validation_targets, embeddings)
+    best_val = init_val
+    best_weights = weights.copy()
+    best_epoch = 0
+    history: list[dict] = []
+
+    rng = np.random.default_rng(config.seed)
+    m = np.zeros_like(weights)
+    v = np.zeros_like(weights)
+    step = 0
+    order = np.arange(len(pairs.train))
+
+    for epoch in range(1, config.epochs + 1):
+        rng.shuffle(order)
+        epoch_loss = 0.0
+        for start in range(0, len(order), config.batch_size):
+            batch = order[start:start + config.batch_size]
+            diffs = _pair_diffs(pairs.train[batch], embeddings)
+            targets = pairs.train_targets[batch]
+            loss = batch_loss(weights, diffs, targets)
+            if not np.isfinite(loss):
+                raise RuntimeError(f"divergence: non-finite training loss at epoch {epoch}")
+            epoch_loss += loss
+            grad = batch_grad(weights, diffs, targets)
+            step += 1
+            m = ADAM_BETA1 * m + (1 - ADAM_BETA1) * grad
+            v = ADAM_BETA2 * v + (1 - ADAM_BETA2) * grad * grad
+            m_hat = m / (1 - ADAM_BETA1 ** step)
+            v_hat = v / (1 - ADAM_BETA2 ** step)
+            weights = weights - config.learning_rate * (
+                m_hat / (np.sqrt(v_hat) + ADAM_EPS) + config.weight_decay * weights
+            )
+        val_loss = _mean_pair_loss(weights, pairs.validation, pairs.validation_targets,
+                                   embeddings)
+        if not np.isfinite(val_loss):
+            raise RuntimeError(f"divergence: non-finite validation loss at epoch {epoch}")
+        history.append({
+            "epoch": epoch,
+            "train_loss_mean": epoch_loss / len(pairs.train),
+            "validation_loss_mean": val_loss,
+        })
+        if val_loss < best_val:
+            best_val = val_loss
+            best_weights = weights.copy()
+            best_epoch = epoch
+    return best_weights, TrainingHistory(
+        initial_validation_loss=init_val, epochs=history, best_epoch=best_epoch
+    )
 
 
 def reference_split_unescaped(text, sep, maxsplit=-1):
@@ -349,6 +427,60 @@ def test_training_pairs_match_the_pair_loop(n, fraction, seed, max_pairs):
                                  (got.validation, got.validation_targets, validation)):
         assert [(int(i), int(j), float(d)) for (i, j), d in zip(pairs, targets)] == list(want)
 
+
+@st.composite
+def training_problems(draw):
+    """(pairs, embeddings, config) on a pool of 3-40 samples.  The embeddings
+    are drawn from fewer distinct rows than samples, so some pairs have a zero
+    difference and the gradient's zero-radius branch runs; the batch size runs
+    from 1 to past the number of training pairs."""
+    n = draw(st.integers(3, 40))
+    dim = draw(st.integers(1, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rows = rng.normal(size=(draw(st.integers(1, n - 1)), dim))
+    embeddings = rows[draw(st.lists(st.integers(0, len(rows) - 1), min_size=n, max_size=n))]
+    points = rng.normal(size=(n, 2))
+    entries = np.linalg.norm(points[:, None, :] - points[None, :, :], axis=-1)
+    matrix = PoolDistanceMatrix(tuple(f"s{i}" for i in range(n)), entries, "stub")
+    seed = draw(st.integers(0, 2**16))
+    pairs = make_training_pairs(matrix, draw(st.sampled_from([0.1, 0.3])), seed,
+                                draw(st.just(0) | st.integers(1, 60)))
+    config = TrainConfig(
+        epochs=draw(st.integers(0, 3)),
+        batch_size=draw(st.integers(1, 16) | st.integers(1, len(pairs.train) + 3)),
+        learning_rate=draw(st.sampled_from([1e-3, 0.05, 0.5])),
+        seed=seed,
+        weight_decay=draw(st.sampled_from([0.0, 0.01, 0.3])),
+    )
+    return pairs, embeddings, config
+
+
+@settings(max_examples=80, deadline=None)
+@given(problem=training_problems())
+def test_train_matches_the_unfused_loop(problem):
+    pairs, embeddings, config = problem
+    weights, history = train(pairs, embeddings, config)
+    want_weights, want_history = reference_train(pairs, embeddings, config)
+    assert weights.tobytes() == want_weights.tobytes()
+    assert history == want_history
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), rows=st.integers(1, 40), dim=st.integers(1, 16),
+       zero_rows=st.lists(st.integers(0, 39), max_size=4), tiny=st.booleans())
+def test_fused_loss_and_grad_match_the_definitions(seed, rows, dim, zero_rows, tiny):
+    rng = np.random.default_rng(seed)
+    weights = np.eye(dim) + 0.3 * rng.normal(size=(dim, dim))
+    diffs = rng.normal(size=(rows, dim))
+    diffs[[k % rows for k in zero_rows]] = 0.0
+    if tiny:
+        diffs[0] *= 1e-14  # radius under the 1e-12 guard but not zero
+    targets = 3.0 * rng.random(rows)
+    want_loss = batch_loss(weights, diffs, targets)
+    want_grad = batch_grad(weights, diffs, targets)
+    loss, grad = _loss_and_grad(weights, diffs, targets)
+    assert loss == want_loss
+    assert grad.tobytes() == want_grad.tobytes()
 
 # --- parsing ----------------------------------------------------------------------
 

@@ -1,8 +1,10 @@
 import hashlib
 import json
+import platform
 from dataclasses import asdict
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from tripleforge import cli
@@ -36,6 +38,29 @@ from conftest import DATA_DIR
 
 ALL_STAGES = ("preextract", "distances", "train", "select", "run", "eval", "cost")
 
+# sha256 of (retriever.ckpt, training_history.json) after preextract,
+# distances and train on the mini fixture with the ``run_config`` defaults,
+# taken with the unfused loop that ``reference_train`` keeps, so they also
+# hold the fused step to it across the whole stage.  The weights go through
+# BLAS matmuls, so their bits depend on the kernel family OpenBLAS picks for
+# the CPU; each family's pair was taken by forcing it with OPENBLAS_CORETYPE.
+TRAINING_SHA256 = {
+    "SkylakeX": ("867e3eac6eb3f51c52b3f1fdfe85577f786c53138664a387dade3b0807c56dad",
+                 "6b1e3f33b16cd95c0b8acf0ef362109f2e4c8e1de60934df5953bd2d191be5c2"),
+    "Haswell": ("9e5a13bb8031e5b9af39fe58a61ca20b33be3cd323fd89ae94592a9eeec4c506",
+                "6ce5ab81bb16e79aef8613c34e832eb22cc4806b1ea5aa7257172b113dc5c999"),
+    "Sandybridge": ("98ed1cbab7863afac2567d40e3b0f027efbd428bcead0abf0c7cfe7e07f0a78e",
+                    "00ecc2c6aae2045b8252cf6caa2aeed38e4e3aaac057bc12ebe3938a83f9c94f"),
+    "Nehalem": ("c95914a083cb37974bdb6b57aa8684aee446f8379cf45cb0042d2674d1553efc",
+                "00ecc2c6aae2045b8252cf6caa2aeed38e4e3aaac057bc12ebe3938a83f9c94f"),
+    "Katmai": ("73a0ab2cabd00b68e848f7eb9e35e58adaa3486fe916340585cd6c77459a5f5a",
+               "00ecc2c6aae2045b8252cf6caa2aeed38e4e3aaac057bc12ebe3938a83f9c94f"),
+}
+OPENBLAS_X86_64 = (
+    platform.machine().lower() in ("x86_64", "amd64")
+    and "openblas" in np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
+)
+
 
 def run_all(cfg):
     return {name: STAGES[name](cfg) for name in ALL_STAGES}
@@ -64,6 +89,17 @@ class TestFullPipeline:
         assert before == after
         assert outcomes["preextract"].info["llm_calls"] == 0
         assert outcomes["run"].info["llm_calls"] == 0
+
+    @pytest.mark.skipif(not OPENBLAS_X86_64,
+                        reason="digests are known for numpy's OpenBLAS kernels on x86-64 only")
+    def test_training_artifacts_pinned(self, run_config):
+        # any change to the bits of a training step moves both digests
+        cfg = run_config()
+        for name in ("preextract", "distances", "train"):
+            STAGES[name](cfg)
+        digests = tuple(hashlib.sha256((cfg.run_dir / name).read_bytes()).hexdigest()
+                        for name in ("retriever.ckpt", "training_history.json"))
+        assert digests in TRAINING_SHA256.values()
 
     def test_preextraction_equals_gold_modulo_spans(self, run_config, pool_dataset):
         cfg = run_config()
@@ -289,11 +325,20 @@ class TestConfig:
         ("learning_rate", -1.0, "learning_rate > 0"),
         ("epochs", -1, "epochs >= 0"),
         ("validation_fraction", 2.0, "validation_fraction"),
+        ("learning_rate", float("nan"), "learning_rate > 0 and finite"),
+        ("learning_rate", float("inf"), "learning_rate > 0 and finite"),
+        ("weight_decay", -0.01, "weight_decay must be >= 0"),
+        ("weight_decay", float("nan"), "weight_decay must be >= 0"),
+        ("max_pairs", -1, "max_pairs must be >= 0"),
+        ("backoff_base", -0.5, "backoff_base must be >= 0"),
+        ("backoff_base", float("nan"), "backoff_base must be >= 0"),
     ])
     def test_numeric_settings_validated_before_any_stage(self, tmp_path, setting, value,
                                                          message):
         # rejected when the config is built, before preextract's provider
-        # calls; a zero concurrency would block the first call, so none is made
+        # calls; a zero concurrency would block the first call, so none is
+        # made, and a negative or NaN backoff would reach time.sleep on the
+        # first retry, in the middle of a stage
         with pytest.raises(ConfigError, match=message):
             PipelineConfig(**{setting: value})
         with pytest.raises(ConfigError, match=message):
