@@ -58,18 +58,6 @@ class Triple:
                 raise ValueError(f"{name} must satisfy 0 <= start < end, got {span}")
             object.__setattr__(self, name, (start, end))
 
-    def key(self) -> tuple:
-        """Full field-for-field identity, spans included."""
-        return (
-            self.predicate,
-            self.subject_type,
-            self.subject,
-            self.object_type,
-            self.object,
-            self.subject_span,
-            self.object_span,
-        )
-
     def validate_spans(self, sentence: str, owner: str = "") -> None:
         """Check that each present span selects exactly the surface string."""
         for span, surface, name in (
@@ -125,21 +113,13 @@ class TripleSet:
     triples: tuple[Triple, ...] = ()
 
     def __post_init__(self) -> None:
-        keys = [t.key() for t in self.triples]
-        if len(keys) != len(set(keys)):
+        if len(set(self.triples)) != len(self.triples):
             raise ValueError("TripleSet contains field-for-field duplicate triples")
 
     @classmethod
     def of(cls, triples: Iterable[Triple]) -> "TripleSet":
         """Build a TripleSet, dropping exact duplicates while preserving order."""
-        seen: set = set()
-        kept: list[Triple] = []
-        for t in triples:
-            k = t.key()
-            if k not in seen:
-                seen.add(k)
-                kept.append(t)
-        return cls(tuple(kept))
+        return cls(tuple(dict.fromkeys(triples)))
 
     def __len__(self) -> int:
         return len(self.triples)

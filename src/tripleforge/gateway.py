@@ -43,15 +43,10 @@ class TransientProviderError(RuntimeError):
 class LlmRequest:
     model_id: str
     prompt: str
-    temperature: float = 0.0
-    stop_sequences: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
         if not self.prompt:
             raise ValueError("prompt must be non-empty")
-        if self.temperature < 0:
-            raise ValueError("temperature must be >= 0")
-        object.__setattr__(self, "stop_sequences", tuple(self.stop_sequences))
 
 
 @dataclass(frozen=True)
@@ -98,39 +93,29 @@ class MockEchoGoldProvider:
         return serialize_triples(fmt, gold)
 
 
-class HttpChatProvider:
-    """Chat-completions provider: POSTs ``{model, messages, temperature}``
-    and reads ``choices[0].message.content``."""
+class JsonEndpoint:
+    """An HTTP endpoint that takes a JSON body and a bearer API key, shared by
+    the remote completion and embedding providers.  A call returns the decoded
+    body of a 200 reply; a connection failure, 429 or 5xx raises
+    ``TransientProviderError`` and any other status ``GatewayError``."""
 
-    def __init__(self, endpoint_url: str, api_key: Optional[str] = None,
+    def __init__(self, url: str, api_key: Optional[str] = None,
                  api_key_env: str = API_KEY_ENV, timeout: float = 60.0,
-                 post: Callable = requests.post, name: str = "http"):
-        if not endpoint_url:
-            raise GatewayError("http provider requires an endpoint URL")
+                 post: Callable = requests.post):
+        if not url:
+            raise GatewayError("HTTP provider requires an endpoint URL")
         key = api_key if api_key is not None else os.environ.get(api_key_env, "")
         if not key:
             raise GatewayError(f"missing API key: set the {api_key_env} environment variable")
-        self.name = name
-        self._endpoint = endpoint_url
+        self._url = url
         self._key = key
         self._timeout = timeout
         self._post = post
 
-    def generate(self, request: LlmRequest) -> str:
-        payload = {
-            "model": request.model_id,
-            "messages": [{"role": "user", "content": request.prompt}],
-            "temperature": request.temperature,
-        }
-        if request.stop_sequences:
-            payload["stop"] = list(request.stop_sequences)
+    def __call__(self, payload: dict):
         try:
-            response = self._post(
-                self._endpoint,
-                json=payload,
-                headers={"Authorization": f"Bearer {self._key}"},
-                timeout=self._timeout,
-            )
+            response = self._post(self._url, json=payload, timeout=self._timeout,
+                                  headers={"Authorization": f"Bearer {self._key}"})
         except requests.RequestException as exc:
             raise TransientProviderError(f"connection failure: {exc}") from exc
         if response.status_code in RETRYABLE_STATUSES:
@@ -138,7 +123,25 @@ class HttpChatProvider:
         if response.status_code != 200:
             raise GatewayError(f"HTTP {response.status_code}: {response.text[:200]}",
                                status=response.status_code)
-        body = response.json()
+        return response.json()
+
+
+class HttpChatProvider:
+    """Chat-completions provider: POSTs ``{model, messages, temperature: 0}``
+    and reads ``choices[0].message.content``."""
+
+    def __init__(self, endpoint_url: str, api_key: Optional[str] = None,
+                 api_key_env: str = API_KEY_ENV, timeout: float = 60.0,
+                 post: Callable = requests.post, name: str = "http"):
+        self.name = name
+        self._endpoint = JsonEndpoint(endpoint_url, api_key, api_key_env, timeout, post)
+
+    def generate(self, request: LlmRequest) -> str:
+        body = self._endpoint({
+            "model": request.model_id,
+            "messages": [{"role": "user", "content": request.prompt}],
+            "temperature": 0.0,
+        })
         try:
             return body["choices"][0]["message"]["content"]
         except (KeyError, IndexError, TypeError) as exc:
@@ -189,14 +192,15 @@ class LlmGateway:
 
     def cache_key(self, request: LlmRequest) -> str:
         """SHA-256 over the response-determining request content; stable
-        across runs and platforms."""
+        across runs and platforms.  Requests are always greedy and unstopped;
+        the two literals keep the keys of existing completion logs."""
         material = json.dumps(
             {
                 "provider": self.provider.name,
                 "model_id": request.model_id,
                 "prompt": request.prompt,
-                "temperature": request.temperature,
-                "stop_sequences": list(request.stop_sequences),
+                "temperature": 0.0,
+                "stop_sequences": [],
             },
             sort_keys=True,
             ensure_ascii=True,

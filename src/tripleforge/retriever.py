@@ -7,8 +7,6 @@ from __future__ import annotations
 
 import math
 import random
-import struct
-import zlib
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -16,10 +14,8 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .core import Sample
-from .similarity import EmbeddingProvider, PairwiseDistanceSet, PoolDistanceMatrix
-
-CHECKPOINT_MAGIC = b"TFRETRV1"
-CHECKPOINT_VERSION = 1
+from .similarity import (EmbeddingProvider, PairwiseDistanceSet, PoolDistanceMatrix,
+                         _text_array, load_arrays, save_arrays)
 
 # AdamW moment decay rates and denominator guard
 ADAM_BETA1 = 0.9
@@ -297,56 +293,27 @@ def compute_P(model: RetrieverModel, pool_samples: Sequence[Sample],
 
 
 # --- checkpoints ---------------------------------------------------------------
-# Format v1 was written for an affine head and ends its parameters with an
-# ``out_dim`` float64 bias block.  Only projected differences are ever used,
-# so a bias cancels and could never train; the block is kept as reserved
-# zeros, written as such and skipped on load, so v1 files keep their bytes.
+
+CHECKPOINT_KIND = "retriever_checkpoint"
+
 
 def save_checkpoint(model: RetrieverModel, path: str | Path) -> None:
-    """Binary checkpoint: magic, version, base provider name, dims, row-major
-    little-endian float64 weights, the reserved zero block, CRC32 trailer."""
-    name = model.base.name.encode("utf-8")
-    out_dim, base_dim = model.weights.shape
-    blob = bytearray()
-    blob += CHECKPOINT_MAGIC
-    blob += struct.pack("<I", CHECKPOINT_VERSION)
-    blob += struct.pack("<I", len(name)) + name
-    blob += struct.pack("<II", base_dim, out_dim)
-    blob += np.ascontiguousarray(model.weights, dtype="<f8").tobytes()
-    blob += bytes(out_dim * 8)
-    blob += struct.pack("<I", zlib.crc32(bytes(blob)) & 0xFFFFFFFF)
-    Path(path).write_bytes(bytes(blob))
+    """The base provider name and the float64 weights, as a ``save_arrays``
+    file of kind ``retriever_checkpoint``."""
+    save_arrays(path, CHECKPOINT_KIND, provider=_text_array(model.base.name),
+                weights=model.weights)
 
 
 def load_checkpoint(path: str | Path, base: EmbeddingProvider) -> RetrieverModel:
-    raw = Path(path).read_bytes()
-    if len(raw) < len(CHECKPOINT_MAGIC) + 16 or raw[: len(CHECKPOINT_MAGIC)] != CHECKPOINT_MAGIC:
-        raise CheckpointError(f"{path}: not a retriever checkpoint")
-    body, (crc,) = raw[:-4], struct.unpack("<I", raw[-4:])
-    if zlib.crc32(body) & 0xFFFFFFFF != crc:
-        raise CheckpointError(f"{path}: CRC mismatch, file corrupt")
-    offset = len(CHECKPOINT_MAGIC)
-    (version,) = struct.unpack_from("<I", body, offset)
-    offset += 4
-    if version != CHECKPOINT_VERSION:
-        raise CheckpointError(f"{path}: unsupported checkpoint version {version}")
-    (name_len,) = struct.unpack_from("<I", body, offset)
-    offset += 4
-    name = body[offset:offset + name_len].decode("utf-8")
-    offset += name_len
-    base_dim, out_dim = struct.unpack_from("<II", body, offset)
-    offset += 8
-    if name != base.name:
+    try:
+        provider, weights = load_arrays(path, CHECKPOINT_KIND, ("provider", "weights"))
+    except ValueError as exc:
+        raise CheckpointError(str(exc)) from exc
+    if provider.tolist() != base.name:
         raise CheckpointError(
-            f"{path}: checkpoint base provider {name!r} does not match {base.name!r}"
+            f"{path}: checkpoint base provider {provider.tolist()!r} does not match {base.name!r}"
         )
-    if base_dim != base.dim:
-        raise CheckpointError(
-            f"{path}: checkpoint base dim {base_dim} does not match provider dim {base.dim}"
-        )
-    w_bytes = out_dim * base_dim * 8
-    weights = np.frombuffer(body, dtype="<f8", count=out_dim * base_dim,
-                            offset=offset).reshape(out_dim, base_dim)
-    if offset + w_bytes + out_dim * 8 != len(body):
-        raise CheckpointError(f"{path}: truncated or oversized parameter block")
-    return RetrieverModel(base=base, weights=weights.copy())
+    if weights.dtype != np.float64 or weights.ndim != 2 or weights.shape[1] != base.dim:
+        raise CheckpointError(f"{path}: checkpoint weights {weights.dtype} {weights.shape} "
+                              f"do not fit float64 (out_dim, {base.dim}) of the base")
+    return RetrieverModel(base=base, weights=weights)

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import math
-import os
+import zipfile
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Mapping, Optional, Protocol, Sequence
@@ -17,7 +17,7 @@ from typing import Callable, Mapping, Optional, Protocol, Sequence
 import numpy as np
 import requests
 
-from .gateway import API_KEY_ENV, GatewayError
+from .gateway import API_KEY_ENV, GatewayError, JsonEndpoint
 
 
 class EmbeddingProvider(Protocol):
@@ -62,29 +62,14 @@ class HttpEmbeddingProvider:
     def __init__(self, endpoint_url: str, model_id: str, dim: int,
                  api_key: Optional[str] = None, api_key_env: str = API_KEY_ENV,
                  timeout: float = 60.0, post: Callable = requests.post):
-        if not endpoint_url:
-            raise GatewayError("embedding provider requires an endpoint URL")
-        key = api_key if api_key is not None else os.environ.get(api_key_env, "")
-        if not key:
-            raise GatewayError(f"missing API key: set the {api_key_env} environment variable")
         self.name = f"http-{model_id}"
         self.dim = dim
-        self._endpoint = endpoint_url
+        self._endpoint = JsonEndpoint(endpoint_url, api_key, api_key_env, timeout, post)
         self._model_id = model_id
-        self._key = key
-        self._timeout = timeout
-        self._post = post
 
     def embed(self, text: str) -> np.ndarray:
-        response = self._post(
-            self._endpoint,
-            json={"model": self._model_id, "input": [text]},
-            headers={"Authorization": f"Bearer {self._key}"},
-            timeout=self._timeout,
-        )
-        if response.status_code != 200:
-            raise GatewayError(f"embedding HTTP {response.status_code}", status=response.status_code)
-        vec = np.asarray(response.json()["data"][0]["embedding"], dtype=np.float64)
+        body = self._endpoint({"model": self._model_id, "input": [text]})
+        vec = np.asarray(body["data"][0]["embedding"], dtype=np.float64)
         if vec.shape != (self.dim,):
             raise GatewayError(f"embedding dim mismatch: expected {self.dim}, got {vec.shape}")
         return vec
@@ -185,13 +170,56 @@ def set_distances(A_sets: Sequence[Sequence[np.ndarray] | np.ndarray],
     return out
 
 
-# --- distance matrices ----------------------------------------------------
+# --- numeric artifacts ------------------------------------------------------
+# Both distance matrices and the retriever checkpoint are stored the same way:
+# one uncompressed ``.npz`` whose first member, ``kind``, names what it holds.
+
+# What ``np.load`` and ``zipfile`` raise on a damaged archive; RuntimeError is
+# a member whose flags claim it is encrypted
+_DAMAGE = (ValueError, zipfile.BadZipFile, EOFError, NotImplementedError, KeyError, OSError,
+           RuntimeError)
+
+
+def _text_array(value: str | list[str]) -> np.ndarray:
+    array = np.array(value, dtype=np.str_)
+    if array.tolist() != value:
+        raise ValueError("numpy string arrays drop a trailing NUL of an id or provider")
+    return array
+
+
+def save_arrays(path: str | Path, kind: str, **arrays: np.ndarray) -> None:
+    """Write ``kind`` and then ``arrays`` as one uncompressed ``.npz``.
+    ``zipfile`` stamps every member with a fixed 1980 date, so equal arrays
+    save to equal bytes."""
+    with open(path, "wb") as fh:
+        np.savez(fh, kind=_text_array(kind), **arrays)
+
+
+def load_arrays(path: str | Path, kind: str, names: Sequence[str]) -> tuple[np.ndarray, ...]:
+    """The ``names`` members of a ``save_arrays`` file of the given kind.
+
+    A missing file raises ``FileNotFoundError``; any other kind, a pickled
+    member and every sort of damage raise ``ValueError``.  The file is opened
+    here because ``np.load(path)`` lets go of its handle before ``zipfile``
+    parses the archive, and so leaks it when parsing fails.
+    """
+    with open(path, "rb") as fh:
+        try:
+            with np.load(fh, allow_pickle=False) as data:
+                # np.load hands back a member that is not ``.npy`` as bytes
+                stored = np.asarray(data["kind"]).tolist()
+                if stored == kind:
+                    return tuple(np.asarray(data[name]) for name in names)
+        except _DAMAGE as exc:
+            raise ValueError(f"{path}: damaged {kind} artifact: {exc}") from exc
+    raise ValueError(f"{path}: not a {kind} artifact: kind={stored!r}")
+
+
 # The pool x pool matrix that the retriever regresses onto and the pool x test
-# matrix that selection reads share one validator and one file format.
+# matrix that selection reads share one validator and one set of members.
 
 POOL_KIND = "pool_distance_matrix"
 PAIRWISE_KIND = "pairwise_distance_set"
-_MEMBERS = ("kind", "provider", "row_ids", "col_ids", "entries")
 
 
 def _checked_entries(entries, rows: int, cols: int) -> np.ndarray:
@@ -204,33 +232,18 @@ def _checked_entries(entries, rows: int, cols: int) -> np.ndarray:
     return entries
 
 
-def _text_array(value: str | list[str]) -> np.ndarray:
-    array = np.array(value, dtype=np.str_)
-    if array.tolist() != value:
-        raise ValueError("numpy string arrays drop a trailing NUL of an id or provider")
-    return array
-
-
 def save_distances(path: str | Path, kind: str, row_ids: Sequence[str],
                    col_ids: Sequence[str], entries: np.ndarray, provider: str) -> None:
-    """Write a distance matrix as one uncompressed ``.npz`` of ``_MEMBERS``.
-    ``zipfile`` stamps every member with a fixed 1980 date, so equal
-    matrices save to equal bytes."""
-    arrays = {"kind": _text_array(kind), "provider": _text_array(provider),
-              "row_ids": _text_array(list(row_ids)), "col_ids": _text_array(list(col_ids)),
-              "entries": _checked_entries(entries, len(row_ids), len(col_ids))}
-    with open(path, "wb") as fh:
-        np.savez(fh, **arrays)
+    save_arrays(path, kind, provider=_text_array(provider), row_ids=_text_array(list(row_ids)),
+                col_ids=_text_array(list(col_ids)),
+                entries=_checked_entries(entries, len(row_ids), len(col_ids)))
 
 
 def load_distances(path: str | Path, kind: str
                    ) -> tuple[tuple[str, ...], tuple[str, ...], np.ndarray, str]:
-    """``(row_ids, col_ids, entries, provider)`` of a ``save_distances`` file
-    of the given kind; refuses pickled members and any other kind."""
-    with np.load(path, allow_pickle=False) as data:
-        stored, provider, rows, cols, entries = (data[name] for name in _MEMBERS)
-    if stored.tolist() != kind:
-        raise ValueError(f"{path}: not a {kind} artifact: kind={stored.tolist()!r}")
+    """``(row_ids, col_ids, entries, provider)`` of a ``save_distances`` file."""
+    provider, rows, cols, entries = load_arrays(
+        path, kind, ("provider", "row_ids", "col_ids", "entries"))
     if entries.dtype != np.float64:
         raise ValueError(f"{path}: entries must be float64, got {entries.dtype}")
     return tuple(rows.tolist()), tuple(cols.tolist()), entries, str(provider)

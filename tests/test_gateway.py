@@ -149,13 +149,12 @@ class TestCacheKey:
         gw = LlmGateway(CountingProvider(), tmp_path)
         assert gw.cache_key(request("hello")) != gw.cache_key(request("hellp"))
 
-    def test_temperature_in_key(self, tmp_path):
-        gw = LlmGateway(CountingProvider(), tmp_path)
-        assert gw.cache_key(request(temperature=0.0)) != gw.cache_key(request(temperature=0.7))
-
-    def test_stop_sequences_in_key(self, tmp_path):
-        gw = LlmGateway(CountingProvider(), tmp_path)
-        assert gw.cache_key(request()) != gw.cache_key(request(stop_sequences=("\n\n",)))
+    def test_key_bytes_pinned(self, tmp_path):
+        # every completion log is addressed by these keys: a drift in the key
+        # material turns each cached response into a miss
+        gw = LlmGateway(MockEchoGoldProvider({}), tmp_path)
+        key = gw.cache_key(request("Extract the triples.\nB\u00fcchner wrote Woyzeck ."))
+        assert key == "9380e7dca0a86a0fd25ffb8b839d93ac158cc4c6c43addf98408a7a97fa78849"
 
     def test_provider_in_key(self, tmp_path):
         a = LlmGateway(CountingProvider(), tmp_path)
@@ -167,9 +166,6 @@ class TestLlmRequest:
     def test_empty_prompt_rejected(self):
         with pytest.raises(ValueError, match="prompt"):
             LlmRequest(model_id="m", prompt="")
-
-    def test_temperature_defaults_to_zero(self):
-        assert request().temperature == 0.0
 
 
 class TestMockEchoGold:
@@ -228,10 +224,11 @@ class TestHttpChatProvider:
             return FakeResponse(200, {"choices": [{"message": {"content": "|1|a|b|c|d|e|"}}]})
 
         provider = HttpChatProvider("https://example.test/v1/chat", api_key="k", post=post)
-        text = provider.generate(request(prompt="Do it", temperature=0.0))
+        text = provider.generate(request(prompt="Do it"))
         assert text == "|1|a|b|c|d|e|"
         assert seen["payload"]["model"] == "m1"
         assert seen["payload"]["messages"] == [{"role": "user", "content": "Do it"}]
+        assert seen["payload"]["temperature"] == 0.0
         assert seen["headers"]["Authorization"] == "Bearer k"
 
     def test_429_is_transient(self):

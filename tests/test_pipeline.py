@@ -45,15 +45,15 @@ ALL_STAGES = ("preextract", "distances", "train", "select", "run", "eval", "cost
 # BLAS matmuls, so their bits depend on the kernel family OpenBLAS picks for
 # the CPU; each family's pair was taken by forcing it with OPENBLAS_CORETYPE.
 TRAINING_SHA256 = {
-    "SkylakeX": ("867e3eac6eb3f51c52b3f1fdfe85577f786c53138664a387dade3b0807c56dad",
+    "SkylakeX": ("aa9b0eb9ea5225906c3ade1710ddcebcc42394a7900ff7a0c1bd35541fb94c24",
                  "6b1e3f33b16cd95c0b8acf0ef362109f2e4c8e1de60934df5953bd2d191be5c2"),
-    "Haswell": ("9e5a13bb8031e5b9af39fe58a61ca20b33be3cd323fd89ae94592a9eeec4c506",
+    "Haswell": ("b94ae0b211103eb821590dab3ca470db13906194d2d6b80d8c00424c1a41a923",
                 "6ce5ab81bb16e79aef8613c34e832eb22cc4806b1ea5aa7257172b113dc5c999"),
-    "Sandybridge": ("98ed1cbab7863afac2567d40e3b0f027efbd428bcead0abf0c7cfe7e07f0a78e",
+    "Sandybridge": ("b24e1a3ab6e94745c9ba9f8ef9638eb0a2e8669a0f066e36801e76690ebad12f",
                     "00ecc2c6aae2045b8252cf6caa2aeed38e4e3aaac057bc12ebe3938a83f9c94f"),
-    "Nehalem": ("c95914a083cb37974bdb6b57aa8684aee446f8379cf45cb0042d2674d1553efc",
+    "Nehalem": ("2928a34ff2c2440f9e9412e2e36de46e4379b13bee06da7322921204edae7a4b",
                 "00ecc2c6aae2045b8252cf6caa2aeed38e4e3aaac057bc12ebe3938a83f9c94f"),
-    "Katmai": ("73a0ab2cabd00b68e848f7eb9e35e58adaa3486fe916340585cd6c77459a5f5a",
+    "Katmai": ("b5a40ed675b30add2ea597e10960677ea898ccf97249bf40de70886df792239a",
                "00ecc2c6aae2045b8252cf6caa2aeed38e4e3aaac057bc12ebe3938a83f9c94f"),
 }
 OPENBLAS_X86_64 = (

@@ -1,4 +1,6 @@
+import gc
 import hashlib
+import warnings
 
 import numpy as np
 import pytest
@@ -268,24 +270,23 @@ class TestCheckpoints:
         assert np.array_equal(compute_P(model, pool, test).entries,
                               compute_P(loaded, pool, test).entries)
 
-    def test_format_v1_bytes_pinned(self, tmp_path):
-        # format v1 keeps its reserved zero block after the weights, so a
-        # fixed model always writes these bytes
+    def test_bytes_pinned(self, tmp_path):
+        # members carry a fixed timestamp, so a fixed model always writes
+        # these bytes
         base = HashingEmbedder(dim=8)
         model = RetrieverModel(base=base, weights=np.random.default_rng(5).normal(size=(8, 8)))
         path = tmp_path / "model.ckpt"
         save_checkpoint(model, path)
-        blob = path.read_bytes()
-        assert hashlib.sha256(blob).hexdigest() == (
-            "46de05318a17e48458fa13da092c73e909c3065fb9d4c2af023b2bfa502020a2")
-        assert blob[-4 - 8 * 8:-4] == bytes(8 * 8)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+            "27463f7cce2932a3c4ee5b86217979776dfcb39cee5a319b4654be6b59eb46eb")
 
     def test_dim_mismatch_rejected(self, tmp_path):
         base = HashingEmbedder(dim=8)
         path = tmp_path / "model.ckpt"
         save_checkpoint(RetrieverModel.identity(base), path)
-        with pytest.raises(CheckpointError, match="does not match"):
-            load_checkpoint(path, HashingEmbedder(dim=16))
+        same_name = StubEmbedder({"x": [0.0] * 16}, name=base.name)
+        with pytest.raises(CheckpointError, match=r"\(8, 8\) do not fit float64 \(out_dim, 16\)"):
+            load_checkpoint(path, same_name)
 
     def test_provider_name_mismatch_rejected(self, tmp_path):
         base = HashingEmbedder(dim=8)
@@ -297,19 +298,63 @@ class TestCheckpoints:
 
     def test_corruption_detected(self, tmp_path):
         base = HashingEmbedder(dim=4)
+        model = RetrieverModel.identity(base)
         path = tmp_path / "model.ckpt"
-        save_checkpoint(RetrieverModel.identity(base), path)
+        save_checkpoint(model, path)
         blob = bytearray(path.read_bytes())
-        blob[len(blob) // 2] ^= 0xFF
+        blob[blob.index(model.weights.tobytes()) + 8] ^= 0xFF
         path.write_bytes(bytes(blob))
-        with pytest.raises(CheckpointError, match="CRC"):
+        with pytest.raises(CheckpointError, match="damaged retriever_checkpoint artifact: Bad CRC"):
             load_checkpoint(path, base)
 
     def test_not_a_checkpoint(self, tmp_path):
         path = tmp_path / "junk.ckpt"
         path.write_bytes(b"hello world, definitely not a checkpoint")
-        with pytest.raises(CheckpointError, match="not a retriever checkpoint"):
+        with pytest.raises(CheckpointError, match="damaged retriever_checkpoint artifact"):
             load_checkpoint(path, HashingEmbedder(dim=4))
+        PoolDistanceMatrix(("a",), [[0.0]], "hash-4").save(path)
+        with pytest.raises(CheckpointError, match="not a retriever_checkpoint artifact"):
+            load_checkpoint(path, HashingEmbedder(dim=4))
+        with pytest.raises(FileNotFoundError):
+            load_checkpoint(tmp_path / "missing.ckpt", HashingEmbedder(dim=4))
+
+    @pytest.mark.parametrize("artifact", ["checkpoint", "pool_matrix"])
+    def test_every_single_byte_flip_loads_the_original_or_raises(self, tmp_path, artifact):
+        # a flip in a field zipfile ignores loads the original; any other is
+        # caught (mostly by the members' CRC-32) and no file handle leaks
+        base = HashingEmbedder(dim=4)
+        if artifact == "checkpoint":
+            model = RetrieverModel(base, np.random.default_rng(3).normal(size=(4, 4)))
+            save_checkpoint(model, tmp_path / "saved")
+
+            def load(path):
+                return load_checkpoint(path, base).weights.tobytes()
+            original = model.weights.tobytes()
+        else:
+            matrix = PoolDistanceMatrix(("a", "b"), [[0.0, 1.5], [1.5, 0.0]], base.name)
+            matrix.save(tmp_path / "saved")
+
+            def load(path):
+                loaded = PoolDistanceMatrix.load(path)
+                return loaded.sample_ids, loaded.entries.tobytes(), loaded.provider
+            original = matrix.sample_ids, matrix.entries.tobytes(), matrix.provider
+        blob = (tmp_path / "saved").read_bytes()
+        path = tmp_path / "damaged"
+        outcomes = set()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            for i in range(len(blob)):
+                damaged = bytearray(blob)
+                damaged[i] ^= 0xFF
+                path.write_bytes(bytes(damaged))
+                try:
+                    assert load(path) == original, f"byte {i}"
+                    outcomes.add("original")
+                except (CheckpointError, ValueError):
+                    outcomes.add("raised")
+            gc.collect()
+        assert outcomes == {"original", "raised"}
+        assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
 
     def test_cross_dataset_application(self, tmp_path):
         # a checkpoint fit on one pool scores a completely different pool

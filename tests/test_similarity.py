@@ -1,10 +1,12 @@
 import time
+import zipfile
 
 import numpy as np
 import pytest
+import requests
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from tripleforge.gateway import GatewayError
+from tripleforge.gateway import GatewayError, TransientProviderError
 from tripleforge.similarity import (
     PAIRWISE_KIND,
     POOL_KIND,
@@ -277,6 +279,15 @@ class TestDistanceMatrixFiles:
         with pytest.raises(ValueError, match=message):
             PairwiseDistanceSet.load(tmp_path / "p.npz")
 
+    def test_load_rejects_a_member_that_is_not_npy(self, tmp_path):
+        write_raw(tmp_path / "good.npz")
+        with zipfile.ZipFile(tmp_path / "good.npz") as good, \
+                zipfile.ZipFile(tmp_path / "p.npz", "w") as bad:
+            for name in good.namelist():
+                bad.writestr(name, b"raw bytes" if name == "entries.npy" else good.read(name))
+        with pytest.raises(ValueError, match="entries must be float64"):
+            PairwiseDistanceSet.load(tmp_path / "p.npz")
+
     def test_save_rejects_ids_numpy_cannot_hold(self, tmp_path):
         path = tmp_path / "p.npz"
         PairwiseDistanceSet(("a",), ("t",), [[1.0]]).save(path)
@@ -289,9 +300,10 @@ class TestDistanceMatrixFiles:
 
 
 class FakeResponse:
-    def __init__(self, status_code, payload=None):
+    def __init__(self, status_code, payload=None, text=""):
         self.status_code = status_code
         self._payload = payload
+        self.text = text
 
     def json(self):
         return self._payload
@@ -319,3 +331,25 @@ class TestHttpEmbeddingProvider:
         monkeypatch.delenv("TRIPLEFORGE_API_KEY", raising=False)
         with pytest.raises(GatewayError, match="TRIPLEFORGE_API_KEY"):
             HttpEmbeddingProvider("https://x.test", "emb-1", dim=3)
+
+    def test_connection_error_is_transient(self):
+        def post(*a, **k):
+            raise requests.ConnectionError("refused")
+
+        provider = HttpEmbeddingProvider("https://x.test", "emb-1", dim=3, api_key="k", post=post)
+        with pytest.raises(TransientProviderError, match="connection failure"):
+            provider.embed("text")
+
+    def test_503_is_transient(self):
+        provider = HttpEmbeddingProvider("https://x.test", "emb-1", dim=3, api_key="k",
+                                         post=lambda *a, **k: FakeResponse(503))
+        with pytest.raises(TransientProviderError) as raised:
+            provider.embed("text")
+        assert raised.value.status == 503
+
+    def test_400_is_fatal(self):
+        provider = HttpEmbeddingProvider("https://x.test", "emb-1", dim=3, api_key="k",
+                                         post=lambda *a, **k: FakeResponse(400, text="bad input"))
+        with pytest.raises(GatewayError, match="HTTP 400: bad input") as raised:
+            provider.embed("text")
+        assert raised.value.status == 400
