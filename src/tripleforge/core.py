@@ -4,9 +4,13 @@ labels on demand while auditing how many samples were checked vs annotated.
 """
 from __future__ import annotations
 
+import hashlib
+import io
 import json
 import re
-from dataclasses import dataclass, field
+import threading
+from collections import OrderedDict
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Iterable, Mapping, Optional, Sequence
 
@@ -54,7 +58,8 @@ class Triple:
             if span is None:
                 continue
             start, end = span
-            if not (isinstance(start, int) and isinstance(end, int) and 0 <= start < end):
+            # not isinstance: a JSON true or false loads as bool, an int subclass
+            if not (type(start) is int and type(end) is int and 0 <= start < end):
                 raise ValueError(f"{name} must satisfy 0 <= start < end, got {span}")
             object.__setattr__(self, name, (start, end))
 
@@ -93,7 +98,7 @@ class Triple:
                 return None
             if not (isinstance(value, (list, tuple)) and len(value) == 2):
                 raise ValueError(f"{key} must be a [start, end] pair, got {value!r}")
-            return (int(value[0]), int(value[1]))
+            return (value[0], value[1])
 
         return cls(
             predicate=raw["predicate"],
@@ -143,8 +148,10 @@ class Sample:
     text: str
 
     def __post_init__(self) -> None:
-        if not self.id:
-            raise ValueError("sample id must be non-empty")
+        if not (isinstance(self.id, str) and self.id):
+            raise ValueError(f"sample id must be a non-empty string, got {self.id!r}")
+        if not isinstance(self.text, str):
+            raise ValueError(f"sample {self.id!r}: text must be a string, got {type(self.text).__name__}")
         if not self.text:
             raise ValueError(f"sample {self.id!r}: text must be non-empty")
         if "\n" in self.text or "\r" in self.text:
@@ -272,15 +279,29 @@ class AnnotationOracle:
 
 _SPLITS = ("train", "valid", "test")
 
+# Parsed splits by (path, split, sha256 of the file's bytes), least recently
+# used first.  Every pipeline stage loads the pool and test files again; a
+# repeat load in one process then costs a read and a hash, not a parse.
+# Keying on the bytes, not on the mtime, means a rewritten file is parsed
+# again even when its size and mtime are unchanged.
+_PARSED: OrderedDict[tuple[str, str, str], Dataset] = OrderedDict()
+_PARSED_MAX = 4
+_PARSED_LOCK = threading.Lock()
+
 
 def load_dataset(path: str | Path, split: str = "train") -> Dataset:
     """Load a JSONL split into samples, a validated gold store, and a schema.
 
     ``path`` may be the JSONL file itself or a directory containing
     ``<split>.jsonl``.  Records: ``{"id", "text", "triples": [...]}``; the
-    ``triples`` key is omitted on unlabeled splits.  An optional first line
+    ``triples`` key is omitted on unlabeled splits.  An optional first record
     ``{"entity_types": [...], "relation_types": [...]}`` declares a schema
     header merged with labels found in the data.
+
+    The file is parsed once per process for as long as its bytes stay the
+    same (the four most recently used files are kept); every call returns
+    its own ``samples`` list and ``gold`` dict, and a file that fails to
+    parse is parsed, and fails, again on the next call.
     """
     if split not in _SPLITS:
         raise DatasetError(f"unknown split {split!r}, expected one of {_SPLITS}")
@@ -289,18 +310,43 @@ def load_dataset(path: str | Path, split: str = "train") -> Dataset:
         path = path / f"{split}.jsonl"
     if not path.exists():
         raise DatasetError(f"dataset file not found: {path}")
+    data = path.read_bytes()
+    key = (str(path), split, hashlib.sha256(data).hexdigest())
+    with _PARSED_LOCK:
+        # popped and put back, a hit becomes the most recently used entry
+        dataset = _PARSED.pop(key, None) or _parse_dataset(path, split, data)
+        _PARSED[key] = dataset
+        if len(_PARSED) > _PARSED_MAX:
+            _PARSED.popitem(last=False)
+    # samples, gold annotations and the schema are frozen; the containers
+    # are the only parts a caller could change
+    return replace(dataset, samples=list(dataset.samples), gold=dict(dataset.gold))
+
+
+def _parse_dataset(path: Path, split: str, data: bytes) -> Dataset:
+    """Parse the bytes of the JSONL file ``path``; errors name ``path:lineno``."""
+    # checked up front: the line reader decodes in chunks, and its error
+    # gives an offset into the chunk, not the file
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        lineno = len(re.findall(rb"\r\n?|\n", data[: exc.start])) + 1
+        raise DatasetError(f"{path}:{lineno}: not valid UTF-8: {exc.reason}") from None
 
     samples: list[Sample] = []
     gold: dict[str, GoldAnnotation] = {}
     seen_ids: set[str] = set()
     entity_types: list[str] = []
     relation_types: list[str] = []
+    first_record = True
 
     def note_label(pool: list[str], label: str) -> None:
         if label not in pool:
             pool.append(label)
 
-    with path.open(encoding="utf-8") as fh:
+    # lines as open() splits them; str.splitlines would also split at U+2028
+    # inside a JSON string
+    with io.TextIOWrapper(io.BytesIO(data), encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
@@ -311,9 +357,11 @@ def load_dataset(path: str | Path, split: str = "train") -> Dataset:
             if not isinstance(record, dict):
                 raise DatasetError(f"{path}:{lineno}: record must be a JSON object")
 
-            if lineno == 1 and "id" not in record and (
+            is_header = first_record and "id" not in record and (
                 "entity_types" in record or "relation_types" in record
-            ):
+            )
+            first_record = False
+            if is_header:
                 for label in record.get("entity_types", []):
                     note_label(entity_types, label)
                 for label in record.get("relation_types", []):
@@ -321,7 +369,10 @@ def load_dataset(path: str | Path, split: str = "train") -> Dataset:
                 continue
 
             try:
-                sample = Sample(id=str(record["id"]), text=record["text"])
+                sample_id = record["id"]
+                if type(sample_id) is int:  # not bool
+                    sample_id = str(sample_id)
+                sample = Sample(id=sample_id, text=record["text"])
             except KeyError as exc:
                 raise DatasetError(f"{path}:{lineno}: record missing {exc.args[0]!r}") from exc
             except ValueError as exc:

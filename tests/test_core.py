@@ -1,8 +1,11 @@
 import json
+import os
+from collections import OrderedDict
 
 import pytest
 from hypothesis import given, strategies as st
 
+from tripleforge import core
 from tripleforge.core import (
     AnnotationOracle,
     DatasetError,
@@ -45,6 +48,12 @@ class TestTriple:
     def test_dict_round_trip(self):
         t = make_triple(s_span=(0, 5), o_span=(11, 18))
         assert Triple.from_dict(t.to_dict()) == t
+
+    @pytest.mark.parametrize("span", [[0, 5.9], [0.0, 5], [True, 5], [0, "5"]])
+    def test_from_dict_rejects_non_integer_span_values(self, span):
+        raw = make_triple().to_dict() | {"subject_span": span}
+        with pytest.raises(ValueError, match="start < end"):
+            Triple.from_dict(raw)
 
 
 class TestTripleSet:
@@ -191,6 +200,64 @@ class TestLoadDataset:
                 fh.write(json.dumps({"id": f"r{k}", "text": f"record number {k}"}) + "\n")
         assert len(load_dataset(path, "test").samples) == 288
 
+    @pytest.mark.parametrize("record, message", [
+        ('{"id": "a", "text": 123}', "sample 'a': text must be a string, got int"),
+        ('{"id": null, "text": "x"}', "sample id must be a non-empty string, got None"),
+        ('{"id": true, "text": "x"}', "sample id must be a non-empty string, got True"),
+        ('{"id": "", "text": "x"}', "sample id must be a non-empty string"),
+    ])
+    def test_bad_record_field_names_line_number(self, tmp_path, record, message):
+        path = tmp_path / "bad.jsonl"
+        path.write_text('{"id": "ok", "text": "fine"}\n' + record + "\n", encoding="utf-8")
+        with pytest.raises(DatasetError, match=f"bad.jsonl:2: {message}"):
+            load_dataset(path, "train")
+
+    def test_integer_id_is_kept_as_its_decimal_string(self, tmp_path):
+        path = tmp_path / "ints.jsonl"
+        path.write_text('{"id": 7, "text": "seven"}\n{"id": "8", "text": "eight"}\n')
+        assert [s.id for s in load_dataset(path, "train").samples] == ["7", "8"]
+
+    def test_invalid_utf8_names_line_number(self, tmp_path):
+        path = tmp_path / "latin1.jsonl"
+        path.write_bytes(b'{"id": "a", "text": "ok"}\r\n\r{"id": "b", "text": "caf\xe9"}\n')
+        with pytest.raises(DatasetError, match="latin1.jsonl:3: not valid UTF-8"):
+            load_dataset(path, "train")
+
+    def test_gold_span_values_are_not_coerced(self, tmp_path):
+        # int() would load [0, 5.9] as (0, 5), a span that selects "Booth"
+        triple = {
+            "predicate": "Kill", "subject_type": "Per", "subject": "Booth",
+            "object_type": "Per", "object": "Lincoln",
+            "subject_span": [0, 5.9], "object_span": [11, 18],
+        }
+        path = tmp_path / "float.jsonl"
+        path.write_text(json.dumps({"id": "a", "text": "Booth shot Lincoln", "triples": [triple]}))
+        with pytest.raises(DatasetError, match="float.jsonl:1: sample 'a': bad triple"):
+            load_dataset(path, "train")
+
+    def test_schema_header_after_blank_lines(self, tmp_path):
+        path = tmp_path / "train.jsonl"
+        header = {"entity_types": ["Per", "Loc"], "relation_types": ["Live_In"]}
+        path.write_text("\n  \n" + json.dumps(header) + '\n{"id": "a", "text": "x"}\n')
+        ds = load_dataset(path, "train")
+        assert ds.schema is not None and ds.schema.entity_types == ("Loc", "Per")
+        assert [s.id for s in ds.samples] == ["a"]
+
+    def test_schema_header_only_as_first_record(self, tmp_path):
+        path = tmp_path / "train.jsonl"
+        path.write_text('{"id": "a", "text": "x"}\n{"entity_types": ["Per"]}\n')
+        with pytest.raises(DatasetError, match=":2: record missing 'id'"):
+            load_dataset(path, "train")
+
+    def test_lines_split_as_open_splits_them(self, tmp_path):
+        # \r\n and a lone \r end a line; U+2028 inside a JSON string does not
+        path = tmp_path / "mixed.jsonl"
+        path.write_bytes('{"id": "a", "text": "one\u2028two"}\r\n{"id": "b", "text": "three"}'
+                         '\r{"id": "c", "text": "four"}'.encode("utf-8"))
+        ds = load_dataset(path, "train")
+        assert [(s.id, s.text) for s in ds.samples] == [
+            ("a", "one\u2028two"), ("b", "three"), ("c", "four")]
+
     def test_gold_spans_checked_bidirectionally(self, pool_dataset):
         by_id = pool_dataset.sample_by_id()
         for sid, ann in pool_dataset.gold.items():
@@ -198,6 +265,88 @@ class TestLoadDataset:
             for t in ann.triples:
                 assert text[slice(*t.subject_span)] == t.subject
                 assert text[slice(*t.object_span)] == t.object
+
+
+@pytest.fixture
+def parses(monkeypatch):
+    """An empty parse memo for the test, and the file name of every parse."""
+    names = []
+    parse = core._parse_dataset
+
+    def counting(path, split, data):
+        names.append(path.name)
+        return parse(path, split, data)
+
+    monkeypatch.setattr(core, "_PARSED", OrderedDict())
+    monkeypatch.setattr(core, "_parse_dataset", counting)
+    return names
+
+
+class TestLoadDatasetMemo:
+    def test_unchanged_bytes_are_parsed_once(self, parses):
+        a = load_dataset(DATA_DIR, "train")
+        b = load_dataset(DATA_DIR, "train")
+        assert a.samples == b.samples and a.gold == b.gold and a.schema == b.schema
+        assert a.split == b.split == "train"
+        assert parses == ["train.jsonl"]
+
+    def test_split_is_part_of_the_key(self, parses):
+        assert load_dataset(DATA_DIR / "test.jsonl", "test").split == "test"
+        assert load_dataset(DATA_DIR / "test.jsonl", "valid").split == "valid"
+        assert parses == ["test.jsonl", "test.jsonl"]
+
+    def test_rewrite_with_same_size_and_mtime_is_parsed_again(self, tmp_path, parses):
+        path = tmp_path / "train.jsonl"
+        path.write_text('{"id": "a", "text": "alpha"}\n')
+        stat = path.stat()
+        assert [s.text for s in load_dataset(path).samples] == ["alpha"]
+        path.write_text('{"id": "a", "text": "gamma"}\n')
+        os.utime(path, ns=(stat.st_atime_ns, stat.st_mtime_ns))
+        assert path.stat().st_size == stat.st_size
+        assert [s.text for s in load_dataset(path).samples] == ["gamma"]
+        assert len(parses) == 2
+
+    def test_errors_are_not_kept(self, tmp_path, parses):
+        path = tmp_path / "train.jsonl"
+        path.write_text('{"id": "a", "text": "x"}\n{oops\n')
+        for _ in range(2):
+            with pytest.raises(DatasetError, match=":2: malformed JSON"):
+                load_dataset(path)
+        path.write_text('{"id": "a", "text": "x"}\n{"id": "b", "text": "y"}\n')
+        assert [s.id for s in load_dataset(path).samples] == ["a", "b"]
+        assert len(parses) == 3
+
+    def test_each_load_returns_its_own_containers(self, parses):
+        first = load_dataset(DATA_DIR, "train")
+        removed = first.samples.pop()
+        first.samples.clear()
+        first.gold.clear()
+        again = load_dataset(DATA_DIR, "train")
+        assert len(again.samples) == 20 and again.samples[-1] == removed
+        assert len(again.gold) == 20
+        assert parses == ["train.jsonl"]
+
+    def test_same_bytes_at_two_paths_are_two_entries(self, tmp_path, parses):
+        data = b'{"id": "a", "text": "x"}\n{"id": "a", "text": "y"}\n'
+        for name in ("one.jsonl", "two.jsonl", "one.jsonl"):
+            (tmp_path / name).write_bytes(data)
+            with pytest.raises(DatasetError, match=f"{name}:2: duplicate sample id"):
+                load_dataset(tmp_path / name)
+        data = b'{"id": "a", "text": "x"}\n'
+        for name in ("one.jsonl", "two.jsonl", "one.jsonl", "two.jsonl"):
+            (tmp_path / name).write_bytes(data)
+            assert [s.id for s in load_dataset(tmp_path / name).samples] == ["a"]
+        assert parses[3:] == ["one.jsonl", "two.jsonl"]
+
+    def test_keeps_the_four_most_recently_used_files(self, tmp_path, parses):
+        paths = [tmp_path / f"f{k}.jsonl" for k in range(5)]
+        for k, path in enumerate(paths):
+            path.write_text(json.dumps({"id": "a", "text": f"file {k}"}))
+        for k in (0, 1, 2, 3, 0, 4, 0, 1):
+            load_dataset(paths[k])
+        # f0 was used again before f4 arrived, so f4 pushed out f1
+        assert parses == ["f0.jsonl", "f1.jsonl", "f2.jsonl", "f3.jsonl", "f4.jsonl", "f1.jsonl"]
+        assert len(core._PARSED) == 4
 
 
 class TestAnnotationOracle:

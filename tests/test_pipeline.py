@@ -1,13 +1,14 @@
 import hashlib
 import json
 import platform
+from collections import OrderedDict
 from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from tripleforge import cli
+from tripleforge import cli, core
 from tripleforge.config import (
     CHOICES,
     ConfigError,
@@ -231,6 +232,36 @@ class TestFullPipeline:
         run_all(cfg)
         selection = json.loads((cfg.run_dir / SELECTION).read_text())
         assert len(selection["chosen"]) == 3 and selection["seed"] == 11
+
+    def test_dataset_memo_changes_no_artifact(self, run_config, tmp_path, monkeypatch):
+        # every stage of two combos, first with the parse memo, then with it
+        # emptied before every stage: the manifests must record equal sha256s
+        parsed = []
+        parse = core._parse_dataset
+        monkeypatch.setattr(core, "_PARSED", OrderedDict())
+        monkeypatch.setattr(core, "_parse_dataset",
+                            lambda path, split, data: parsed.append(path.name) or parse(path, split, data))
+        combos = (dict(strategy="coverage", budget=4),
+                  dict(format="codeie", strategy="balance", budget=5))
+
+        def digests(tag, clear):
+            found = []
+            for k, combo in enumerate(combos):
+                cfg = run_config(run_dir=tmp_path / tag / str(k), **combo)
+                for name in ALL_STAGES:
+                    if clear:
+                        core._PARSED.clear()
+                    STAGES[name](cfg)
+                stages = json.loads((cfg.run_dir / MANIFEST).read_text())["stages"]
+                found.append({(stage, name): artifact["sha256"]
+                              for stage, entry in stages.items()
+                              for name, artifact in entry["artifacts"].items()})
+            return found
+
+        with_memo = digests("memo", clear=False)
+        assert sorted(parsed) == ["test.jsonl", "train.jsonl"]
+        assert digests("cleared", clear=True) == with_memo
+        assert len(parsed) > 2 * len(combos) and all(len(d) > len(ALL_STAGES) for d in with_memo)
 
     def test_demo_order_flip_changes_prompt_not_f1(self, run_config, tmp_path):
         cfg1 = run_config(run_dir=tmp_path / "a", demo_order="similar-last")
