@@ -21,15 +21,18 @@ class DatasetError(ValueError):
     """Raised for malformed dataset files or invariant violations at load time."""
 
 
+# Every boundary ``str.splitlines`` breaks at.  The prompt grammars parse model
+# output with it, so a field holding one cannot round-trip through any of them.
+_LINE_BREAK = re.compile("[\n\r\v\f\x1c-\x1e\x85\u2028\u2029]")
+
+
 def _check_field(name: str, value: str) -> str:
     if not isinstance(value, str):
         raise ValueError(f"{name} must be a string, got {type(value).__name__}")
     stripped = value.strip()
     if not stripped:
         raise ValueError(f"{name} must be non-empty after trimming")
-    if "\n" in stripped or "\r" in stripped:
-        # all prompt grammars are line-based; a field spanning lines cannot
-        # round-trip through any of them
+    if _LINE_BREAK.search(stripped):
         raise ValueError(f"{name} must not contain line breaks")
     return stripped
 
@@ -154,7 +157,7 @@ class Sample:
             raise ValueError(f"sample {self.id!r}: text must be a string, got {type(self.text).__name__}")
         if not self.text:
             raise ValueError(f"sample {self.id!r}: text must be non-empty")
-        if "\n" in self.text or "\r" in self.text:
+        if _LINE_BREAK.search(self.text):
             raise ValueError(f"sample {self.id!r}: text must be a single line")
 
 

@@ -24,7 +24,7 @@ class EmbeddingProvider(Protocol):
     name: str
     dim: int
 
-    def embed(self, text: str) -> np.ndarray: ...
+    def embed(self, texts: Sequence[str]) -> np.ndarray: ...  # (len(texts), dim) float64
 
 
 class HashingEmbedder:
@@ -42,17 +42,32 @@ class HashingEmbedder:
         self.dim = dim
         self.name = f"hash-{dim}"
 
-    def embed(self, text: str) -> np.ndarray:
-        vec = np.zeros(self.dim, dtype=np.float64)
-        tokens = text.split()
-        grams = tokens + [f"{a} {b}" for a, b in zip(tokens, tokens[1:])]
-        for gram in grams:
-            digest = hashlib.blake2b(gram.encode("utf-8"), digest_size=8).digest()
-            index = int.from_bytes(digest[:4], "little") % self.dim
-            sign = 1.0 if digest[4] % 2 == 0 else -1.0
-            vec[index] += sign
-        norm = np.linalg.norm(vec)
-        return vec / norm if norm > 0 else vec
+    def embed(self, texts: Sequence[str]) -> np.ndarray:
+        # Each distinct gram of the batch is hashed once.  The counts are small
+        # integers, so every sum and sum of squares is exact in any order and
+        # each row has the bits of the text embedded on its own.
+        slots: dict[str, int] = {}  # distinct gram -> position of its digest
+        rows: list[int] = []
+        grams: list[int] = []  # the slot of each gram, text by text
+        for row, text in enumerate(texts):
+            tokens = text.split()
+            for gram in tokens + [f"{a} {b}" for a, b in zip(tokens, tokens[1:])]:
+                rows.append(row)
+                grams.append(slots.setdefault(gram, len(slots)))
+        digests = b"".join(hashlib.blake2b(gram.encode("utf-8"), digest_size=8).digest()
+                           for gram in slots)
+        index = np.frombuffer(digests, dtype="<u4")[::2] % self.dim  # digest[:4]
+        sign = np.where(np.frombuffer(digests, dtype=np.uint8)[4::8] % 2 == 0, 1.0, -1.0)
+        slot = np.asarray(grams, dtype=np.intp)
+        counts = np.bincount(np.asarray(rows, dtype=np.intp) * self.dim + index[slot],
+                             weights=sign[slot], minlength=len(texts) * self.dim)
+        counts = counts.reshape(len(texts), self.dim)
+        norms = np.linalg.norm(counts, axis=1)[:, None]
+        return np.divide(counts, norms, out=np.zeros(counts.shape), where=norms > 0)
+
+
+# Texts per embedding request
+HTTP_EMBED_CHUNK = 64
 
 
 class HttpEmbeddingProvider:
@@ -67,12 +82,21 @@ class HttpEmbeddingProvider:
         self._endpoint = JsonEndpoint(endpoint_url, api_key, api_key_env, timeout, post)
         self._model_id = model_id
 
-    def embed(self, text: str) -> np.ndarray:
-        body = self._endpoint({"model": self._model_id, "input": [text]})
-        vec = np.asarray(body["data"][0]["embedding"], dtype=np.float64)
-        if vec.shape != (self.dim,):
-            raise GatewayError(f"embedding dim mismatch: expected {self.dim}, got {vec.shape}")
-        return vec
+    def embed(self, texts: Sequence[str]) -> np.ndarray:
+        """One POST per ``HTTP_EMBED_CHUNK`` texts; no POST for an empty batch."""
+        out = np.empty((len(texts), self.dim), dtype=np.float64)
+        for start in range(0, len(texts), HTTP_EMBED_CHUNK):
+            chunk = list(texts[start:start + HTTP_EMBED_CHUNK])
+            data = self._endpoint({"model": self._model_id, "input": chunk})["data"]
+            if len(data) != len(chunk):
+                raise GatewayError(f"expected {len(chunk)} embeddings, got {len(data)}")
+            for row, item in enumerate(data, start):
+                vec = np.asarray(item["embedding"], dtype=np.float64)
+                if vec.shape != (self.dim,):
+                    raise GatewayError(
+                        f"embedding dim mismatch: expected {self.dim}, got {vec.shape}")
+                out[row] = vec
+        return out
 
 
 def set_distance(zi: Sequence[np.ndarray] | np.ndarray,
@@ -316,22 +340,18 @@ _TRIANGLE_BAND = 32
 
 def embed_triple_sets(preextracted: Mapping[str, Sequence[str]],
                       provider: EmbeddingProvider) -> dict[str, np.ndarray]:
-    """Embed each sample's verbalized triples, with one provider call per
-    unique verbalization."""
-    memo: dict[str, np.ndarray] = {}
-    out: dict[str, np.ndarray] = {}
+    """Embed each sample's verbalized triples, with one provider call for the
+    distinct verbalizations of all samples."""
     for sid, verbalizations in preextracted.items():
         if not verbalizations:
             raise ValueError(
                 f"sample {sid!r} has no pre-extracted triples; exclude it from the pool first"
             )
-        rows = []
-        for text in verbalizations:
-            if text not in memo:
-                memo[text] = provider.embed(text)
-            rows.append(memo[text])
-        out[sid] = np.stack(rows)
-    return out
+    row_of = {text: row for row, text in enumerate(dict.fromkeys(
+        text for verbalizations in preextracted.values() for text in verbalizations))}
+    vectors = provider.embed(list(row_of))
+    return {sid: vectors[[row_of[text] for text in verbalizations]]
+            for sid, verbalizations in preextracted.items()}
 
 
 def pool_distances(preextracted: Mapping[str, Sequence[str]],

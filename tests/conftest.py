@@ -38,8 +38,8 @@ class StubEmbedder:
         self.dim = dims.pop()
         self.name = name
 
-    def embed(self, text: str) -> np.ndarray:
-        return self._table[text].copy()
+    def embed(self, texts) -> np.ndarray:
+        return np.array([self._table[t] for t in texts]).reshape(len(texts), self.dim)
 
 
 @pytest.fixture(scope="session")

@@ -200,8 +200,9 @@ def test_c4_retriever_gradient_and_planted_task():
         pool = [Sample(f"p{i}", f"pool sentence {i} alpha") for i in range(4)]
         test = [Sample("t0", "query sentence beta")]
         P = compute_P(model, pool, test)
-        for i, s in enumerate(pool):
-            raw = float(np.linalg.norm(base.embed(s.text) - base.embed(test[0].text)))
+        *pool_rows, query = base.embed([s.text for s in pool] + [test[0].text])
+        for i, row in enumerate(pool_rows):
+            raw = float(np.linalg.norm(row - query))
             assert P.entries[i, 0] == raw
 
 

@@ -19,6 +19,9 @@ from tripleforge.core import (
 
 from conftest import DATA_DIR, make_triple
 
+# every character ``str.splitlines`` breaks at; none lies above U+2029
+LINE_BREAKS = [c for c in map(chr, range(0x202A)) if len(f"a{c}b".splitlines()) == 2]
+
 
 class TestTriple:
     def test_fields_are_trimmed(self):
@@ -250,13 +253,36 @@ class TestLoadDataset:
             load_dataset(path, "train")
 
     def test_lines_split_as_open_splits_them(self, tmp_path):
-        # \r\n and a lone \r end a line; U+2028 inside a JSON string does not
+        # \r\n and a lone \r end a line; U+2028 inside a JSON string (here in
+        # a field the loader ignores) does not
         path = tmp_path / "mixed.jsonl"
-        path.write_bytes('{"id": "a", "text": "one\u2028two"}\r\n{"id": "b", "text": "three"}'
-                         '\r{"id": "c", "text": "four"}'.encode("utf-8"))
+        path.write_bytes('{"id": "a", "text": "one", "note": "x\u2028y"}\r\n'
+                         '{"id": "b", "text": "three"}\r{"id": "c", "text": "four"}'
+                         .encode("utf-8"))
         ds = load_dataset(path, "train")
         assert [(s.id, s.text) for s in ds.samples] == [
-            ("a", "one\u2028two"), ("b", "three"), ("c", "four")]
+            ("a", "one"), ("b", "three"), ("c", "four")]
+
+    @pytest.mark.parametrize("brk", LINE_BREAKS, ids=lambda c: f"U+{ord(c):04X}")
+    def test_line_break_in_a_triple_surface_names_line_number(self, tmp_path, brk):
+        triple = {"predicate": "Kill", "subject_type": "Per", "subject": f"Ann{brk}Lee",
+                  "object_type": "Per", "object": "Bob"}
+        record = {"id": "a", "text": "Ann Lee shot Bob", "triples": [triple]}
+        path = tmp_path / "brk.jsonl"
+        path.write_text('{"id": "ok", "text": "fine"}\n' + json.dumps(record) + "\n",
+                        encoding="utf-8")
+        with pytest.raises(DatasetError, match="brk.jsonl:2: sample 'a': bad triple: "
+                                               "subject must not contain line breaks"):
+            load_dataset(path, "train")
+
+    @pytest.mark.parametrize("brk", LINE_BREAKS, ids=lambda c: f"U+{ord(c):04X}")
+    def test_line_break_in_a_sentence_names_line_number(self, tmp_path, brk):
+        path = tmp_path / "brk.jsonl"
+        path.write_text('{"id": "ok", "text": "fine"}\n'
+                        + json.dumps({"id": "a", "text": f"one{brk}two"}) + "\n",
+                        encoding="utf-8")
+        with pytest.raises(DatasetError, match="brk.jsonl:2: sample 'a': text must be a single line"):
+            load_dataset(path, "train")
 
     def test_gold_spans_checked_bidirectionally(self, pool_dataset):
         by_id = pool_dataset.sample_by_id()

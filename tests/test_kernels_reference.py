@@ -4,12 +4,13 @@ The ``reference_*`` functions below are the loop implementations of
 ``pool_distances``, ``compute_P``, ``_ranked_pool``, ``select_coverage``,
 ``make_training_pairs``, the parsers' ``_split_unescaped`` and the
 per-query ``render_few_shot`` as they were before the array kernels (and the
-regex splitter and the batch renderer), and ``train`` as it was before its
-fused loss-and-gradient step and in-place AdamW update, kept verbatim as
-oracles apart from renaming and returning pairs as tuples.  The kernels must
-agree with them bit for bit: equal float entries, equal chosen ids, covered
-tests, tie-break counts and checked ids, equal prompt strings, and equal
-weight bytes and training history.
+regex splitter and the batch renderer), ``train`` as it was before its
+fused loss-and-gradient step and in-place AdamW update, and the per-text
+``HashingEmbedder.embed`` as it was before the batch embedder, kept verbatim
+as oracles apart from renaming and returning pairs as tuples.  The kernels
+must agree with them bit for bit: equal float entries, equal chosen ids,
+covered tests, tie-break counts and checked ids, equal prompt strings, and
+equal weight bytes and training history.
 Matrices are built from a few distinct values with duplicated rows and
 columns, so that distance and score ties are common.
 """
@@ -19,7 +20,7 @@ import math
 import random
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from tripleforge.core import Sample, Triple, TripleSet, load_dataset
 from tripleforge.prompting import (
@@ -91,12 +92,29 @@ def reference_pool_distances(preextracted, provider) -> PoolDistanceMatrix:
     return PoolDistanceMatrix(sample_ids=tuple(ids), entries=entries, provider=provider.name)
 
 
+def reference_embed(text: str, dim: int) -> np.ndarray:
+    """Feature-hashed unigram and bigram counts of one text, L2-normalized."""
+    vec = np.zeros(dim, dtype=np.float64)
+    tokens = text.split()
+    grams = tokens + [f"{a} {b}" for a, b in zip(tokens, tokens[1:])]
+    for gram in grams:
+        digest = hashlib.blake2b(gram.encode("utf-8"), digest_size=8).digest()
+        index = int.from_bytes(digest[:4], "little") % dim
+        sign = 1.0 if digest[4] % 2 == 0 else -1.0
+        vec[index] += sign
+    norm = np.linalg.norm(vec)
+    return vec / norm if norm > 0 else vec
+
+
 def reference_compute_P(model, pool_samples, test_samples) -> PairwiseDistanceSet:
-    """Project every sample once and take all pool-to-test L2 distances."""
+    """Project every sample once and take all pool-to-test L2 distances
+    (``model.base`` is a ``HashingEmbedder``)."""
     if not pool_samples or not test_samples:
         raise ValueError("both pool and test sets must be non-empty")
-    pool = model.encode_samples(pool_samples)
-    test = model.encode_samples(test_samples)
+    pool = np.stack([model.weights @ reference_embed(s.text, model.base.dim)
+                     for s in pool_samples])
+    test = np.stack([model.weights @ reference_embed(s.text, model.base.dim)
+                     for s in test_samples])
     # cell-by-cell 1-D norms: bitwise identical to the defining single-pair
     # distance, unlike a broadcast axis reduction whose summation order differs
     entries = np.empty((len(pool_samples), len(test_samples)), dtype=np.float64)
@@ -360,6 +378,29 @@ def test_set_distances_match_the_pairwise_loop(data, dim):
 
 
 VOCAB = ["ann", "bob", "works", "for", "acme", "lives", "in", "paris", "kill", "org"]
+
+
+@st.composite
+def embed_batches(draw):
+    """Texts with repeated grams, non-ASCII tokens, empty and whitespace-only
+    texts and arbitrary strings; whole texts repeat within the batch."""
+    words = st.sampled_from(VOCAB + ["Zoë", "東京", "naïve", "α-β"])
+    text = st.one_of(st.lists(words, max_size=8).map(" ".join),
+                     st.sampled_from(["", " ", "\t \u3000\x1c", "ann ann ann", "ann bob ann bob"]),
+                     st.text(max_size=12))
+    texts = draw(st.lists(text, max_size=12))
+    return texts + draw(st.lists(st.sampled_from(texts), max_size=4)) if texts else texts
+
+
+@settings(max_examples=100, deadline=None)
+@given(dim=st.sampled_from([1, 7, 64]), texts=embed_batches())
+@example(dim=7, texts=[])
+@example(dim=1, texts=["", "   ", "a a a", "a a a", "日本 語 日本 語"])
+def test_hashing_embed_matches_the_per_text_loop(dim, texts):
+    got = HashingEmbedder(dim).embed(texts)
+    want = np.stack([reference_embed(t, dim) for t in texts]) if texts else np.zeros((0, dim))
+    assert got.dtype == np.float64 and got.shape == want.shape
+    assert np.array_equal(got, want)
 
 
 @settings(max_examples=30, deadline=None)

@@ -197,8 +197,9 @@ class TestRetrieverModel:
         pool = [Sample("a", "alpha beta gamma"), Sample("b", "delta epsilon")]
         test = [Sample("t", "alpha beta zeta")]
         P = compute_P(model, pool, test)
-        for i, s in enumerate(pool):
-            raw = float(np.linalg.norm(base.embed(s.text) - base.embed(test[0].text)))
+        *pool_rows, query = base.embed([s.text for s in pool] + [test[0].text])
+        for i, row in enumerate(pool_rows):
+            raw = float(np.linalg.norm(row - query))
             assert P.entries[i, 0] == raw
 
     def test_identical_text_gives_zero_distance(self):
@@ -240,7 +241,7 @@ class TestTrainRetriever:
         rng = np.random.default_rng(21)
         texts = {f"s{i:02d}": f"sample text number {i}" for i in range(10)}
         base = HashingEmbedder(dim=16)
-        embeddings = np.stack([base.embed(t) for t in texts.values()])
+        embeddings = base.embed(list(texts.values()))
         planted = rng.normal(size=(16, 16)) * 0.5
         entries = distance_matrix_from(embeddings, planted)
         matrix = PoolDistanceMatrix(tuple(texts), entries, base.name)
@@ -361,7 +362,7 @@ class TestCheckpoints:
         base = HashingEmbedder(dim=16)
         rng = np.random.default_rng(31)
         texts_a = {f"a{i}": f"first corpus sentence {i}" for i in range(8)}
-        emb_a = np.stack([base.embed(t) for t in texts_a.values()])
+        emb_a = base.embed(list(texts_a.values()))
         matrix = PoolDistanceMatrix(tuple(texts_a), distance_matrix_from(emb_a), base.name)
         model, _ = train_retriever(texts_a, matrix, base,
                                    TrainConfig(epochs=5, learning_rate=0.01, seed=0))

@@ -1,3 +1,4 @@
+import math
 import time
 import zipfile
 
@@ -8,6 +9,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from tripleforge.gateway import GatewayError, TransientProviderError
 from tripleforge.similarity import (
+    HTTP_EMBED_CHUNK,
     PAIRWISE_KIND,
     POOL_KIND,
     HashingEmbedder,
@@ -83,19 +85,21 @@ class TestSetDistance:
 class TestHashingEmbedder:
     def test_deterministic_and_normalized(self):
         emb = HashingEmbedder(dim=64)
-        a = emb.embed("Per Booth Kill Per Lincoln")
-        b = emb.embed("Per Booth Kill Per Lincoln")
+        text = "Per Booth Kill Per Lincoln"
+        (a,), (b,) = emb.embed([text]), emb.embed([text])
         assert np.array_equal(a, b)
         assert np.linalg.norm(a) == pytest.approx(1.0)
         assert a.shape == (64,)
 
     def test_different_texts_differ(self):
         emb = HashingEmbedder(dim=64)
-        assert not np.array_equal(emb.embed("alpha beta"), emb.embed("gamma delta"))
+        a, b = emb.embed(["alpha beta", "gamma delta"])
+        assert not np.array_equal(a, b)
 
     def test_bigrams_make_order_matter(self):
         emb = HashingEmbedder(dim=64)
-        assert not np.array_equal(emb.embed("a b c"), emb.embed("c b a"))
+        a, b = emb.embed(["a b c", "c b a"])
+        assert not np.array_equal(a, b)
 
 
 class TestPoolDistances:
@@ -112,7 +116,7 @@ class TestPoolDistances:
         provider = self.fixture_provider()
         pre = {"a": ["u", "v"], "b": ["w"], "c": ["z"]}
         matrix = pool_distances(pre, provider)
-        embedded = {sid: [provider.embed(t) for t in texts] for sid, texts in pre.items()}
+        embedded = {sid: provider.embed(texts) for sid, texts in pre.items()}
         ids = list(pre)
         for i, si in enumerate(ids):
             for j, sj in enumerate(ids):
@@ -137,13 +141,15 @@ class TestPoolDistances:
         calls = []
 
         class SpyEmbedder(HashingEmbedder):
-            def embed(self, text):
-                calls.append(text)
-                return super().embed(text)
+            def embed(self, texts):
+                calls.append(list(texts))
+                return super().embed(texts)
 
-        pre = {"a": ["same", "other"], "b": ["same"], "c": ["same", "other"]}
-        embed_triple_sets(pre, SpyEmbedder(dim=16))
-        assert sorted(calls) == ["other", "same"]
+        pre = {"a": ["same", "other"], "b": ["same"], "c": ["other", "same"]}
+        embedded = embed_triple_sets(pre, SpyEmbedder(dim=16))
+        assert calls == [["same", "other"]]
+        same, other = HashingEmbedder(dim=16).embed(["same", "other"])
+        assert np.array_equal(embedded["c"], np.stack([other, same]))
 
     def test_empty_preextraction_rejected(self):
         with pytest.raises(ValueError, match="no pre-extracted triples"):
@@ -316,7 +322,7 @@ class TestHttpEmbeddingProvider:
 
         provider = HttpEmbeddingProvider("https://x.test", "emb-1", dim=3,
                                          api_key="k", post=post)
-        assert np.array_equal(provider.embed("text"), np.array([1.0, 2.0, 3.0]))
+        assert np.array_equal(provider.embed(["text"]), np.array([[1.0, 2.0, 3.0]]))
 
     def test_dim_mismatch_rejected(self):
         def post(*a, **k):
@@ -325,7 +331,43 @@ class TestHttpEmbeddingProvider:
         provider = HttpEmbeddingProvider("https://x.test", "emb-1", dim=3,
                                          api_key="k", post=post)
         with pytest.raises(GatewayError, match="dim mismatch"):
-            provider.embed("text")
+            provider.embed(["text"])
+
+    def test_empty_batch_makes_no_request(self):
+        posts = []
+        provider = HttpEmbeddingProvider("https://x.test", "emb-1", dim=3, api_key="k",
+                                         post=lambda *a, **k: posts.append(k))
+        assert provider.embed([]).shape == (0, 3) and posts == []
+
+    @pytest.mark.parametrize("n", [1, HTTP_EMBED_CHUNK, HTTP_EMBED_CHUNK + 1,
+                                   2 * HTTP_EMBED_CHUNK + 3])
+    def test_batch_posts_chunks_in_input_order(self, n):
+        inputs = []
+
+        def post(url, json=None, headers=None, timeout=None):
+            inputs.append(json["input"])
+            rows = [[float(text[1:]), 0.0, 1.0] for text in json["input"]]
+            return FakeResponse(200, {"data": [{"embedding": row} for row in rows]})
+
+        provider = HttpEmbeddingProvider("https://x.test", "emb-1", dim=3,
+                                         api_key="k", post=post)
+        texts = [f"t{i}" for i in range(n)]
+        out = provider.embed(texts)
+        assert len(inputs) == math.ceil(n / HTTP_EMBED_CHUNK)
+        assert inputs == [texts[i:i + HTTP_EMBED_CHUNK] for i in range(0, n, HTTP_EMBED_CHUNK)]
+        assert np.array_equal(out[:, 0], np.arange(n)) and out.shape == (n, 3)
+
+    @pytest.mark.parametrize("rows, match", [
+        ([[1.0, 2.0, 3.0]], "expected 2 embeddings, got 1"),
+        ([[1.0, 2.0, 3.0]] * 3, "expected 2 embeddings, got 3"),
+        ([[1.0, 2.0, 3.0], [1.0, 2.0]], "dim mismatch"),
+    ])
+    def test_reply_of_the_wrong_shape_rejected(self, rows, match):
+        provider = HttpEmbeddingProvider(
+            "https://x.test", "emb-1", dim=3, api_key="k",
+            post=lambda *a, **k: FakeResponse(200, {"data": [{"embedding": r} for r in rows]}))
+        with pytest.raises(GatewayError, match=match):
+            provider.embed(["a", "b"])
 
     def test_missing_key_rejected(self, monkeypatch):
         monkeypatch.delenv("TRIPLEFORGE_API_KEY", raising=False)
@@ -338,18 +380,18 @@ class TestHttpEmbeddingProvider:
 
         provider = HttpEmbeddingProvider("https://x.test", "emb-1", dim=3, api_key="k", post=post)
         with pytest.raises(TransientProviderError, match="connection failure"):
-            provider.embed("text")
+            provider.embed(["text"])
 
     def test_503_is_transient(self):
         provider = HttpEmbeddingProvider("https://x.test", "emb-1", dim=3, api_key="k",
                                          post=lambda *a, **k: FakeResponse(503))
         with pytest.raises(TransientProviderError) as raised:
-            provider.embed("text")
+            provider.embed(["text"])
         assert raised.value.status == 503
 
     def test_400_is_fatal(self):
         provider = HttpEmbeddingProvider("https://x.test", "emb-1", dim=3, api_key="k",
                                          post=lambda *a, **k: FakeResponse(400, text="bad input"))
         with pytest.raises(GatewayError, match="HTTP 400: bad input") as raised:
-            provider.embed("text")
+            provider.embed(["text"])
         assert raised.value.status == 400
