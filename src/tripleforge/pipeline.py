@@ -7,13 +7,14 @@ with a warm cache reproduces them byte for byte.
 from __future__ import annotations
 
 import datetime as _dt
+import functools
 import hashlib
 import inspect
 import json
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Optional
+from typing import Callable, Optional
 
 from .config import PipelineConfig
 from .core import (
@@ -56,7 +57,7 @@ from .similarity import (
     PoolDistanceMatrix,
     embed_triple_sets,
     pool_distances,
-    set_distance,  # noqa: F401  (kept importable as pipeline.set_distance)
+    set_distance,  # noqa: F401  perfbench's tracer patches pipeline.set_distance by name
     set_distances,
 )
 
@@ -64,7 +65,6 @@ MANIFEST = "manifest.json"
 PREEXTRACT = "preextract.json"
 PREEXTRACT_TEST = "preextract_test.json"
 POOL_DISTANCES = "pool_distances.npz"
-CHECKPOINT = "retriever.ckpt"
 TRAINING_HISTORY = "training_history.json"
 PAIRWISE = "pairwise_distances.npz"
 SELECTION = "selection.json"
@@ -74,6 +74,10 @@ EVAL_JSON = "eval_report.json"
 EVAL_TXT = "eval_report.txt"
 COST_JSON = "cost_report.json"
 COST_TXT = "cost_report.txt"
+
+# the stage that writes each run_dir artifact a later stage reads
+PRODUCERS = {PREEXTRACT: "preextract", POOL_DISTANCES: "distances", PAIRWISE: "select",
+             SELECTION: "select", OUTPUTS: "run", PREDICTIONS: "run"}
 
 
 class UpstreamMissingError(RuntimeError):
@@ -87,39 +91,59 @@ class StageOutcome:
     info: dict = field(default_factory=dict)
 
 
-def _write_json(path: Path, obj) -> None:
+STAGES: dict[str, Callable[[PipelineConfig], StageOutcome]] = {}
+
+
+def _stage(body: Callable[[PipelineConfig], tuple[list[Path], dict]]):
+    """Register ``stage_<name>`` in ``STAGES``.  The body returns the paths
+    it wrote and its manifest info; the registered stage records them in the
+    manifest under each file's name and returns the ``StageOutcome``."""
+    name = body.__name__.removeprefix("stage_")
+
+    @functools.wraps(body)
+    def stage(cfg: PipelineConfig) -> StageOutcome:
+        paths, info = body(cfg)
+        outcome = StageOutcome(name, {path.name: path for path in paths}, info)
+        _update_manifest(cfg, outcome)
+        return outcome
+
+    STAGES[name] = stage
+    return stage
+
+
+def _write_json(path: Path, obj) -> Path:
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(json.dumps(obj, sort_keys=True, ensure_ascii=False, indent=1) + "\n",
                     encoding="utf-8")
+    return path
 
 
 def _read_json(path: Path) -> dict:
     return json.loads(path.read_text(encoding="utf-8"))
 
 
-def _sha256(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
-
-
 def _require(path: Path, producer: str) -> Path:
     if not path.exists():
         raise UpstreamMissingError(
-            f"missing artifact {path.name}: run `tripleforge {producer}` first"
+            f"missing artifact {path}: run `tripleforge {producer}` first"
         )
     return path
+
+
+def _upstream(cfg: PipelineConfig, name: str) -> Path:
+    """The run_dir artifact ``name``, which its producer must have written."""
+    return _require(cfg.run_dir / name, PRODUCERS[name])
 
 
 def _update_manifest(cfg: PipelineConfig, outcome: StageOutcome) -> None:
     manifest_path = cfg.run_dir / MANIFEST
     manifest = _read_json(manifest_path) if manifest_path.exists() else {}
-    manifest["config"] = cfg.snapshot()
-    manifest["seed"] = cfg.seed
-    manifest["provider"] = cfg.provider
-    manifest["model_id"] = cfg.model_id
+    manifest.update(config=cfg.snapshot(), seed=cfg.seed, provider=cfg.provider,
+                    model_id=cfg.model_id)
     stages = manifest.setdefault("stages", {})
     stages[outcome.stage] = {
         "artifacts": {
-            name: {"path": str(path), "sha256": _sha256(path)}
+            name: {"path": str(path), "sha256": hashlib.sha256(path.read_bytes()).hexdigest()}
             for name, path in outcome.artifacts.items()
         },
         "info": outcome.info,
@@ -209,25 +233,18 @@ def _preextraction(cfg: PipelineConfig, gateway: LlmGateway,
     }
 
 
-def stage_preextract(cfg: PipelineConfig) -> StageOutcome:
+@_stage
+def stage_preextract(cfg: PipelineConfig):
     """Schema-agnostic zero-shot extraction over the unlabeled pool."""
     pool = load_dataset(cfg.pool_path, "train")
     test = load_dataset(cfg.test_path, "test")
     gateway = build_gateway(cfg, [pool, test])
     artifact = _preextraction(cfg, gateway, pool.samples, "pool")
-    path = cfg.run_dir / PREEXTRACT
-    _write_json(path, artifact)
-    outcome = StageOutcome(
-        stage="preextract",
-        artifacts={PREEXTRACT: path},
-        info={
-            "pool_size": len(pool.samples),
-            "excluded": len(artifact["excluded"]),
-            **_call_counts(gateway),
-        },
-    )
-    _update_manifest(cfg, outcome)
-    return outcome
+    return [_write_json(cfg.run_dir / PREEXTRACT, artifact)], {
+        "pool_size": len(pool.samples),
+        "excluded": len(artifact["excluded"]),
+        **_call_counts(gateway),
+    }
 
 
 def _verbalizations(artifact: dict) -> tuple[dict[str, list[str]], list[str]]:
@@ -241,61 +258,43 @@ def _verbalizations(artifact: dict) -> tuple[dict[str, list[str]], list[str]]:
     return verbal, sorted(excluded)
 
 
-def stage_distances(cfg: PipelineConfig) -> StageOutcome:
+@_stage
+def stage_distances(cfg: PipelineConfig):
     """Pairwise triple-set distances over the pre-extracted pool."""
-    pre_path = _require(cfg.run_dir / PREEXTRACT, "preextract")
-    verbal, excluded = _verbalizations(_read_json(pre_path))
+    verbal, excluded = _verbalizations(_read_json(_upstream(cfg, PREEXTRACT)))
     if len(verbal) < 1:
         raise RuntimeError("no pool samples with pre-extracted triples")
     embedder = build_embedder(cfg)
     matrix = pool_distances(verbal, embedder)
     path = cfg.run_dir / POOL_DISTANCES
     matrix.save(path)
-    outcome = StageOutcome(
-        stage="distances",
-        artifacts={POOL_DISTANCES: path},
-        info={"n": matrix.n, "excluded": len(excluded), "embedder": embedder.name},
-    )
-    _update_manifest(cfg, outcome)
-    return outcome
+    return [path], {"n": matrix.n, "excluded": len(excluded), "embedder": embedder.name}
 
 
-def stage_train(cfg: PipelineConfig) -> StageOutcome:
+@_stage
+def stage_train(cfg: PipelineConfig):
     """Fit the retriever projection to the pool distance matrix."""
-    matrix_path = _require(cfg.run_dir / POOL_DISTANCES, "distances")
-    matrix = PoolDistanceMatrix.load(matrix_path)
+    matrix = PoolDistanceMatrix.load(_upstream(cfg, POOL_DISTANCES))
     pool = load_dataset(cfg.pool_path, "train")
     texts = {s.id: s.text for s in pool.samples}
-    embedder = build_embedder(cfg)
-    model, history = train_retriever(texts, matrix, embedder, cfg.train_config())
+    model, history = train_retriever(texts, matrix, build_embedder(cfg), cfg.train_config())
     ckpt = cfg.effective_checkpoint_path
     ckpt.parent.mkdir(parents=True, exist_ok=True)
     save_checkpoint(model, ckpt)
-    history_path = cfg.run_dir / TRAINING_HISTORY
-    _write_json(history_path, history.to_json_dict())
-    outcome = StageOutcome(
-        stage="train",
-        artifacts={CHECKPOINT: ckpt, TRAINING_HISTORY: history_path},
-        info={
-            "best_epoch": history.best_epoch,
-            "initial_validation_loss": history.initial_validation_loss,
-            "final_validation_loss": (history.epochs[-1]["validation_loss_mean"]
-                                      if history.epochs else history.initial_validation_loss),
-        },
-    )
-    _update_manifest(cfg, outcome)
-    return outcome
+    history_path = _write_json(cfg.run_dir / TRAINING_HISTORY, history.to_json_dict())
+    return [ckpt, history_path], {
+        "best_epoch": history.best_epoch,
+        "initial_validation_loss": history.initial_validation_loss,
+        "final_validation_loss": (history.epochs[-1]["validation_loss_mean"]
+                                  if history.epochs else history.initial_validation_loss),
+    }
 
 
-def _pairwise_from_retriever(cfg: PipelineConfig, pool: Dataset,
-                             test: Dataset) -> tuple[PairwiseDistanceSet, dict]:
-    ckpt = cfg.effective_checkpoint_path
-    if not ckpt.exists():
-        raise UpstreamMissingError(
-            f"missing retriever checkpoint {ckpt}: run `tripleforge train` first"
-        )
-    embedder = build_embedder(cfg)
-    model = load_checkpoint(ckpt, embedder)
+def _pairwise_from_retriever(cfg: PipelineConfig, pool: Dataset, test: Dataset
+                             ) -> tuple[PairwiseDistanceSet, dict, list[Path]]:
+    # the checkpoint may sit outside run_dir, so it is required by path
+    ckpt = _require(cfg.effective_checkpoint_path, "train")
+    model = load_checkpoint(ckpt, build_embedder(cfg))
     pre_path = cfg.run_dir / PREEXTRACT
     if pre_path.exists():
         verbal, excluded = _verbalizations(_read_json(pre_path))
@@ -306,19 +305,18 @@ def _pairwise_from_retriever(cfg: PipelineConfig, pool: Dataset,
         excluded = []
         pool_samples = pool.samples
     P = compute_P(model, pool_samples, test.samples)
-    return P, {"excluded_pool": excluded, "checkpoint": str(ckpt)}
+    return P, {"excluded_pool": excluded, "checkpoint": str(ckpt)}, []
 
 
-def _pairwise_direct(cfg: PipelineConfig, pool: Dataset,
-                     test: Dataset) -> tuple[PairwiseDistanceSet, dict]:
+def _pairwise_direct(cfg: PipelineConfig, pool: Dataset, test: Dataset
+                     ) -> tuple[PairwiseDistanceSet, dict, list[Path]]:
     """Pre-extract the test samples too and take triple-set distances
     straight into the pool-to-test matrix; no retriever involved."""
-    pre_path = _require(cfg.run_dir / PREEXTRACT, "preextract")
-    pool_verbal, excluded_pool = _verbalizations(_read_json(pre_path))
+    pool_verbal, excluded_pool = _verbalizations(_read_json(_upstream(cfg, PREEXTRACT)))
 
     gateway = build_gateway(cfg, [pool, test])
     test_artifact = _preextraction(cfg, gateway, test.samples, "test")
-    _write_json(cfg.run_dir / PREEXTRACT_TEST, test_artifact)
+    test_path = _write_json(cfg.run_dir / PREEXTRACT_TEST, test_artifact)
     test_verbal, _ = _verbalizations(test_artifact)
     if not pool_verbal or not test_verbal:
         raise RuntimeError("direct distance mode needs non-empty pre-extractions on both sides")
@@ -328,12 +326,8 @@ def _pairwise_direct(cfg: PipelineConfig, pool: Dataset,
     entries = set_distances(list(pool_embedded.values()), list(test_embedded.values()))
     P = PairwiseDistanceSet(tuple(pool_embedded), tuple(test_embedded), entries,
                             provider=f"direct/{embedder.name}")
-    info = {
-        "excluded_pool": excluded_pool,
-        "excluded_test": test_artifact["excluded"],
-        **_call_counts(gateway),
-    }
-    return P, info
+    return P, {"excluded_pool": excluded_pool, "excluded_test": test_artifact["excluded"],
+               **_call_counts(gateway)}, [test_path]
 
 
 def _select(cfg: PipelineConfig, P: PairwiseDistanceSet, schema: Optional[Schema],
@@ -352,15 +346,14 @@ def _select(cfg: PipelineConfig, P: PairwiseDistanceSet, schema: Optional[Schema
     return select(**{name: settings[name] for name in params})
 
 
-def stage_select(cfg: PipelineConfig) -> StageOutcome:
-    """Compute the pool-to-test distances, run the configured strategy, and
-    annotate the chosen samples through the oracle."""
+@_stage
+def stage_select(cfg: PipelineConfig):
+    """Pick demonstrations from pool-to-test distances and annotate them."""
     pool = load_dataset(cfg.pool_path, "train")
     test = load_dataset(cfg.test_path, "test")
-    if cfg.distance_source == "retriever":
-        P, info = _pairwise_from_retriever(cfg, pool, test)
-    else:
-        P, info = _pairwise_direct(cfg, pool, test)
+    pairwise = (_pairwise_from_retriever if cfg.distance_source == "retriever"
+                else _pairwise_direct)
+    P, info, extra_paths = pairwise(cfg, pool, test)
     pairwise_path = cfg.run_dir / PAIRWISE
     P.save(pairwise_path)
 
@@ -368,139 +361,86 @@ def stage_select(cfg: PipelineConfig) -> StageOutcome:
     result = _select(cfg, P, pool.schema, oracle)
 
     annotations = {sid: oracle.annotate(sid).triples.to_list() for sid in result.chosen}
-    artifact = result.to_json_dict()
-    artifact.update({
+    selection_path = _write_json(cfg.run_dir / SELECTION, {
+        **result.to_json_dict(),
         "kind": "selection",
         "distance_source": cfg.distance_source,
         "u": cfg.top_u,
         "annotations": annotations,
         "oracle": {"checked": oracle.checked_count, "annotated": oracle.annotated_count},
     })
-    selection_path = cfg.run_dir / SELECTION
-    _write_json(selection_path, artifact)
-
-    artifacts = {PAIRWISE: pairwise_path, SELECTION: selection_path}
-    if cfg.distance_source == "direct":
-        artifacts[PREEXTRACT_TEST] = cfg.run_dir / PREEXTRACT_TEST
-    outcome = StageOutcome(
-        stage="select",
-        artifacts=artifacts,
-        info={**info, "strategy": cfg.strategy, "budget": cfg.budget,
-              "chosen": list(result.chosen),
-              "checked_count": result.checked_count,
-              "annotated_count": oracle.annotated_count},
-    )
-    _update_manifest(cfg, outcome)
-    return outcome
+    return [pairwise_path, selection_path, *extra_paths], {
+        **info, "strategy": cfg.strategy, "budget": cfg.budget,
+        "chosen": list(result.chosen),
+        "checked_count": result.checked_count,
+        "annotated_count": oracle.annotated_count,
+    }
 
 
-def stage_run(cfg: PipelineConfig) -> StageOutcome:
-    """Render one shared demonstration set for every test sample, query the
-    model, and parse the outputs."""
-    selection_path = _require(cfg.run_dir / SELECTION, "select")
-    pairwise_path = _require(cfg.run_dir / PAIRWISE, "select")
-    selection = _read_json(selection_path)
-    P = PairwiseDistanceSet.load(pairwise_path)
+@_stage
+def stage_run(cfg: PipelineConfig):
+    """Query the model with one shared demonstration set and parse the outputs."""
+    selection = _read_json(_upstream(cfg, SELECTION))
+    P = PairwiseDistanceSet.load(_upstream(cfg, PAIRWISE))
     pool = load_dataset(cfg.pool_path, "train")
     test = load_dataset(cfg.test_path, "test")
 
-    samples_by_id = pool.sample_by_id()
     gold_by_id = {sid: TripleSet.from_list(raw) for sid, raw in selection["annotations"].items()}
     demos = order_demonstrations(
-        selection["chosen"], P, samples_by_id, gold_by_id,
+        selection["chosen"], P, pool.sample_by_id(), gold_by_id,
         most_similar_last=(cfg.demo_order == "similar-last"),
     )
 
     fmt = PromptFormat.parse(cfg.format)
     gateway = build_gateway(cfg, [pool, test])
-    outputs: dict[str, str] = {}
-    predictions: dict[str, list] = {}
-    diagnostics: dict[str, list] = {}
-    skipped_total = 0
     texts = _complete_all(cfg, gateway, render_few_shot(fmt, demos, test.samples))
-    for sample, text in zip(test.samples, texts):
-        parsed = parse_output(fmt, text, sample.text)
-        outputs[sample.id] = text
-        predictions[sample.id] = parsed.triples.to_list()
-        if parsed.diagnostics:
-            diagnostics[sample.id] = [list(d) for d in parsed.diagnostics]
-        skipped_total += parsed.skipped_rows
+    outputs = {sample.id: text for sample, text in zip(test.samples, texts)}
+    parsed = {sample.id: parse_output(fmt, text, sample.text)
+              for sample, text in zip(test.samples, texts)}
+    skipped_total = sum(p.skipped_rows for p in parsed.values())
 
-    outputs_path = cfg.run_dir / OUTPUTS
-    _write_json(outputs_path, {
-        "kind": "outputs",
-        "format": fmt.value,
-        "model_id": cfg.model_id,
-        "outputs": outputs,
+    outputs_path = _write_json(cfg.run_dir / OUTPUTS, {
+        "kind": "outputs", "format": fmt.value, "model_id": cfg.model_id, "outputs": outputs,
     })
-    predictions_path = cfg.run_dir / PREDICTIONS
-    _write_json(predictions_path, {
+    predictions_path = _write_json(cfg.run_dir / PREDICTIONS, {
         "kind": "predictions",
         "format": fmt.value,
-        "predictions": predictions,
+        "predictions": {sid: p.triples.to_list() for sid, p in parsed.items()},
         "parse_skipped_rows": skipped_total,
-        "diagnostics": diagnostics,
+        "diagnostics": {sid: [list(d) for d in p.diagnostics]
+                        for sid, p in parsed.items() if p.diagnostics},
     })
-    outcome = StageOutcome(
-        stage="run",
-        artifacts={OUTPUTS: outputs_path, PREDICTIONS: predictions_path},
-        info={
-            "test_size": len(test.samples),
-            "demonstrations": len(demos),
-            "parse_skipped_rows": skipped_total,
-            **_call_counts(gateway),
-        },
-    )
-    _update_manifest(cfg, outcome)
-    return outcome
+    return [outputs_path, predictions_path], {
+        "test_size": len(test.samples),
+        "demonstrations": len(demos),
+        "parse_skipped_rows": skipped_total,
+        **_call_counts(gateway),
+    }
 
 
-def stage_eval(cfg: PipelineConfig) -> StageOutcome:
+def _write_report(cfg: PipelineConfig, json_name: str, txt_name: str, report) -> list[Path]:
+    """A report's JSON and its table text, side by side in run_dir."""
+    json_path = _write_json(cfg.run_dir / json_name, report.to_json_dict())
+    txt_path = cfg.run_dir / txt_name
+    txt_path.write_text(report.to_table_text(), encoding="utf-8")
+    return [json_path, txt_path]
+
+
+@_stage
+def stage_eval(cfg: PipelineConfig):
     """Strict micro F1 of the parsed predictions against the test gold."""
-    predictions_path = _require(cfg.run_dir / PREDICTIONS, "run")
-    raw = _read_json(predictions_path)
+    raw = _read_json(_upstream(cfg, PREDICTIONS))
     test = load_dataset(cfg.test_path, "test")
     predictions = {sid: TripleSet.from_list(ts) for sid, ts in raw["predictions"].items()}
     report = micro_f1(predictions, test.gold_triples(),
                       parse_skipped_rows=raw.get("parse_skipped_rows", 0))
-    json_path = cfg.run_dir / EVAL_JSON
-    _write_json(json_path, report.to_json_dict())
-    txt_path = cfg.run_dir / EVAL_TXT
-    txt_path.write_text(report.to_table_text(), encoding="utf-8")
-    outcome = StageOutcome(
-        stage="eval",
-        artifacts={EVAL_JSON: json_path, EVAL_TXT: txt_path},
-        info={"precision": report.precision, "recall": report.recall, "f1": report.f1},
-    )
-    _update_manifest(cfg, outcome)
-    return outcome
+    return (_write_report(cfg, EVAL_JSON, EVAL_TXT, report),
+            {"precision": report.precision, "recall": report.recall, "f1": report.f1})
 
 
-def stage_cost(cfg: PipelineConfig) -> StageOutcome:
+@_stage
+def stage_cost(cfg: PipelineConfig):
     """Character-count cost report over the raw model outputs."""
-    outputs_path = _require(cfg.run_dir / OUTPUTS, "run")
-    raw = _read_json(outputs_path)
-    ordered = [raw["outputs"][sid] for sid in sorted(raw["outputs"])]
-    report = cost_report(ordered)
-    json_path = cfg.run_dir / COST_JSON
-    _write_json(json_path, report.to_json_dict())
-    txt_path = cfg.run_dir / COST_TXT
-    txt_path.write_text(report.to_table_text(), encoding="utf-8")
-    outcome = StageOutcome(
-        stage="cost",
-        artifacts={COST_JSON: json_path, COST_TXT: txt_path},
-        info=report.to_json_dict(),
-    )
-    _update_manifest(cfg, outcome)
-    return outcome
-
-
-STAGES = {
-    "preextract": stage_preextract,
-    "distances": stage_distances,
-    "train": stage_train,
-    "select": stage_select,
-    "run": stage_run,
-    "eval": stage_eval,
-    "cost": stage_cost,
-}
+    raw = _read_json(_upstream(cfg, OUTPUTS))
+    report = cost_report([raw["outputs"][sid] for sid in sorted(raw["outputs"])])
+    return _write_report(cfg, COST_JSON, COST_TXT, report), report.to_json_dict()

@@ -95,19 +95,10 @@ def batch_loss(weights: np.ndarray, diffs: np.ndarray, targets: np.ndarray) -> f
     return float(np.sum((targets - radii) ** 2))
 
 
-def batch_grad(weights: np.ndarray, diffs: np.ndarray, targets: np.ndarray) -> np.ndarray:
-    """Analytic gradient of ``batch_loss`` with respect to the weights."""
-    projected = diffs @ weights.T
-    radii = np.linalg.norm(projected, axis=1)
-    coeff = np.zeros_like(radii)
-    safe = radii > 1e-12
-    coeff[safe] = 2.0 * (radii[safe] - targets[safe]) / radii[safe]
-    return (projected * coeff[:, None]).T @ diffs
-
-
 def _loss_and_grad(weights: np.ndarray, diffs: np.ndarray,
                    targets: np.ndarray) -> tuple[float, np.ndarray | None]:
-    """``batch_loss`` and ``batch_grad`` from one forward pass, bit for bit.
+    """``batch_loss`` and its gradient in the weights from one forward pass,
+    bit for bit.
 
     The row norms are ``np.linalg.norm``'s own ``sqrt(add.reduce(p * p))``
     and the loss is ``np.sum``'s own ``add.reduce``; ``np.vecdot`` or ``@``

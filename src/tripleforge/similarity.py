@@ -229,7 +229,11 @@ def load_arrays(path: str | Path, kind: str, names: Sequence[str]) -> tuple[np.n
     """
     with open(path, "rb") as fh:
         try:
-            with np.load(fh, allow_pickle=False) as data:
+            data = np.load(fh, allow_pickle=False)
+            if not isinstance(data, np.lib.npyio.NpzFile):
+                # NPY bytes load as a bare array, which is no context manager
+                raise ValueError("an .npy array, not an .npz archive")
+            with data:
                 # np.load hands back a member that is not ``.npy`` as bytes
                 stored = np.asarray(data["kind"]).tolist()
                 if stored == kind:

@@ -21,7 +21,6 @@ from tripleforge.retriever import (
     PairwiseDistanceSet,
     RetrieverModel,
     TrainConfig,
-    batch_grad,
     batch_loss,
     compute_P,
     make_training_pairs,
@@ -36,6 +35,7 @@ from tripleforge.selection import (
 from tripleforge.similarity import HashingEmbedder, PoolDistanceMatrix, set_distance
 
 from conftest import make_gold_store, make_triple
+from test_kernels_reference import batch_grad
 
 
 @contextmanager

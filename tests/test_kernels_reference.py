@@ -5,7 +5,8 @@ The ``reference_*`` functions below are the loop implementations of
 ``make_training_pairs``, the parsers' ``_split_unescaped`` and the
 per-query ``render_few_shot`` as they were before the array kernels (and the
 regex splitter and the batch renderer), ``train`` as it was before its
-fused loss-and-gradient step and in-place AdamW update, and the per-text
+fused loss-and-gradient step and in-place AdamW update, ``batch_grad``, the
+analytic gradient that step replaced, and the per-text
 ``HashingEmbedder.embed`` as it was before the batch embedder, kept verbatim
 as oracles apart from renaming and returning pairs as tuples.  The kernels
 must agree with them bit for bit: equal float entries, equal chosen ids,
@@ -44,7 +45,6 @@ from tripleforge.retriever import (
     _loss_and_grad,
     _mean_pair_loss,
     _pair_diffs,
-    batch_grad,
     batch_loss,
     compute_P,
     make_training_pairs,
@@ -209,6 +209,16 @@ def reference_make_training_pairs(matrix, validation_fraction, seed, max_pairs):
         train = rng.sample(train, max_pairs)
         train.sort()
     return tuple(train), tuple(validation), tuple(sorted(held))
+
+
+def batch_grad(weights: np.ndarray, diffs: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    """Analytic gradient of ``batch_loss`` with respect to the weights."""
+    projected = diffs @ weights.T
+    radii = np.linalg.norm(projected, axis=1)
+    coeff = np.zeros_like(radii)
+    safe = radii > 1e-12
+    coeff[safe] = 2.0 * (radii[safe] - targets[safe]) / radii[safe]
+    return (projected * coeff[:, None]).T @ diffs
 
 
 def reference_train(pairs: TrainingPairs, embeddings: np.ndarray,

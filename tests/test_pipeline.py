@@ -21,6 +21,7 @@ from tripleforge.gateway import CACHE_LOG, MockEchoGoldProvider, TransientProvid
 from tripleforge.pipeline import (
     EVAL_JSON,
     MANIFEST,
+    PAIRWISE,
     PREEXTRACT,
     PREEXTRACT_TEST,
     SELECTION,
@@ -91,6 +92,19 @@ class TestFullPipeline:
         assert outcomes["preextract"].info["llm_calls"] == 0
         assert outcomes["run"].info["llm_calls"] == 0
 
+    def test_cold_runs_write_the_same_log_lines_and_artifacts(self, run_config, tmp_path):
+        # with concurrency > 1 the completion log's lines land in the order
+        # the workers finish, so two cold runs agree on its lines as a set
+        runs = [run_config(run_dir=tmp_path / name, concurrency=4) for name in ("a", "b")]
+        for cfg in runs:
+            run_all(cfg)
+        logs = [sorted((cfg.effective_cache_dir / CACHE_LOG).read_bytes().splitlines())
+                for cfg in runs]
+        assert logs[0] == logs[1] and len(logs[0]) == 28  # 20 pool + 8 test prompts
+        artifacts = [{p.name: p.read_bytes() for p in cfg.run_dir.iterdir()
+                      if p.is_file() and p.name != MANIFEST} for cfg in runs]
+        assert artifacts[0] == artifacts[1] and len(artifacts[0]) == 12
+
     @pytest.mark.skipif(not OPENBLAS_X86_64,
                         reason="digests are known for numpy's OpenBLAS kernels on x86-64 only")
     def test_training_artifacts_pinned(self, run_config):
@@ -133,16 +147,41 @@ class TestFullPipeline:
         selection = json.loads((cfg.run_dir / SELECTION).read_text())
         assert "x99" not in selection["chosen"]
 
-    def test_missing_upstream_artifacts_name_the_producer(self, run_config):
-        cfg = run_config()
-        with pytest.raises(UpstreamMissingError, match="tripleforge preextract"):
-            stage_distances(cfg)
-        with pytest.raises(UpstreamMissingError, match="tripleforge train"):
-            stage_select(cfg)
-        with pytest.raises(UpstreamMissingError, match="tripleforge select"):
-            stage_run(cfg)
-        with pytest.raises(UpstreamMissingError, match="tripleforge run"):
-            stage_eval(cfg)
+    @pytest.mark.parametrize("stage, distance_source, producer", [
+        ("distances", "retriever", "preextract"),
+        ("train", "retriever", "distances"),
+        ("select", "retriever", "train"),
+        ("select", "direct", "preextract"),
+        ("run", "retriever", "select"),
+        ("eval", "retriever", "run"),
+        ("cost", "retriever", "run"),
+    ], ids=["distances", "train", "select", "select-direct", "run", "eval", "cost"])
+    def test_missing_upstream_artifacts_name_the_producer(self, run_config, stage,
+                                                          distance_source, producer):
+        cfg = run_config(distance_source=distance_source)
+        with pytest.raises(UpstreamMissingError, match=f"`tripleforge {producer}`"):
+            STAGES[stage](cfg)
+        assert not (cfg.run_dir / MANIFEST).exists()
+
+    def test_stages_register_in_pipeline_order(self):
+        assert tuple(STAGES) == ALL_STAGES
+        for name, fn in STAGES.items():
+            assert fn.__name__ == f"stage_{name}" and fn.__doc__
+
+    @pytest.mark.parametrize("distance_source, extra", [
+        ("retriever", set()), ("direct", {PREEXTRACT_TEST}),
+    ])
+    def test_select_manifest_entry_lists_exactly_its_artifacts(self, run_config,
+                                                              distance_source, extra):
+        cfg = run_config(distance_source=distance_source)
+        stages = ALL_STAGES[:4] if distance_source == "retriever" else ("preextract", "select")
+        for name in stages:
+            outcome = STAGES[name](cfg)
+        manifest = json.loads((cfg.run_dir / MANIFEST).read_text())
+        artifacts = manifest["stages"]["select"]["artifacts"]
+        assert set(artifacts) == set(outcome.artifacts) == {PAIRWISE, SELECTION} | extra
+        for name, entry in artifacts.items():
+            assert entry["path"] == str(cfg.run_dir / name)
 
     def test_manifest_records_stages_and_hashes(self, run_config):
         cfg = run_config()
@@ -441,6 +480,17 @@ class TestCli:
                          "--strategy", "topk", "--budget", "2"]) == 0
         selection = json.loads((tmp_path / "run" / SELECTION).read_text())
         assert selection["strategy"] == "topk" and len(selection["chosen"]) == 2
+
+    def test_help_lists_the_stages_in_order_with_their_docstrings(self, capsys,
+                                                                  monkeypatch):
+        monkeypatch.setenv("COLUMNS", "200")
+        with pytest.raises(SystemExit):
+            cli.main(["--help"])
+        listed = [line.split(None, 1) for line in capsys.readouterr().out.splitlines()
+                  if line.startswith("    ")]
+        assert listed == [[name, fn.__doc__.strip().splitlines()[0]]
+                          for name, fn in STAGES.items()]
+        assert [name for name, _ in listed] == list(ALL_STAGES)
 
     def test_missing_upstream_is_exit_code_2(self, tmp_path, capsys):
         config = self.write_config(tmp_path)

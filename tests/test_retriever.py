@@ -11,7 +11,6 @@ from tripleforge.retriever import (
     PairwiseDistanceSet,
     RetrieverModel,
     TrainConfig,
-    batch_grad,
     batch_loss,
     compute_P,
     load_checkpoint,
@@ -23,6 +22,7 @@ from tripleforge.retriever import (
 from tripleforge.similarity import HashingEmbedder, PoolDistanceMatrix
 
 from conftest import StubEmbedder
+from test_kernels_reference import batch_grad
 
 
 def distance_matrix_from(points: np.ndarray, transform=None) -> np.ndarray:
@@ -318,6 +318,12 @@ class TestCheckpoints:
             load_checkpoint(path, HashingEmbedder(dim=4))
         with pytest.raises(FileNotFoundError):
             load_checkpoint(tmp_path / "missing.ckpt", HashingEmbedder(dim=4))
+
+    def test_npy_file_is_not_a_checkpoint(self, tmp_path):
+        path = tmp_path / "weights.npy"
+        np.save(path, np.eye(4))
+        with pytest.raises(CheckpointError, match="damaged retriever_checkpoint artifact"):
+            load_checkpoint(path, HashingEmbedder(dim=4))
 
     @pytest.mark.parametrize("artifact", ["checkpoint", "pool_matrix"])
     def test_every_single_byte_flip_loads_the_original_or_raises(self, tmp_path, artifact):

@@ -294,6 +294,13 @@ class TestDistanceMatrixFiles:
         with pytest.raises(ValueError, match="entries must be float64"):
             PairwiseDistanceSet.load(tmp_path / "p.npz")
 
+    @pytest.mark.parametrize("cls", [PoolDistanceMatrix, PairwiseDistanceSet])
+    def test_load_rejects_an_npy_file(self, tmp_path, cls):
+        # np.load hands back a bare array for NPY bytes, not an archive
+        np.save(tmp_path / "entries.npy", np.array([[0.0]]))
+        with pytest.raises(ValueError, match="damaged .* artifact: an .npy array"):
+            cls.load(tmp_path / "entries.npy")
+
     def test_save_rejects_ids_numpy_cannot_hold(self, tmp_path):
         path = tmp_path / "p.npz"
         PairwiseDistanceSet(("a",), ("t",), [[1.0]]).save(path)
