@@ -10,6 +10,7 @@ import os
 import threading
 import time
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Callable, Mapping, Optional, Protocol
 
@@ -41,12 +42,20 @@ class TransientProviderError(RuntimeError):
 
 @dataclass(frozen=True)
 class LlmRequest:
+    """One completion request.  ``prefix`` is a leading part of ``prompt``
+    that other requests of a batch share, such as the demonstration block;
+    the gateway escapes and hashes it once for all of them.  It never
+    changes the cache key."""
+
     model_id: str
     prompt: str
+    prefix: str = ""
 
     def __post_init__(self) -> None:
         if not self.prompt:
             raise ValueError("prompt must be non-empty")
+        if not self.prompt.startswith(self.prefix):
+            raise ValueError("prefix must be a leading part of prompt")
 
 
 @dataclass(frozen=True)
@@ -188,24 +197,40 @@ class LlmGateway:
         self._index: Optional[dict[bytes, bytes]] = None
         # the log ends in a line torn by a crash mid-append
         self._torn_tail = False
+        # ((model_id, prefix), sha256 state after the key's head and the
+        # escaped prefix) of the last prefix keyed; the state is only ever
+        # copied, never updated
+        self._prefix_state: Optional[tuple[tuple[str, str], hashlib._Hash]] = None
         self.stats = GatewayStats()
 
     def cache_key(self, request: LlmRequest) -> str:
         """SHA-256 over the response-determining request content; stable
         across runs and platforms.  Requests are always greedy and unstopped;
-        the two literals keep the keys of existing completion logs."""
-        material = json.dumps(
-            {
-                "provider": self.provider.name,
-                "model_id": request.model_id,
-                "prompt": request.prompt,
-                "temperature": 0.0,
-                "stop_sequences": [],
-            },
-            sort_keys=True,
-            ensure_ascii=True,
-        )
-        return hashlib.sha256(material.encode("utf-8")).hexdigest()
+        the two literals keep the keys of existing completion logs.
+
+        The hashed bytes are ``json.dumps`` of ``{"model_id", "prompt",
+        "provider", "stop_sequences": [], "temperature": 0.0}`` with sorted
+        keys and ASCII escapes.  That escaping maps each code point on its
+        own, so the escaped prompt is the escaped prefix followed by the
+        escaped rest: the hash of everything up to the end of the prefix is
+        computed once for a run of requests with one model and prefix, and
+        copied for each of them."""
+        key = (request.model_id, request.prefix)
+        with self._lock:
+            memo = self._prefix_state
+        if memo is not None and memo[0] == key:
+            state = memo[1]
+        else:
+            head = (f'{{"model_id": {json.dumps(request.model_id)}, "prompt": '
+                    f'{encode_basestring_ascii(request.prefix)[:-1]}')
+            state = hashlib.sha256(head.encode("ascii"))
+            with self._lock:
+                self._prefix_state = (key, state)
+        digest = state.copy()
+        rest = encode_basestring_ascii(request.prompt[len(request.prefix):])[1:]
+        digest.update(f'{rest}, "provider": {json.dumps(self.provider.name)}, '
+                      f'"stop_sequences": [], "temperature": 0.0}}'.encode("ascii"))
+        return digest.hexdigest()
 
     def _loaded_index(self) -> dict[bytes, bytes]:
         """The log's entries by key, read on first use.  Call with the lock

@@ -191,11 +191,13 @@ def build_embedder(cfg: PipelineConfig) -> EmbeddingProvider:
 
 
 def _complete_all(cfg: PipelineConfig, gateway: LlmGateway,
-                  prompts: list[str]) -> list[str]:
+                  prompts: list[str], prefix: str = "") -> list[str]:
     """Issue completions concurrently; the gateway's semaphore enforces the
-    in-flight bound and results come back in prompt order."""
+    in-flight bound and results come back in prompt order.  ``prefix`` is a
+    leading part that every prompt shares."""
     def one(prompt: str) -> str:
-        return gateway.complete(LlmRequest(model_id=cfg.model_id, prompt=prompt)).text
+        return gateway.complete(LlmRequest(model_id=cfg.model_id, prompt=prompt,
+                                           prefix=prefix)).text
 
     if cfg.concurrency <= 1 or len(prompts) <= 1:
         return [one(p) for p in prompts]
@@ -393,7 +395,10 @@ def stage_run(cfg: PipelineConfig):
 
     fmt = PromptFormat.parse(cfg.format)
     gateway = build_gateway(cfg, [pool, test])
-    texts = _complete_all(cfg, gateway, render_few_shot(fmt, demos, test.samples))
+    prefix, prompts = render_few_shot(fmt, demos, test.samples)
+    texts = _complete_all(cfg, gateway, prompts, prefix)
+    # megabytes at a few hundred queries: free them for the parse to reuse
+    del prompts
     outputs = {sample.id: text for sample, text in zip(test.samples, texts)}
     parsed = {sample.id: parse_output(fmt, text, sample.text)
               for sample, text in zip(test.samples, texts)}

@@ -67,6 +67,8 @@ class ParsedExtraction:
 # characters so that any single-line cell content round-trips.
 
 def _escape(text: str, specials: str) -> str:
+    if "\\" not in text and not any(ch in text for ch in specials):
+        return text
     out = []
     for ch in text:
         if ch == "\\" or ch in specials:
@@ -76,6 +78,8 @@ def _escape(text: str, specials: str) -> str:
 
 
 def _unescape(text: str) -> str:
+    if "\\" not in text:
+        return text
     out = []
     i = 0
     while i < len(text):
@@ -92,8 +96,11 @@ def _unescape(text: str) -> str:
 def _split_unescaped(text: str, sep: str, maxsplit: int = -1) -> list[str]:
     """Split on an unescaped separator sequence, leaving escapes intact.
 
-    One regex matches escape pairs and separators left to right, so the
-    ordinary characters between them cost no Python work."""
+    Text without a backslash has no escapes, so ``str.split`` splits it the
+    same way.  Otherwise one regex matches escape pairs and separators left
+    to right, so the ordinary characters between them cost no Python work."""
+    if "\\" not in text:
+        return text.split(sep, maxsplit)
     parts: list[str] = []
     start = 0
     for m in re.finditer(r"\\(?s:.)|" + re.escape(sep), text):
@@ -256,15 +263,16 @@ def render_zero_shot(sample: Sample) -> str:
 
 
 def render_few_shot(fmt: PromptFormat, demos: Sequence[Demonstration],
-                    queries: Sequence[Sample]) -> list[str]:
+                    queries: Sequence[Sample]) -> tuple[str, list[str]]:
     """Compose one few-shot prompt per query from demonstrations already
     sorted by ascending similarity (most similar demonstration adjacent to
-    the query).
+    the query).  Returns ``(prefix, prompts)``.
 
     Every query shares the same demonstrations, so the demonstration block
-    is checked, warned about and rendered once per batch; only the query
-    text differs between the returned prompts.  The prompt bytes are the
-    gateway's cache keys and must not change."""
+    is checked, warned about and rendered once per batch; it is ``prefix``,
+    the leading part of every returned prompt, and only the query text
+    differs between the prompts.  The prompt bytes are the gateway's cache
+    keys and must not change."""
     scores = [d.similarity_score for d in demos]
     if any(a > b for a, b in zip(scores, scores[1:])):
         raise ValueError("demonstration order violated: similarity scores must be ascending")
@@ -286,7 +294,7 @@ def render_few_shot(fmt: PromptFormat, demos: Sequence[Demonstration],
         parts.append("\n")
     prefix = "".join(parts)
     suffix = "\n" + TABLE_HEADER if fmt is PromptFormat.TABLEIE else ""
-    return [prefix + query.text + suffix for query in queries]
+    return prefix, [prefix + query.text + suffix for query in queries]
 
 
 def count_characters(outputs: Sequence[str]) -> tuple[int, float, int, int]:

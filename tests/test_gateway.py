@@ -167,6 +167,12 @@ class TestLlmRequest:
         with pytest.raises(ValueError, match="prompt"):
             LlmRequest(model_id="m", prompt="")
 
+    def test_prefix_must_lead_the_prompt(self):
+        with pytest.raises(ValueError, match="prefix"):
+            LlmRequest(model_id="m", prompt="ab", prefix="b")
+        assert LlmRequest(model_id="m", prompt="ab").prefix == ""
+        assert LlmRequest(model_id="m", prompt="ab", prefix="ab").prefix == "ab"
+
 
 class TestMockEchoGold:
     def test_zero_shot_echoes_gold_table(self, pool_dataset):
@@ -363,3 +369,25 @@ class TestCompletionLog:
         expected = {gw.cache_key(LlmRequest(model_id=cfg.model_id, prompt=p)): f"echo:{p}"
                     for p in prompts}
         assert {key: json.loads(raw)["text"] for key, raw in lines} == expected
+
+    def test_shared_prefix_writes_the_log_lines_of_a_serial_run(self, tmp_path):
+        prefix = "Extract.\nDémo \"one\" \U0001F600 | x\n\n"
+        prompts = [f"{prefix}query {i}\n{i}" for i in range(40)]
+        logs = {}
+        for concurrency in (1, 4):
+            cfg = PipelineConfig(pool_path=tmp_path / "pool.jsonl",
+                                 test_path=tmp_path / "test.jsonl",
+                                 run_dir=tmp_path / "run", concurrency=concurrency)
+            cache = tmp_path / f"cache{concurrency}"
+            gw = LlmGateway(EchoProvider(), cache, concurrency=concurrency)
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-6)
+            try:
+                assert _complete_all(cfg, gw, prompts, prefix) == [f"echo:{p}" for p in prompts]
+            finally:
+                sys.setswitchinterval(interval)
+            logs[concurrency] = (cache / CACHE_LOG).read_text(encoding="utf-8").splitlines()
+        assert len(logs[4]) == len(prompts) and sorted(logs[4]) == sorted(logs[1])
+        # the prefix changes no key
+        assert {line.split("\t")[0] for line in logs[1]} == {
+            gw.cache_key(LlmRequest(model_id=cfg.model_id, prompt=p)) for p in prompts}

@@ -6,30 +6,41 @@ The ``reference_*`` functions below are the loop implementations of
 per-query ``render_few_shot`` as they were before the array kernels (and the
 regex splitter and the batch renderer), ``train`` as it was before its
 fused loss-and-gradient step and in-place AdamW update, ``batch_grad``, the
-analytic gradient that step replaced, and the per-text
-``HashingEmbedder.embed`` as it was before the batch embedder, kept verbatim
-as oracles apart from renaming and returning pairs as tuples.  The kernels
-must agree with them bit for bit: equal float entries, equal chosen ids,
-covered tests, tie-break counts and checked ids, equal prompt strings, and
-equal weight bytes and training history.
+analytic gradient that step replaced, the per-text
+``HashingEmbedder.embed`` as it was before the batch embedder, the
+parsers' ``_escape`` and ``_unescape`` loops as they were before their
+escape-free fast paths, and ``LlmGateway.cache_key`` as one ``json.dumps``
+of the whole request, before the streamed key with its hashed shared
+prefix, kept verbatim as oracles apart from renaming and returning pairs
+as tuples.  The kernels must agree with them bit for bit: equal float
+entries, equal chosen ids, covered tests, tie-break counts and checked ids,
+equal prompt strings, parses and cache keys, and equal weight bytes and
+training history.
 Matrices are built from a few distinct values with duplicated rows and
 columns, so that distance and score ties are common.
 """
 import hashlib
+import json
 import logging
 import math
 import random
+from unittest import mock
 
 import numpy as np
 from hypothesis import example, given, settings, strategies as st
 
+from tripleforge import prompting
 from tripleforge.core import Sample, Triple, TripleSet, load_dataset
+from tripleforge.gateway import LlmGateway, LlmRequest
 from tripleforge.prompting import (
     FEW_SHOT_INSTRUCTION,
     TABLE_HEADER,
     Demonstration,
     PromptFormat,
+    _escape,
     _split_unescaped,
+    _unescape,
+    parse_output,
     render_few_shot,
     serialize_triples,
 )
@@ -308,6 +319,47 @@ def reference_split_unescaped(text, sep, maxsplit=-1):
     return parts
 
 
+def reference_escape(text: str, specials: str) -> str:
+    out = []
+    for ch in text:
+        if ch == "\\" or ch in specials:
+            out.append("\\")
+        out.append(ch)
+    return "".join(out)
+
+
+def reference_unescape(text: str) -> str:
+    out = []
+    i = 0
+    while i < len(text):
+        ch = text[i]
+        if ch == "\\" and i + 1 < len(text):
+            out.append(text[i + 1])
+            i += 2
+        else:
+            out.append(ch)
+            i += 1
+    return "".join(out)
+
+
+def reference_cache_key(gateway, request) -> str:
+    """SHA-256 over the response-determining request content; stable
+    across runs and platforms.  Requests are always greedy and unstopped;
+    the two literals keep the keys of existing completion logs."""
+    material = json.dumps(
+        {
+            "provider": gateway.provider.name,
+            "model_id": request.model_id,
+            "prompt": request.prompt,
+            "temperature": 0.0,
+            "stop_sequences": [],
+        },
+        sort_keys=True,
+        ensure_ascii=True,
+    )
+    return hashlib.sha256(material.encode("utf-8")).hexdigest()
+
+
 def reference_render_few_shot(fmt, demos, query) -> str:
     """Compose a few-shot prompt from demonstrations already sorted by
     ascending similarity (most similar demonstration adjacent to the query)."""
@@ -535,11 +587,31 @@ def test_fused_loss_and_grad_match_the_definitions(seed, rows, dim, zero_rows, t
 
 # --- parsing ----------------------------------------------------------------------
 
+# the escape character and the grammars' separators, quotes and brackets, so
+# that drawn texts often hold escapes and often hold none
+escape_heavy_text = st.lists(
+    st.sampled_from(["a", " ", "|", ",", ":", "(", ")", '"', "\\", "\x1c", ", ", ": "]),
+    max_size=16).map("".join)
+
+
 @settings(max_examples=500, deadline=None)
-@given(text=st.text(alphabet=st.sampled_from(list("a|,: \\\x1c")), max_size=24),
+@given(text=escape_heavy_text,
        sep=st.sampled_from(["|", ", ", ": "]), maxsplit=st.sampled_from([-1, 0, 1, 2]))
+@example(text="a, b: c, d", sep=", ", maxsplit=1)
+@example(text="a, b: c, d", sep=", ", maxsplit=-1)
 def test_split_unescaped_matches_the_character_loop(text, sep, maxsplit):
     assert _split_unescaped(text, sep, maxsplit) == reference_split_unescaped(text, sep, maxsplit)
+
+
+@settings(max_examples=500, deadline=None)
+@given(text=escape_heavy_text, specials=st.sampled_from(["|", ",:()", '"']))
+@example(text="plain", specials="|")
+@example(text="a\\", specials="|")
+def test_escape_and_unescape_match_the_character_loops(text, specials):
+    escaped = _escape(text, specials)
+    assert escaped == reference_escape(text, specials)
+    assert _unescape(text) == reference_unescape(text)
+    assert _unescape(escaped) == text
 
 
 # --- prompting --------------------------------------------------------------------
@@ -548,6 +620,28 @@ def test_split_unescaped_matches_the_character_loop(text, sep, maxsplit):
 # (a triple's fields must be non-blank)
 cell_text = st.text(alphabet=st.sampled_from(list("ab |\",:()\\")), min_size=1,
                     max_size=10).filter(str.strip)
+
+
+@settings(max_examples=150, deadline=None)
+@given(fmt=st.sampled_from(list(PromptFormat)),
+       triples=st.lists(st.builds(Triple, predicate=cell_text, subject_type=cell_text,
+                                  subject=cell_text, object_type=cell_text, object=cell_text),
+                        max_size=4),
+       noise=st.lists(escape_heavy_text, max_size=3))
+def test_parse_output_matches_the_character_loops(fmt, triples, noise):
+    """Serializing and parsing with the fast paths equals doing both with the
+    loop helpers, on random triples plus stray lines; the sentence holds the
+    subjects, so that some spans align."""
+    ts = TripleSet.of(triples)
+    sentence = " ".join(t.subject for t in ts) + " ."
+    raw = "\n".join([serialize_triples(fmt, ts), *noise])
+    got = parse_output(fmt, raw, sentence)
+    with mock.patch.object(prompting, "_split_unescaped", reference_split_unescaped), \
+            mock.patch.object(prompting, "_unescape", reference_unescape), \
+            mock.patch.object(prompting, "_escape", reference_escape):
+        assert "\n".join([serialize_triples(fmt, ts), *noise]) == raw
+        want = parse_output(fmt, raw, sentence)
+    assert got == want
 
 
 @st.composite
@@ -571,8 +665,9 @@ def demonstration_lists(draw):
        texts=st.lists(cell_text, min_size=1, max_size=5))
 def test_batch_render_matches_the_per_query_render(fmt, demos, texts):
     queries = [Sample(f"q{k}", text) for k, text in enumerate(texts)]
-    assert render_few_shot(fmt, demos, queries) == [
-        reference_render_few_shot(fmt, demos, q) for q in queries]
+    prefix, prompts = render_few_shot(fmt, demos, queries)
+    assert prompts == [reference_render_few_shot(fmt, demos, q) for q in queries]
+    assert all(p.startswith(prefix) for p in prompts)
 
 
 # sha256 of the NUL-joined few-shot prompts for the mini test set, with every
@@ -592,7 +687,7 @@ def test_mini_fixture_prompt_bytes_pinned():
     demos = [Demonstration(s, pool.gold[s.id].triples, float(k))
              for k, s in enumerate(pool.samples)]
     for fmt, want in MINI_PROMPT_SHA256.items():
-        prompts = render_few_shot(fmt, demos, test.samples)
+        _, prompts = render_few_shot(fmt, demos, test.samples)
         assert len(prompts) == len(test.samples)
         assert hashlib.sha256("\0".join(prompts).encode("utf-8")).hexdigest() == want, fmt
 
@@ -636,3 +731,42 @@ def test_select_coverage_sums_scores_left_to_right():
     got, want = select_coverage(P, 1), reference_select_coverage(P, 1)
     assert got == want
     assert got.chosen == ("z",) and got.tie_break_hits == 0
+
+
+# --- cache keys -------------------------------------------------------------------
+
+class NamedProvider:
+    """A provider whose name a test can change between keys."""
+
+    def __init__(self, name):
+        self.name = name
+
+    def generate(self, request):
+        raise AssertionError("cache_key never calls the provider")
+
+
+# JSON escapes, quotes, control characters, U+2028, non-ASCII, an astral
+# character and both halves of a surrogate pair on their own (JSON's
+# "\ud800" loads into a str)
+key_text = st.text(
+    alphabet=st.one_of(
+        st.sampled_from(['"', "\\", "\n", "\t", "\x00", "\x1f", "\x7f", " ", "é",
+                         "\U0001F600", json.loads('"\\ud800"'), "\udfff", "a", " "]),
+        st.characters(blacklist_categories=())),
+    min_size=1, max_size=12)
+
+
+@settings(max_examples=150, deadline=None)
+@given(prompt=key_text)
+@example(prompt="Extract the triples.\nBüchner wrote Woyzeck .")
+@example(prompt="\U0001F600𐏿 \"\\")
+def test_cache_key_matches_the_json_body_at_every_split(tmp_path_factory, prompt):
+    provider = NamedProvider("mock")
+    gw = LlmGateway(provider, tmp_path_factory.mktemp("keys"))
+    for name in ("mock", 'hé"ttp\\'):
+        provider.name = name
+        for model_id in ("m1", "gpt-é \"x"):
+            want = reference_cache_key(gw, LlmRequest(model_id=model_id, prompt=prompt))
+            for cut in range(len(prompt) + 1):
+                request = LlmRequest(model_id=model_id, prompt=prompt, prefix=prompt[:cut])
+                assert gw.cache_key(request) == want, (name, model_id, cut)

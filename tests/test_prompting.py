@@ -170,7 +170,7 @@ def demo(sid, text, triples, score):
 class TestRenderFewShot:
     def test_zero_demos_degenerates_to_plural_zero_shot(self):
         query = Sample("q", "Booth shot Lincoln.")
-        [prompt] = render_few_shot(PromptFormat.TABLEIE, [], [query])
+        _, [prompt] = render_few_shot(PromptFormat.TABLEIE, [], [query])
         assert prompt == (
             f"{FEW_SHOT_INSTRUCTION}\nBooth shot Lincoln.\n{TABLE_HEADER}"
         )
@@ -180,7 +180,7 @@ class TestRenderFewShot:
             demo("d1", "Far example .", [make_triple()], 0.2),
             demo("d2", "Near example .", [make_triple(o="Kennedy")], 0.9),
         ]
-        [prompt] = render_few_shot(PromptFormat.TABLEIE, demos, [Sample("q", "Query .")])
+        _, [prompt] = render_few_shot(PromptFormat.TABLEIE, demos, [Sample("q", "Query .")])
         lines = prompt.splitlines()
         assert lines.index("Near example .") > lines.index("Far example .")
         assert lines[-2] == "Query ."
@@ -195,7 +195,7 @@ class TestRenderFewShot:
 
     def test_header_count_is_demos_plus_one(self):
         demos = [demo(f"d{i}", f"Sentence {i} .", [make_triple()], float(i)) for i in range(5)]
-        [prompt] = render_few_shot(PromptFormat.TABLEIE, demos, [Sample("q", "Query .")])
+        _, [prompt] = render_few_shot(PromptFormat.TABLEIE, demos, [Sample("q", "Query .")])
         assert prompt.count(TABLE_HEADER) == 6
 
     def test_demos_separated_by_blank_line(self):
@@ -203,14 +203,25 @@ class TestRenderFewShot:
             demo("d1", "One .", [make_triple()], 0.1),
             demo("d2", "Two .", [make_triple()], 0.2),
         ]
-        [prompt] = render_few_shot(PromptFormat.TEXTIE, demos, [Sample("q", "Query .")])
+        _, [prompt] = render_few_shot(PromptFormat.TEXTIE, demos, [Sample("q", "Query .")])
         assert "(Per: Booth, Kill, Per: Lincoln)\n\nTwo ." in prompt
 
     def test_codeie_demo_blocks_include_def_header(self):
         demos = [demo("d1", "One .", [make_triple()], 0.1)]
-        [prompt] = render_few_shot(PromptFormat.CODEIE, demos, [Sample("q", "Query .")])
+        _, [prompt] = render_few_shot(PromptFormat.CODEIE, demos, [Sample("q", "Query .")])
         assert prompt.count(CODE_HEADER) == 1
         assert prompt.splitlines()[-1] == "Query ."
+
+    @pytest.mark.parametrize("fmt", list(PromptFormat))
+    def test_prefix_is_the_demonstration_block_every_prompt_starts_with(self, fmt):
+        demos = [demo("d1", "One .", [make_triple()], 0.1),
+                 demo("d2", "Two .", [], 0.2)]
+        queries = [Sample("q1", "Query one ."), Sample("q2", "Query two .")]
+        prefix, prompts = render_few_shot(fmt, demos, queries)
+        assert prefix.startswith(FEW_SHOT_INSTRUCTION + "\nOne .\n")
+        assert "Two ." in prefix and prefix.endswith("\n\n")
+        suffix = "\n" + TABLE_HEADER if fmt is PromptFormat.TABLEIE else ""
+        assert prompts == [prefix + q.text + suffix for q in queries]
 
     def test_byte_deterministic(self):
         demos = [demo("d1", "One .", [make_triple()], 0.1)]
@@ -226,7 +237,7 @@ class TestRenderFewShot:
         ]
         queries = [Sample(f"q{i}", f"Query {i} .") for i in range(3)]
         with caplog.at_level(logging.WARNING, logger="tripleforge.prompting"):
-            prompts = render_few_shot(PromptFormat.TABLEIE, demos, queries)
+            _, prompts = render_few_shot(PromptFormat.TABLEIE, demos, queries)
         assert len(prompts) == 3
         assert [r.getMessage() for r in caplog.records] == [
             "demonstration d1 has no gold triples",
