@@ -750,7 +750,7 @@ class NamedProvider:
 # "\ud800" loads into a str)
 key_text = st.text(
     alphabet=st.one_of(
-        st.sampled_from(['"', "\\", "\n", "\t", "\x00", "\x1f", "\x7f", " ", "é",
+        st.sampled_from(['"', "\\", "\n", "\t", "\x00", "\x1f", "\x7f", "\u2028", "é",
                          "\U0001F600", json.loads('"\\ud800"'), "\udfff", "a", " "]),
         st.characters(blacklist_categories=())),
     min_size=1, max_size=12)
@@ -759,14 +759,22 @@ key_text = st.text(
 @settings(max_examples=150, deadline=None)
 @given(prompt=key_text)
 @example(prompt="Extract the triples.\nBüchner wrote Woyzeck .")
-@example(prompt="\U0001F600𐏿 \"\\")
+@example(prompt="\U0001F600\U000103FF\u2028\"\\")
 def test_cache_key_matches_the_json_body_at_every_split(tmp_path_factory, prompt):
     provider = NamedProvider("mock")
     gw = LlmGateway(provider, tmp_path_factory.mktemp("keys"))
-    for name in ("mock", 'hé"ttp\\'):
+    names, model_ids = ("mock", 'hé"ttp\\'), ("m1", "gpt-é\u2028\"x")
+    want = {}
+    for name in names:
         provider.name = name
-        for model_id in ("m1", "gpt-é \"x"):
-            want = reference_cache_key(gw, LlmRequest(model_id=model_id, prompt=prompt))
-            for cut in range(len(prompt) + 1):
-                request = LlmRequest(model_id=model_id, prompt=prompt, prefix=prompt[:cut])
-                assert gw.cache_key(request) == want, (name, model_id, cut)
+        for model_id in model_ids:
+            want[name, model_id] = reference_cache_key(
+                gw, LlmRequest(model_id=model_id, prompt=prompt))
+    # each prefix is keyed under every name and model in turn, twice over
+    for cut in range(len(prompt) + 1):
+        for _ in range(2):
+            for name in names:
+                provider.name = name
+                for model_id in model_ids:
+                    request = LlmRequest(model_id=model_id, prompt=prompt, prefix=prompt[:cut])
+                    assert gw.cache_key(request) == want[name, model_id], (name, model_id, cut)
