@@ -89,7 +89,8 @@ class MockEchoGoldProvider:
         self._fmt = fmt
 
     def generate(self, request: LlmRequest) -> str:
-        lines = request.prompt.split("\n")
+        # the last two lines, without splitting the demonstration block
+        lines = request.prompt.rsplit("\n", 2)
         if lines[-1] == TABLE_HEADER and len(lines) >= 2:
             # a header-terminated prompt asks for table rows whatever the
             # few-shot format configured for this provider

@@ -18,7 +18,7 @@ from tripleforge.gateway import (
     TransientProviderError,
 )
 from tripleforge.pipeline import _complete_all
-from tripleforge.prompting import PromptFormat, render_zero_shot, serialize_triples
+from tripleforge.prompting import TABLE_HEADER, PromptFormat, render_zero_shot, serialize_triples
 
 from conftest import make_triple
 
@@ -199,6 +199,25 @@ class TestMockEchoGold:
         provider = MockEchoGoldProvider({"Some sentence .": gold}, fmt=PromptFormat.TEXTIE)
         reply = provider.generate(request(prompt="instruction\nSome sentence ."))
         assert reply == "(Per: Booth, Kill, Per: Lincoln)"
+
+    # the query line and format as the whole-prompt split picked them; the
+    # mock reads only the last two lines of the prompt
+    @pytest.mark.parametrize("prompt, query, fmt", [
+        ("Some sentence .", "Some sentence .", PromptFormat.TEXTIE),
+        (TABLE_HEADER, TABLE_HEADER, PromptFormat.TEXTIE),
+        (f"Some sentence .\n{TABLE_HEADER}", "Some sentence .", PromptFormat.TABLEIE),
+        (f"a\nb\nSome sentence .\n{TABLE_HEADER}", "Some sentence .", PromptFormat.TABLEIE),
+        (f"{TABLE_HEADER}\n{TABLE_HEADER}", TABLE_HEADER, PromptFormat.TABLEIE),
+        ("a\n\nSome sentence .", "Some sentence .", PromptFormat.TEXTIE),
+        ("Some sentence .\n", "", PromptFormat.TEXTIE),
+    ])
+    def test_query_line_and_format_come_from_the_last_two_lines(self, prompt, query, fmt):
+        gold = TripleSet.of([make_triple()])
+        provider = MockEchoGoldProvider({query: gold}, fmt=PromptFormat.TEXTIE)
+        assert provider.generate(request(prompt=prompt)) == serialize_triples(fmt, gold)
+        lines = prompt.split("\n")
+        header_ended = lines[-1] == TABLE_HEADER and len(lines) >= 2
+        assert (lines[-2] if header_ended else lines[-1]) == query
 
 
 def render_zero_shot_like(text):

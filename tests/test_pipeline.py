@@ -266,6 +266,19 @@ class TestFullPipeline:
             report = json.loads((cfg.run_dir / EVAL_JSON).read_text())
             assert report["f1"] == 1.0, fmt
 
+    @pytest.mark.parametrize("fmt", ["tableie", "textie", "codeie"])
+    def test_json_artifacts_keep_the_json_dumps_layout(self, run_config, tmp_path, fmt):
+        # every JSON artifact and the manifest are what one json.dumps call
+        # with these options writes, whichever encoder the interpreter uses
+        cfg = run_config(format=fmt, run_dir=tmp_path / f"run-{fmt}")
+        run_all(cfg)
+        paths = sorted(cfg.run_dir.glob("*.json"))
+        assert len(paths) == 8 and cfg.run_dir / MANIFEST in paths
+        for path in paths:
+            text = path.read_text(encoding="utf-8")
+            want = json.dumps(json.loads(text), sort_keys=True, ensure_ascii=False, indent=1)
+            assert text == want + "\n", path.name
+
     def test_random_strategy(self, run_config):
         cfg = run_config(strategy="random", budget=3, seed=11)
         run_all(cfg)
