@@ -60,6 +60,7 @@ from .similarity import (
     pool_distances,
     set_distance,  # noqa: F401  perfbench's tracer patches pipeline.set_distance by name
     set_distances,
+    write_artifact,
 )
 
 MANIFEST = "manifest.json"
@@ -184,9 +185,7 @@ _dumps = (functools.partial(json.dumps, sort_keys=True, ensure_ascii=False, inde
 
 
 def _write_json(path: Path, obj) -> Path:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(_dumps(obj) + "\n", encoding="utf-8")
-    return path
+    return write_artifact(path, (_dumps(obj) + "\n").encode("utf-8"))
 
 
 def _read_json(path: Path) -> dict:
@@ -352,7 +351,6 @@ def stage_train(cfg: PipelineConfig):
     texts = {s.id: s.text for s in pool.samples}
     model, history = train_retriever(texts, matrix, build_embedder(cfg), cfg.train_config())
     ckpt = cfg.effective_checkpoint_path
-    ckpt.parent.mkdir(parents=True, exist_ok=True)
     save_checkpoint(model, ckpt)
     history_path = _write_json(cfg.run_dir / TRAINING_HISTORY, history.to_json_dict())
     return [ckpt, history_path], {
@@ -496,10 +494,8 @@ def stage_run(cfg: PipelineConfig):
 
 def _write_report(cfg: PipelineConfig, json_name: str, txt_name: str, report) -> list[Path]:
     """A report's JSON and its table text, side by side in run_dir."""
-    json_path = _write_json(cfg.run_dir / json_name, report.to_json_dict())
-    txt_path = cfg.run_dir / txt_name
-    txt_path.write_text(report.to_table_text(), encoding="utf-8")
-    return [json_path, txt_path]
+    return [_write_json(cfg.run_dir / json_name, report.to_json_dict()),
+            write_artifact(cfg.run_dir / txt_name, report.to_table_text().encode("utf-8"))]
 
 
 @_stage

@@ -8,6 +8,7 @@ triples (unlike the classical max-of-min form).
 from __future__ import annotations
 
 import hashlib
+import io
 import math
 import zipfile
 from dataclasses import dataclass
@@ -211,12 +212,30 @@ def _text_array(value: str | list[str]) -> np.ndarray:
     return array
 
 
+def write_artifact(path: str | Path, data: bytes) -> Path:
+    """Make ``path`` hold ``data``: equal bytes are left alone, other bytes go
+    through ``<name>.tmp`` and a rename, so a crash never leaves a torn file."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    if path.is_file() and path.stat().st_size == len(data) and path.read_bytes() == data:
+        return path
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        tmp.write_bytes(data)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+    path.unlink(missing_ok=True)  # a rename over the old file costs more on ext4
+    return tmp.rename(path)
+
+
 def save_arrays(path: str | Path, kind: str, **arrays: np.ndarray) -> None:
     """Write ``kind`` and then ``arrays`` as one uncompressed ``.npz``.
     ``zipfile`` stamps every member with a fixed 1980 date, so equal arrays
     save to equal bytes."""
-    with open(path, "wb") as fh:
-        np.savez(fh, kind=_text_array(kind), **arrays)
+    buf = io.BytesIO()
+    np.savez(buf, kind=_text_array(kind), **arrays)
+    write_artifact(path, buf.getvalue())
 
 
 def load_arrays(path: str | Path, kind: str, names: Sequence[str]) -> tuple[np.ndarray, ...]:

@@ -12,11 +12,13 @@ parsers' ``_escape`` and ``_unescape`` loops as they were before their
 escape-free fast paths, and ``LlmGateway.cache_key`` as one ``json.dumps``
 of the whole request, before the streamed key with its hashed shared
 prefix, and ``pipeline._write_json``'s one ``json.dumps`` call, before the
-one-pass encoder, kept verbatim as oracles apart from renaming and returning
-pairs as tuples.  The kernels must agree with them bit for bit: equal float
-entries, equal chosen ids, covered tests, tie-break counts and checked ids,
-equal prompt strings, parses, cache keys and artifact JSON text, and equal
-weight bytes and training history.
+one-pass encoder, and ``save_arrays``'s ``np.savez`` straight into the file,
+before every artifact went through ``write_artifact``, kept verbatim as
+oracles apart from renaming and returning pairs as tuples.  The kernels must
+agree with them bit for bit: equal float entries, equal chosen ids, covered
+tests, tie-break counts and checked ids, equal prompt strings, parses, cache
+keys, artifact JSON text and ``.npz`` bytes, and equal weight bytes and
+training history.
 Matrices are built from a few distinct values with duplicated rows and
 columns, so that distance and score ties are common.
 """
@@ -31,7 +33,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from tripleforge import pipeline, prompting
+from tripleforge import pipeline, prompting, retriever, similarity
 from tripleforge.core import Sample, Triple, TripleSet, load_dataset
 from tripleforge.gateway import LlmGateway, LlmRequest
 from tripleforge.prompting import (
@@ -61,12 +63,14 @@ from tripleforge.retriever import (
     batch_loss,
     compute_P,
     make_training_pairs,
+    save_checkpoint,
     train,
 )
 from tripleforge.selection import SelectionResult, _ranked_pool, select_coverage
 from tripleforge.similarity import (
     HashingEmbedder,
     PoolDistanceMatrix,
+    _text_array,
     embed_triple_sets,
     pool_distances,
     set_distance,
@@ -859,3 +863,47 @@ def test_artifact_json_refuses_what_json_refuses():
             reference_dumps(obj)
         with pytest.raises(TypeError):
             pipeline._one_pass_dumps(obj)
+
+
+# --- numeric artifacts --------------------------------------------------------------
+
+def reference_save_arrays(path, kind: str, **arrays: np.ndarray) -> None:
+    with open(path, "wb") as fh:
+        np.savez(fh, kind=_text_array(kind), **arrays)
+
+
+def artifact_bytes(directory, save, codec) -> bytes:
+    """The bytes ``save(path)`` writes with ``codec`` as ``save_arrays``."""
+    path = directory / f"{codec.__name__}.npz"
+    with mock.patch.object(similarity, "save_arrays", codec), \
+            mock.patch.object(retriever, "save_arrays", codec):
+        save(path)
+    return path.read_bytes()
+
+
+artifact_ids = st.lists(
+    st.text(st.sampled_from(["a", "7", " ", "é", "Ω", "\U0001F600", " ", "-"]), max_size=4),
+    unique=True, max_size=5)
+
+
+@settings(max_examples=60, deadline=None)
+@given(ids=artifact_ids, test_ids=artifact_ids, dim=st.integers(1, 4),
+       seed=st.integers(0, 2**16), provider=st.sampled_from(["hash-64", "stub-é", ""]))
+@example(ids=[], test_ids=[], dim=1, seed=0, provider="hash-64")
+@example(ids=[""], test_ids=["", "é"], dim=2, seed=1, provider="hash-é")
+@example(ids=["Büchner", "李", "\U0001F600"], test_ids=["ä"], dim=3, seed=2, provider="x")
+def test_save_arrays_writes_the_bytes_of_one_savez_to_the_file(tmp_path_factory, ids, test_ids,
+                                                                dim, seed, provider):
+    rng = np.random.default_rng(seed)
+    upper = np.triu(rng.random((len(ids), len(ids))), 1)
+    model = RetrieverModel(HashingEmbedder(dim), rng.standard_normal((dim + 1, dim)))
+    artifacts = {
+        "pool": PoolDistanceMatrix(ids, upper + upper.T, provider).save,
+        "pairwise": PairwiseDistanceSet(ids, test_ids, rng.random((len(ids), len(test_ids))),
+                                        provider).save,
+        "checkpoint": lambda path: save_checkpoint(model, path),
+    }
+    for kind, save in artifacts.items():
+        directory = tmp_path_factory.mktemp(kind)
+        assert (artifact_bytes(directory, save, similarity.save_arrays)
+                == artifact_bytes(directory, save, reference_save_arrays)), kind

@@ -246,6 +246,21 @@ class TestFullPipeline:
         report = json.loads((cfg.run_dir / EVAL_JSON).read_text())
         assert report["f1"] == 1.0
 
+    def test_select_into_a_fresh_run_dir_with_an_outside_checkpoint(self, run_config, tmp_path):
+        # a checkpoint trained elsewhere scores a pool never pre-extracted
+        # here, so select is the first stage to write into its run_dir
+        trained = run_config(run_dir=tmp_path / "a")
+        for name in ("preextract", "distances", "train"):
+            STAGES[name](trained)
+        cfg = run_config(run_dir=tmp_path / "b",
+                         checkpoint_path=trained.effective_checkpoint_path)
+        assert not cfg.run_dir.exists()
+        outcome = stage_select(cfg)
+        assert sorted(outcome.artifacts) == [PAIRWISE, SELECTION]
+        stage_run(cfg)
+        stage_eval(cfg)
+        assert json.loads((cfg.run_dir / EVAL_JSON).read_text())["f1"] == 1.0
+
     def test_balance_checked_exceeds_annotated(self, run_config):
         cfg = run_config(strategy="balance", budget=5)
         for name in ("preextract", "distances", "train"):
