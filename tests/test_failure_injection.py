@@ -7,7 +7,6 @@ leave the old bytes under the artifact's name and no ``.tmp`` behind.
 """
 import contextlib
 import errno
-import json
 from pathlib import Path
 from unittest import mock
 
@@ -16,10 +15,7 @@ import pytest
 from tripleforge.pipeline import MANIFEST, SELECTION, STAGES
 from tripleforge.similarity import write_artifact
 
-
-def run_all(cfg):
-    for stage in STAGES.values():
-        stage(cfg)
+from test_pipeline import run_all
 
 
 def files(root: Path) -> dict[Path, bytes]:
@@ -78,16 +74,6 @@ def test_interrupted_manifest_write_keeps_the_old_manifest(run_config):
         STAGES["eval"](cfg)
     assert torn == [cfg.run_dir / (MANIFEST + ".tmp")]
     assert files(cfg.run_dir) == before
-
-
-def test_stage_rerun_after_an_interrupted_write_completes(run_config):
-    cfg = run_config()
-    run_all(cfg)
-    with torn_writes(), pytest.raises(OSError):
-        STAGES["select"](run_config(budget=3))
-    STAGES["select"](run_config(budget=3))
-    assert len(json.loads((cfg.run_dir / SELECTION).read_text())["chosen"]) == 3
-    assert not list(cfg.run_dir.rglob("*.tmp"))
 
 
 @pytest.mark.parametrize("old, new", [
