@@ -47,8 +47,8 @@ def main(argv: list[str] | None = None) -> int:
     except Exception as exc:  # fail loudly but without a wall of traceback
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
-    for name, path in outcome.artifacts.items():
-        print(f"wrote {path}")
+    for artifact in outcome.artifacts.values():
+        print(f"wrote {artifact.path}")
     for key, value in outcome.info.items():
         print(f"  {key}: {value}")
     return 0

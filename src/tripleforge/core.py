@@ -32,12 +32,33 @@ def _check_field(name: str, value: str) -> str:
     stripped = value.strip()
     if not stripped:
         raise ValueError(f"{name} must be non-empty after trimming")
-    if _LINE_BREAK.search(stripped):
+    # every _LINE_BREAK character is unprintable: a printable value skips the
+    # regex search, which costs several times as much
+    if not stripped.isprintable() and _LINE_BREAK.search(stripped):
         raise ValueError(f"{name} must not contain line breaks")
     return stripped
 
 
-@dataclass(frozen=True)
+def _span(name: str, span) -> Optional[Span]:
+    if span is None:
+        return None
+    start, end = span
+    # not isinstance: a JSON true or false loads as bool, an int subclass
+    if not (type(start) is int and type(end) is int and 0 <= start < end):
+        raise ValueError(f"{name} must satisfy 0 <= start < end, got {span}")
+    return (start, end)
+
+
+def _pair(raw: Mapping, key: str):
+    value = raw.get(key)
+    if value is None:
+        return None
+    if not (isinstance(value, (list, tuple)) and len(value) == 2):
+        raise ValueError(f"{key} must be a [start, end] pair, got {value!r}")
+    return (value[0], value[1])
+
+
+@dataclass(frozen=True, init=False, slots=True)
 class Triple:
     """One extracted fact: typed subject, predicate, typed object.
 
@@ -53,18 +74,18 @@ class Triple:
     subject_span: Optional[Span] = None
     object_span: Optional[Span] = None
 
-    def __post_init__(self) -> None:
-        for name in ("predicate", "subject_type", "subject", "object_type", "object"):
-            object.__setattr__(self, name, _check_field(name, getattr(self, name)))
-        for name in ("subject_span", "object_span"):
-            span = getattr(self, name)
-            if span is None:
-                continue
-            start, end = span
-            # not isinstance: a JSON true or false loads as bool, an int subclass
-            if not (type(start) is int and type(end) is int and 0 <= start < end):
-                raise ValueError(f"{name} must satisfy 0 <= start < end, got {span}")
-            object.__setattr__(self, name, (start, end))
+    def __init__(self, predicate: str, subject_type: str, subject: str, object_type: str,
+                 object: str, subject_span: Optional[Span] = None,
+                 object_span: Optional[Span] = None) -> None:
+        # every field is checked once, in this order, and set once through
+        # its slot's setter (below the class)
+        _set_predicate(self, _check_field("predicate", predicate))
+        _set_subject_type(self, _check_field("subject_type", subject_type))
+        _set_subject(self, _check_field("subject", subject))
+        _set_object_type(self, _check_field("object_type", object_type))
+        _set_object(self, _check_field("object", object))
+        _set_subject_span(self, _span("subject_span", subject_span))
+        _set_object_span(self, _span("object_span", object_span))
 
     def validate_spans(self, sentence: str, owner: str = "") -> None:
         """Check that each present span selects exactly the surface string."""
@@ -95,26 +116,20 @@ class Triple:
 
     @classmethod
     def from_dict(cls, raw: Mapping) -> "Triple":
-        def span(key: str) -> Optional[Span]:
-            value = raw.get(key)
-            if value is None:
-                return None
-            if not (isinstance(value, (list, tuple)) and len(value) == 2):
-                raise ValueError(f"{key} must be a [start, end] pair, got {value!r}")
-            return (value[0], value[1])
-
-        return cls(
-            predicate=raw["predicate"],
-            subject_type=raw["subject_type"],
-            subject=raw["subject"],
-            object_type=raw["object_type"],
-            object=raw["object"],
-            subject_span=span("subject_span"),
-            object_span=span("object_span"),
-        )
+        # a missing key raises KeyError before a bad span raises ValueError
+        fields = (raw["predicate"], raw["subject_type"], raw["subject"], raw["object_type"],
+                  raw["object"])
+        return cls(*fields, _pair(raw, "subject_span"), _pair(raw, "object_span"))
 
 
-@dataclass(frozen=True)
+# The slot setters that ``Triple.__init__`` stores through: the frozen class
+# refuses ``setattr``, the ``object`` parameter shadows the builtin, and a
+# setter call costs about half of one through ``object.__setattr__``.
+(_set_predicate, _set_subject_type, _set_subject, _set_object_type, _set_object,
+ _set_subject_span, _set_object_span) = (Triple.__dict__[f].__set__ for f in Triple.__slots__)
+
+
+@dataclass(frozen=True, slots=True)
 class TripleSet:
     """Ordered, duplicate-free collection of triples (order = extraction order)."""
 
@@ -127,7 +142,10 @@ class TripleSet:
     @classmethod
     def of(cls, triples: Iterable[Triple]) -> "TripleSet":
         """Build a TripleSet, dropping exact duplicates while preserving order."""
-        return cls(tuple(dict.fromkeys(triples)))
+        # dict.fromkeys already leaves no duplicate for __post_init__ to find
+        ts = object.__new__(cls)
+        object.__setattr__(ts, "triples", tuple(dict.fromkeys(triples)))
+        return ts
 
     def __len__(self) -> int:
         return len(self.triples)

@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import datetime as _dt
 import functools
-import hashlib
 import inspect
 import json
 import sys
@@ -51,6 +50,7 @@ from .selection import (
     select_top_k,
 )
 from .similarity import (
+    Artifact,
     EmbeddingProvider,
     HashingEmbedder,
     HttpEmbeddingProvider,
@@ -89,23 +89,23 @@ class UpstreamMissingError(RuntimeError):
 @dataclass
 class StageOutcome:
     stage: str
-    artifacts: dict[str, Path]
+    artifacts: dict[str, Artifact]
     info: dict = field(default_factory=dict)
 
 
 STAGES: dict[str, Callable[[PipelineConfig], StageOutcome]] = {}
 
 
-def _stage(body: Callable[[PipelineConfig], tuple[list[Path], dict]]):
-    """Register ``stage_<name>`` in ``STAGES``.  The body returns the paths
+def _stage(body: Callable[[PipelineConfig], tuple[list[Artifact], dict]]):
+    """Register ``stage_<name>`` in ``STAGES``.  The body returns the files
     it wrote and its manifest info; the registered stage records them in the
     manifest under each file's name and returns the ``StageOutcome``."""
     name = body.__name__.removeprefix("stage_")
 
     @functools.wraps(body)
     def stage(cfg: PipelineConfig) -> StageOutcome:
-        paths, info = body(cfg)
-        outcome = StageOutcome(name, {path.name: path for path in paths}, info)
+        written, info = body(cfg)
+        outcome = StageOutcome(name, {a.path.name: a for a in written}, info)
         _update_manifest(cfg, outcome)
         return outcome
 
@@ -184,7 +184,7 @@ _dumps = (functools.partial(json.dumps, sort_keys=True, ensure_ascii=False, inde
           if sys.version_info >= (3, 13) else _one_pass_dumps)
 
 
-def _write_json(path: Path, obj) -> Path:
+def _write_json(path: Path, obj) -> Artifact:
     return write_artifact(path, (_dumps(obj) + "\n").encode("utf-8"))
 
 
@@ -213,8 +213,8 @@ def _update_manifest(cfg: PipelineConfig, outcome: StageOutcome) -> None:
     stages = manifest.setdefault("stages", {})
     stages[outcome.stage] = {
         "artifacts": {
-            name: {"path": str(path), "sha256": hashlib.sha256(path.read_bytes()).hexdigest()}
-            for name, path in outcome.artifacts.items()
+            name: {"path": str(path), "sha256": sha256}
+            for name, (path, sha256) in outcome.artifacts.items()
         },
         "info": outcome.info,
         "completed_at": _dt.datetime.now(_dt.timezone.utc).isoformat(),
@@ -338,9 +338,8 @@ def stage_distances(cfg: PipelineConfig):
         raise RuntimeError("no pool samples with pre-extracted triples")
     embedder = build_embedder(cfg)
     matrix = pool_distances(verbal, embedder)
-    path = cfg.run_dir / POOL_DISTANCES
-    matrix.save(path)
-    return [path], {"n": matrix.n, "excluded": len(excluded), "embedder": embedder.name}
+    return [matrix.save(cfg.run_dir / POOL_DISTANCES)], {
+        "n": matrix.n, "excluded": len(excluded), "embedder": embedder.name}
 
 
 @_stage
@@ -350,8 +349,7 @@ def stage_train(cfg: PipelineConfig):
     pool = load_dataset(cfg.pool_path, "train")
     texts = {s.id: s.text for s in pool.samples}
     model, history = train_retriever(texts, matrix, build_embedder(cfg), cfg.train_config())
-    ckpt = cfg.effective_checkpoint_path
-    save_checkpoint(model, ckpt)
+    ckpt = save_checkpoint(model, cfg.effective_checkpoint_path)
     history_path = _write_json(cfg.run_dir / TRAINING_HISTORY, history.to_json_dict())
     return [ckpt, history_path], {
         "best_epoch": history.best_epoch,
@@ -362,7 +360,7 @@ def stage_train(cfg: PipelineConfig):
 
 
 def _pairwise_from_retriever(cfg: PipelineConfig, pool: Dataset, test: Dataset
-                             ) -> tuple[PairwiseDistanceSet, dict, list[Path]]:
+                             ) -> tuple[PairwiseDistanceSet, dict, list[Artifact]]:
     # the checkpoint may sit outside run_dir, so it is required by path
     ckpt = _require(cfg.effective_checkpoint_path, "train")
     model = load_checkpoint(ckpt, build_embedder(cfg))
@@ -380,7 +378,7 @@ def _pairwise_from_retriever(cfg: PipelineConfig, pool: Dataset, test: Dataset
 
 
 def _pairwise_direct(cfg: PipelineConfig, pool: Dataset, test: Dataset
-                     ) -> tuple[PairwiseDistanceSet, dict, list[Path]]:
+                     ) -> tuple[PairwiseDistanceSet, dict, list[Artifact]]:
     """Pre-extract the test samples too and take triple-set distances
     straight into the pool-to-test matrix; no retriever involved."""
     pool_verbal, excluded_pool = _verbalizations(_read_json(_upstream(cfg, PREEXTRACT)))
@@ -425,8 +423,7 @@ def stage_select(cfg: PipelineConfig):
     pairwise = (_pairwise_from_retriever if cfg.distance_source == "retriever"
                 else _pairwise_direct)
     P, info, extra_paths = pairwise(cfg, pool, test)
-    pairwise_path = cfg.run_dir / PAIRWISE
-    P.save(pairwise_path)
+    pairwise_path = P.save(cfg.run_dir / PAIRWISE)
 
     oracle = AnnotationOracle(pool.gold)
     result = _select(cfg, P, pool.schema, oracle)
@@ -492,7 +489,7 @@ def stage_run(cfg: PipelineConfig):
     }
 
 
-def _write_report(cfg: PipelineConfig, json_name: str, txt_name: str, report) -> list[Path]:
+def _write_report(cfg: PipelineConfig, json_name: str, txt_name: str, report) -> list[Artifact]:
     """A report's JSON and its table text, side by side in run_dir."""
     return [_write_json(cfg.run_dir / json_name, report.to_json_dict()),
             write_artifact(cfg.run_dir / txt_name, report.to_table_text().encode("utf-8"))]

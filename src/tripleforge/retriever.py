@@ -14,7 +14,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .core import Sample
-from .similarity import (EmbeddingProvider, PairwiseDistanceSet, PoolDistanceMatrix,
+from .similarity import (Artifact, EmbeddingProvider, PairwiseDistanceSet, PoolDistanceMatrix,
                          _text_array, load_arrays, save_arrays)
 
 # AdamW moment decay rates and denominator guard
@@ -235,10 +235,10 @@ class RetrieverModel:
         return cls(base=base, weights=np.eye(base.dim))
 
     def encode_samples(self, samples: Sequence[Sample]) -> np.ndarray:
-        # one row at a time: ``embedded @ weights.T`` runs BLAS dgemm, whose
-        # sums differ from dgemv's by up to 2.8e-14
+        # numpy runs a stack of (d, d) @ (d, 1) products as one dgemv per row,
+        # like ``weights @ row``; ``embedded @ weights.T`` (dgemm) is off by 2.8e-14
         embedded = self.base.embed([s.text for s in samples])
-        return np.stack([self.weights @ row for row in embedded])
+        return (self.weights @ embedded[:, :, None])[..., 0]
 
 
 def train_retriever(texts_by_id: Mapping[str, str], matrix: PoolDistanceMatrix,
@@ -288,11 +288,11 @@ def compute_P(model: RetrieverModel, pool_samples: Sequence[Sample],
 CHECKPOINT_KIND = "retriever_checkpoint"
 
 
-def save_checkpoint(model: RetrieverModel, path: str | Path) -> None:
+def save_checkpoint(model: RetrieverModel, path: str | Path) -> Artifact:
     """The base provider name and the float64 weights, as a ``save_arrays``
     file of kind ``retriever_checkpoint``."""
-    save_arrays(path, CHECKPOINT_KIND, provider=_text_array(model.base.name),
-                weights=model.weights)
+    return save_arrays(path, CHECKPOINT_KIND, provider=_text_array(model.base.name),
+                       weights=model.weights)
 
 
 def load_checkpoint(path: str | Path, base: EmbeddingProvider) -> RetrieverModel:

@@ -13,7 +13,7 @@ import math
 import zipfile
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Mapping, Optional, Protocol, Sequence
+from typing import Callable, Mapping, NamedTuple, Optional, Protocol, Sequence
 
 import numpy as np
 import requests
@@ -212,13 +212,21 @@ def _text_array(value: str | list[str]) -> np.ndarray:
     return array
 
 
-def write_artifact(path: str | Path, data: bytes) -> Path:
+class Artifact(NamedTuple):
+    """A file the pipeline wrote and the sha256 of the bytes it holds."""
+
+    path: Path
+    sha256: str
+
+
+def write_artifact(path: str | Path, data: bytes) -> Artifact:
     """Make ``path`` hold ``data``: equal bytes are left alone, other bytes go
     through ``<name>.tmp`` and a rename, so a crash never leaves a torn file."""
     path = Path(path)
+    written = Artifact(path, hashlib.sha256(data).hexdigest())
     path.parent.mkdir(parents=True, exist_ok=True)
     if path.is_file() and path.stat().st_size == len(data) and path.read_bytes() == data:
-        return path
+        return written
     tmp = path.with_name(path.name + ".tmp")
     try:
         tmp.write_bytes(data)
@@ -226,16 +234,17 @@ def write_artifact(path: str | Path, data: bytes) -> Path:
         tmp.unlink(missing_ok=True)
         raise
     path.unlink(missing_ok=True)  # a rename over the old file costs more on ext4
-    return tmp.rename(path)
+    tmp.rename(path)
+    return written
 
 
-def save_arrays(path: str | Path, kind: str, **arrays: np.ndarray) -> None:
+def save_arrays(path: str | Path, kind: str, **arrays: np.ndarray) -> Artifact:
     """Write ``kind`` and then ``arrays`` as one uncompressed ``.npz``.
     ``zipfile`` stamps every member with a fixed 1980 date, so equal arrays
     save to equal bytes."""
     buf = io.BytesIO()
     np.savez(buf, kind=_text_array(kind), **arrays)
-    write_artifact(path, buf.getvalue())
+    return write_artifact(path, buf.getvalue())
 
 
 def load_arrays(path: str | Path, kind: str, names: Sequence[str]) -> tuple[np.ndarray, ...]:
@@ -280,10 +289,10 @@ def _checked_entries(entries, rows: int, cols: int) -> np.ndarray:
 
 
 def save_distances(path: str | Path, kind: str, row_ids: Sequence[str],
-                   col_ids: Sequence[str], entries: np.ndarray, provider: str) -> None:
-    save_arrays(path, kind, provider=_text_array(provider), row_ids=_text_array(list(row_ids)),
-                col_ids=_text_array(list(col_ids)),
-                entries=_checked_entries(entries, len(row_ids), len(col_ids)))
+                   col_ids: Sequence[str], entries: np.ndarray, provider: str) -> Artifact:
+    return save_arrays(path, kind, provider=_text_array(provider),
+                       row_ids=_text_array(list(row_ids)), col_ids=_text_array(list(col_ids)),
+                       entries=_checked_entries(entries, len(row_ids), len(col_ids)))
 
 
 def load_distances(path: str | Path, kind: str
@@ -315,9 +324,9 @@ class PoolDistanceMatrix:
     def n(self) -> int:
         return len(self.sample_ids)
 
-    def save(self, path: str | Path) -> None:
-        save_distances(path, POOL_KIND, self.sample_ids, self.sample_ids, self.entries,
-                       self.provider)
+    def save(self, path: str | Path) -> Artifact:
+        return save_distances(path, POOL_KIND, self.sample_ids, self.sample_ids, self.entries,
+                              self.provider)
 
     @classmethod
     def load(cls, path: str | Path) -> "PoolDistanceMatrix":
@@ -347,9 +356,9 @@ class PairwiseDistanceSet:
     def m(self) -> int:
         return len(self.test_ids)
 
-    def save(self, path: str | Path) -> None:
-        save_distances(path, PAIRWISE_KIND, self.unlabeled_ids, self.test_ids, self.entries,
-                       self.provider)
+    def save(self, path: str | Path) -> Artifact:
+        return save_distances(path, PAIRWISE_KIND, self.unlabeled_ids, self.test_ids,
+                              self.entries, self.provider)
 
     @classmethod
     def load(cls, path: str | Path) -> "PairwiseDistanceSet":

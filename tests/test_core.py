@@ -1,5 +1,8 @@
+import copy
+import dataclasses
 import json
 import os
+import pickle
 from collections import OrderedDict
 
 import pytest
@@ -58,6 +61,40 @@ class TestTriple:
         with pytest.raises(ValueError, match="start < end"):
             Triple.from_dict(raw)
 
+    def test_every_line_break_is_unprintable(self):
+        # the field check searches for a line break only in unprintable text
+        assert LINE_BREAKS and not any(c.isprintable() for c in LINE_BREAKS)
+        assert all(core._LINE_BREAK.fullmatch(c) for c in LINE_BREAKS)
+
+    @pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
+    def test_pickle_round_trip(self, protocol):
+        t = make_triple(s_span=(0, 5), o_span=(11, 18))
+        back = pickle.loads(pickle.dumps(t, protocol))
+        assert back == t and hash(back) == hash(t) and back.subject_span == (0, 5)
+
+    def test_copy_and_deepcopy_are_equal(self):
+        t = make_triple(s_span=(0, 5))
+        assert copy.copy(t) == t and copy.deepcopy(t) == t
+
+    def test_replace_trims_and_checks_again(self):
+        t = make_triple(s_span=(0, 5))
+        assert dataclasses.replace(t, subject=" x ") == make_triple(s="x", s_span=(0, 5))
+        with pytest.raises(ValueError, match="line break"):
+            dataclasses.replace(t, object="a\u2028b")
+        with pytest.raises(ValueError, match="start < end"):
+            dataclasses.replace(t, object_span=(3, 3))
+
+    @pytest.mark.parametrize("name", ["predicate", "subject", "object", "object_span"])
+    def test_fields_cannot_be_assigned(self, name):
+        t = make_triple()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(t, name, "x")
+
+    def test_slotted_without_instance_dict(self):
+        t = make_triple()
+        assert not hasattr(t, "__dict__")
+        assert Triple.__slots__ == tuple(f.name for f in dataclasses.fields(Triple))
+
 
 class TestTripleSet:
     def test_of_deduplicates_preserving_order(self):
@@ -69,6 +106,13 @@ class TestTripleSet:
         a = make_triple()
         with pytest.raises(ValueError, match="duplicate"):
             TripleSet((a, a))
+
+    def test_slotted_set_pickles_and_copies(self):
+        ts = TripleSet.of([make_triple(), make_triple(o="Kennedy"), make_triple()])
+        assert not hasattr(ts, "__dict__") and len(ts) == 2
+        assert pickle.loads(pickle.dumps(ts)) == ts and copy.deepcopy(ts) == ts
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            ts.triples = ()
 
     def test_span_difference_is_not_a_duplicate(self):
         a = make_triple(s_span=(0, 5), o_span=(11, 18))

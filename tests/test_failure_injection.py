@@ -5,8 +5,10 @@ a file whose bytes do not change is left alone, and a changed one is written
 to ``<name>.tmp`` and renamed into place.  A write that stops part-way must
 leave the old bytes under the artifact's name and no ``.tmp`` behind.
 """
+import collections
 import contextlib
 import errno
+import sys
 from pathlib import Path
 from unittest import mock
 
@@ -131,3 +133,26 @@ def test_warm_rerun_rewrites_only_the_manifest(run_config):
     changed = [p.name for p in before if before[p] != after[p]]
     assert changed == [MANIFEST]
     assert (cfg.run_dir / MANIFEST).read_bytes() != manifest
+
+
+def test_warm_rerun_reads_each_artifact_once(run_config):
+    """The writer hands the manifest the sha256 of the bytes it compared, so
+    the manifest update reads no artifact back."""
+    cfg = run_config()
+    run_all(cfg)
+    readers = collections.Counter()
+    real_read_bytes = Path.read_bytes
+
+    def read_bytes(self):
+        # the innermost of the two functions on the stack; a comprehension
+        # inside either runs in a frame of its own before Python 3.12
+        frame = sys._getframe(1)
+        while frame and frame.f_code.co_name not in ("write_artifact", "_update_manifest"):
+            frame = frame.f_back
+        readers[frame.f_code.co_name if frame else None] += 1
+        return real_read_bytes(self)
+
+    with mock.patch.object(Path, "read_bytes", read_bytes):
+        run_all(cfg)
+    assert readers["_update_manifest"] == 0
+    assert readers["write_artifact"] == 19  # 12 unchanged artifacts, 7 manifest writes

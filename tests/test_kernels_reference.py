@@ -13,12 +13,14 @@ escape-free fast paths, and ``LlmGateway.cache_key`` as one ``json.dumps``
 of the whole request, before the streamed key with its hashed shared
 prefix, and ``pipeline._write_json``'s one ``json.dumps`` call, before the
 one-pass encoder, and ``save_arrays``'s ``np.savez`` straight into the file,
-before every artifact went through ``write_artifact``, kept verbatim as
-oracles apart from renaming and returning pairs as tuples.  The kernels must
-agree with them bit for bit: equal float entries, equal chosen ids, covered
-tests, tie-break counts and checked ids, equal prompt strings, parses, cache
-keys, artifact JSON text and ``.npz`` bytes, and equal weight bytes and
-training history.
+before every artifact went through ``write_artifact``, and ``core.Triple``,
+``TripleSet`` and ``_check_field`` as they were before the slotted classes
+and their one checking pass, kept verbatim as oracles apart from renaming and
+returning pairs as tuples.  The kernels must agree with them bit for bit:
+equal float entries, equal chosen ids, covered tests, tie-break counts and
+checked ids, equal prompt strings, parses, cache keys, artifact JSON text and
+``.npz`` bytes, equal weight bytes and training history, and equal triples,
+hashes and error messages.
 Matrices are built from a few distinct values with duplicated rows and
 columns, so that distance and score ties are common.
 """
@@ -27,6 +29,8 @@ import json
 import logging
 import math
 import random
+from dataclasses import dataclass
+from typing import Iterable, Mapping, Optional, Sequence
 from unittest import mock
 
 import numpy as np
@@ -34,7 +38,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from tripleforge import pipeline, prompting, retriever, similarity
-from tripleforge.core import Sample, Triple, TripleSet, load_dataset
+from tripleforge.core import (_LINE_BREAK, DatasetError, Sample, Span, Triple, TripleSet,
+                              load_dataset)
 from tripleforge.gateway import LlmGateway, LlmRequest
 from tripleforge.prompting import (
     FEW_SHOT_INSTRUCTION,
@@ -80,6 +85,9 @@ from tripleforge.similarity import (
 from conftest import DATA_DIR
 
 log = logging.getLogger(__name__)
+
+# every character ``str.splitlines`` breaks at; none lies above U+2029
+LINE_BREAK_CHARS = [c for c in map(chr, range(0x202A)) if len(f"a{c}b".splitlines()) == 2]
 
 
 # --- oracles: the loop versions -------------------------------------------------
@@ -907,3 +915,228 @@ def test_save_arrays_writes_the_bytes_of_one_savez_to_the_file(tmp_path_factory,
         directory = tmp_path_factory.mktemp(kind)
         assert (artifact_bytes(directory, save, similarity.save_arrays)
                 == artifact_bytes(directory, save, reference_save_arrays)), kind
+
+
+# --- triples ----------------------------------------------------------------------
+
+def reference_check_field(name: str, value: str) -> str:
+    if not isinstance(value, str):
+        raise ValueError(f"{name} must be a string, got {type(value).__name__}")
+    stripped = value.strip()
+    if not stripped:
+        raise ValueError(f"{name} must be non-empty after trimming")
+    if _LINE_BREAK.search(stripped):
+        raise ValueError(f"{name} must not contain line breaks")
+    return stripped
+
+
+@dataclass(frozen=True)
+class ReferenceTriple:
+    """One extracted fact: typed subject, predicate, typed object.
+
+    Spans are [start, end) character offsets into the owning sentence and are
+    optional; surface fields are stored trimmed.
+    """
+
+    predicate: str
+    subject_type: str
+    subject: str
+    object_type: str
+    object: str
+    subject_span: Optional[Span] = None
+    object_span: Optional[Span] = None
+
+    def __post_init__(self) -> None:
+        for name in ("predicate", "subject_type", "subject", "object_type", "object"):
+            object.__setattr__(self, name, reference_check_field(name, getattr(self, name)))
+        for name in ("subject_span", "object_span"):
+            span = getattr(self, name)
+            if span is None:
+                continue
+            start, end = span
+            # not isinstance: a JSON true or false loads as bool, an int subclass
+            if not (type(start) is int and type(end) is int and 0 <= start < end):
+                raise ValueError(f"{name} must satisfy 0 <= start < end, got {span}")
+            object.__setattr__(self, name, (start, end))
+
+    def validate_spans(self, sentence: str, owner: str = "") -> None:
+        """Check that each present span selects exactly the surface string."""
+        for span, surface, name in (
+            (self.subject_span, self.subject, "subject"),
+            (self.object_span, self.object, "object"),
+        ):
+            if span is None:
+                continue
+            start, end = span
+            if end > len(sentence):
+                raise DatasetError(f"{owner}: {name} span {span} exceeds sentence length {len(sentence)}")
+            if sentence[start:end] != surface:
+                raise DatasetError(
+                    f"{owner}: {name} span {span} selects {sentence[start:end]!r}, expected {surface!r}"
+                )
+
+    def to_dict(self) -> dict:
+        return {
+            "predicate": self.predicate,
+            "subject_type": self.subject_type,
+            "subject": self.subject,
+            "object_type": self.object_type,
+            "object": self.object,
+            "subject_span": list(self.subject_span) if self.subject_span else None,
+            "object_span": list(self.object_span) if self.object_span else None,
+        }
+
+    @classmethod
+    def from_dict(cls, raw: Mapping) -> "ReferenceTriple":
+        def span(key: str) -> Optional[Span]:
+            value = raw.get(key)
+            if value is None:
+                return None
+            if not (isinstance(value, (list, tuple)) and len(value) == 2):
+                raise ValueError(f"{key} must be a [start, end] pair, got {value!r}")
+            return (value[0], value[1])
+
+        return cls(
+            predicate=raw["predicate"],
+            subject_type=raw["subject_type"],
+            subject=raw["subject"],
+            object_type=raw["object_type"],
+            object=raw["object"],
+            subject_span=span("subject_span"),
+            object_span=span("object_span"),
+        )
+
+
+@dataclass(frozen=True)
+class ReferenceTripleSet:
+    """Ordered, duplicate-free collection of triples (order = extraction order)."""
+
+    triples: tuple[ReferenceTriple, ...] = ()
+
+    def __post_init__(self) -> None:
+        if len(set(self.triples)) != len(self.triples):
+            raise ValueError("TripleSet contains field-for-field duplicate triples")
+
+    @classmethod
+    def of(cls, triples: Iterable[ReferenceTriple]) -> "ReferenceTripleSet":
+        """Build a TripleSet, dropping exact duplicates while preserving order."""
+        return cls(tuple(dict.fromkeys(triples)))
+
+    def __len__(self) -> int:
+        return len(self.triples)
+
+    def __iter__(self):
+        return iter(self.triples)
+
+    def to_list(self) -> list[dict]:
+        return [t.to_dict() for t in self.triples]
+
+    @classmethod
+    def from_list(cls, raw: Sequence[Mapping]) -> "ReferenceTripleSet":
+        return cls.of(ReferenceTriple.from_dict(r) for r in raw)
+
+
+class Text(str):
+    """A ``str`` subclass, which the checks accept like a ``str``."""
+
+
+FIELD_NAMES = ("predicate", "subject_type", "subject", "object_type", "object")
+SPAN_NAMES = ("subject_span", "object_span")
+# str.strip removes each of these; U+3000 is no line break, but \x1c is
+field_edges = st.sampled_from(["", " ", "\t", "\u3000", "\x1c", "\u00a0", "\n", "\u2028", "   "])
+field_values = st.one_of(
+    st.builds("{}{}{}".format, field_edges,
+              st.text(st.sampled_from(["a", "b", " ", "é", "\u3000", "\x00", "\t", "\x1c",
+                                       *LINE_BREAK_CHARS]), max_size=4),
+              field_edges),
+    st.sampled_from(["a", "a ", "a\x1c", "a\x1cb", "a\u3000", "a\u3000b", "", "   ", " \u3000\t",
+                     *(f"a{c}b" for c in LINE_BREAK_CHARS)]),
+    st.sampled_from(["a", " a\u3000", "a\x1cb", ""]).map(Text),
+    st.sampled_from([0, 7, None, b"a", b""]),
+)
+# mostly fields that pass, so that the later fields and the spans get checked
+some_fields = st.tuples(*[st.one_of(*[st.sampled_from(["a", " Kill ", "é b"])] * 3,
+                                    field_values)] * 5)
+span_values = st.one_of(
+    st.none(),
+    st.tuples(st.integers(-2, 6), st.integers(-2, 6)),
+    st.lists(st.integers(-2, 6), min_size=0, max_size=3),
+    st.sampled_from([(True, 5), (0, True), [False, 1], (0.0, 5), (0, 5.0), [1.5, 2.5], 5, 2.0,
+                     "ab", (0, "5"), (3, 3), (4, 2), (-1, 2), [0, 2**70]]),
+)
+
+
+def built(make):
+    """``to_dict()`` and ``hash`` of what ``make()`` returns, or the type and
+    message of what it raises."""
+    try:
+        triple = make()
+    except Exception as exc:  # the comparison is over every exception type
+        return type(exc), str(exc)
+    return triple.to_dict(), hash(triple)
+
+
+@settings(max_examples=1500, deadline=None)
+@given(fields=some_fields, spans=st.tuples(span_values, span_values))
+@example(fields=("a ", "a\x1c", "\u3000a", " a", "a"), spans=((0, 1), [1, 2]))
+@example(fields=("a", "b", "a\x1cb", "c", "d"), spans=(None, None))
+@example(fields=("a", "b", "c", "d", "e f"), spans=((True, 2), None))
+@example(fields=(Text(" a "), "b", "c", "d", "e"), spans=(None, (0, 1)))
+def test_triple_matches_the_reference_class(fields, spans):
+    got = built(lambda: Triple(*fields, *spans))
+    assert got == built(lambda: ReferenceTriple(*fields, *spans))
+    keywords = dict(zip(FIELD_NAMES + SPAN_NAMES, fields + spans))
+    assert built(lambda: Triple(**keywords)) == got
+
+
+@settings(max_examples=800, deadline=None)
+@given(fields=some_fields, spans=st.tuples(span_values, span_values),
+       missing=st.sets(st.sampled_from(FIELD_NAMES + SPAN_NAMES), max_size=2))
+@example(fields=("a", "b", "c", "d", "e"), spans=([0, 1, 2], None), missing={"object"})
+@example(fields=("a", "b", "c", "d", "e"), spans=(None, 5), missing={"predicate"})
+def test_from_dict_matches_the_reference_class(fields, spans, missing):
+    raw = {k: v for k, v in zip(FIELD_NAMES + SPAN_NAMES, fields + spans) if k not in missing}
+    got = built(lambda: Triple.from_dict(raw))
+    assert got == built(lambda: ReferenceTriple.from_dict(raw))
+    if missing & set(FIELD_NAMES):
+        assert got[0] is KeyError
+
+
+def test_from_dict_looks_up_every_field_before_it_checks_a_span():
+    raw = {"predicate": "a", "subject_type": "b", "subject": "c", "object_type": "d",
+           "subject_span": [0, 1, 2]}
+    with pytest.raises(KeyError, match="object"):
+        Triple.from_dict(raw)
+    with pytest.raises(KeyError, match="object"):
+        ReferenceTriple.from_dict(raw)
+
+
+# a few names and spans, so that equal triples are often drawn twice
+triple_dicts = st.fixed_dictionaries({
+    "predicate": st.sampled_from(["Kill", " Kill", "Work_For"]),
+    "subject_type": st.just("Peop"),
+    "subject": st.sampled_from(["Booth", "Booth\u3000", "Ann"]),
+    "object_type": st.just("Peop"),
+    "object": st.sampled_from(["Lincoln", "Lincoln\x1c"]),
+    "subject_span": st.sampled_from([None, [0, 5], (0, 5)]),
+    "object_span": st.sampled_from([None, [6, 13]]),
+})
+
+
+@settings(max_examples=300, deadline=None)
+@given(raws=st.lists(st.one_of(triple_dicts, triple_dicts.map(lambda r: r | {"subject": "a\nb"}),
+                               triple_dicts.map(lambda r: {**r, "object_span": [True, 5]})),
+                     max_size=8))
+def test_triple_sets_match_the_reference_class(raws):
+    def listed(make):
+        try:
+            triple_set = make()
+        except Exception as exc:  # the comparison is over every exception type
+            return type(exc), str(exc)
+        return triple_set.to_list(), [hash(t) for t in triple_set]
+
+    got = listed(lambda: TripleSet.from_list(raws))
+    assert got == listed(lambda: ReferenceTripleSet.from_list(raws))
+    clean = [r for r in raws if "a\nb" not in r.values() and r["object_span"] != [True, 5]]
+    assert (listed(lambda: TripleSet.of(Triple.from_dict(r) for r in clean))
+            == listed(lambda: ReferenceTripleSet.of([ReferenceTriple.from_dict(r) for r in clean])))
