@@ -265,14 +265,6 @@ class AnnotationOracle:
         self._annotated: set[str] = set()
 
     @property
-    def checked_ids(self) -> frozenset[str]:
-        return frozenset(self._checked)
-
-    @property
-    def annotated_ids(self) -> frozenset[str]:
-        return frozenset(self._annotated)
-
-    @property
     def checked_count(self) -> int:
         return len(self._checked)
 

@@ -10,7 +10,6 @@ import datetime as _dt
 import functools
 import inspect
 import json
-import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -113,79 +112,9 @@ def _stage(body: Callable[[PipelineConfig], tuple[list[Artifact], dict]]):
     return stage
 
 
-_encode_str = json.encoder.encode_basestring
-_INF = float("inf")
-
-
-def _json_scalar(o) -> str:
-    """``null``, ``true``, ``false`` or a number, as ``json`` writes it."""
-    if o is None or o is True or o is False:
-        return "null" if o is None else "true" if o else "false"
-    if isinstance(o, int):
-        return int.__repr__(o)
-    if isinstance(o, float):
-        return ("NaN" if o != o else "Infinity" if o == _INF
-                else "-Infinity" if o == -_INF else float.__repr__(o))
-    raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")
-
-
-def _one_pass_dumps(obj) -> str:
-    """``json.dumps(obj, sort_keys=True, ensure_ascii=False, indent=1)`` from
-    one walk that appends to one list.  It raises the exception types that
-    ``json`` raises, but ``RecursionError`` on a circular structure."""
-    out: list[str] = []
-    append = out.append
-    keys: dict = {}  # '"key": ' by key; looked up for str keys only
-
-    def write(o, indent: str) -> None:
-        if isinstance(o, str):
-            return append(_encode_str(o))
-        if not isinstance(o, (dict, list, tuple)):
-            return append(_json_scalar(o))
-        if not o:
-            return append("{}" if isinstance(o, dict) else "[]")
-        inner = indent + " "
-        comma = "," + inner
-        if isinstance(o, dict):
-            sep = "{" + inner
-            for key, item in sorted(o.items()):
-                k = keys.get(key) if type(key) is str else None
-                if k is None:
-                    text = key if isinstance(key, str) else _json_scalar(key)
-                    k = keys[key] = _encode_str(text) + ": "
-                append(sep + k)
-                sep = comma
-                # strings and ints, most of every artifact, skip the call
-                if type(item) is str:
-                    append(_encode_str(item))
-                elif type(item) is int:
-                    append(int.__repr__(item))
-                else:
-                    write(item, inner)
-            return append(indent + "}")
-        sep = "[" + inner
-        for item in o:
-            append(sep)
-            sep = comma
-            if type(item) is str:
-                append(_encode_str(item))
-            elif type(item) is int:
-                append(int.__repr__(item))
-            else:
-                write(item, inner)
-        append(indent + "]")
-
-    write(obj, "\n")
-    return "".join(out)
-
-
-# Python 3.13 encodes ``indent`` in C, in under half the time of the walk
-_dumps = (functools.partial(json.dumps, sort_keys=True, ensure_ascii=False, indent=1)
-          if sys.version_info >= (3, 13) else _one_pass_dumps)
-
-
 def _write_json(path: Path, obj) -> Artifact:
-    return write_artifact(path, (_dumps(obj) + "\n").encode("utf-8"))
+    text = json.dumps(obj, sort_keys=True, ensure_ascii=False, separators=(",", ":"))
+    return write_artifact(path, (text + "\n").encode("utf-8"))
 
 
 def _read_json(path: Path) -> dict:

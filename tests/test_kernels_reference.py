@@ -11,16 +11,15 @@ analytic gradient that step replaced, the per-text
 parsers' ``_escape`` and ``_unescape`` loops as they were before their
 escape-free fast paths, and ``LlmGateway.cache_key`` as one ``json.dumps``
 of the whole request, before the streamed key with its hashed shared
-prefix, and ``pipeline._write_json``'s one ``json.dumps`` call, before the
-one-pass encoder, and ``save_arrays``'s ``np.savez`` straight into the file,
+prefix, and ``save_arrays``'s ``np.savez`` straight into the file,
 before every artifact went through ``write_artifact``, and ``core.Triple``,
 ``TripleSet`` and ``_check_field`` as they were before the slotted classes
 and their one checking pass, kept verbatim as oracles apart from renaming and
 returning pairs as tuples.  The kernels must agree with them bit for bit:
 equal float entries, equal chosen ids, covered tests, tie-break counts and
-checked ids, equal prompt strings, parses, cache keys, artifact JSON text and
-``.npz`` bytes, equal weight bytes and training history, and equal triples,
-hashes and error messages.
+checked ids, equal prompt strings, parses, cache keys and ``.npz`` bytes,
+equal weight bytes and training history, and equal triples, hashes and
+error messages.
 Matrices are built from a few distinct values with duplicated rows and
 columns, so that distance and score ties are common.
 """
@@ -37,7 +36,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from tripleforge import pipeline, prompting, retriever, similarity
+from tripleforge import prompting, retriever, similarity
 from tripleforge.core import (_LINE_BREAK, DatasetError, Sample, Span, Triple, TripleSet,
                               load_dataset)
 from tripleforge.gateway import LlmGateway, LlmRequest
@@ -792,85 +791,6 @@ def test_cache_key_matches_the_json_body_at_every_split(tmp_path_factory, prompt
                 for model_id in model_ids:
                     request = LlmRequest(model_id=model_id, prompt=prompt, prefix=prompt[:cut])
                     assert gw.cache_key(request) == want[name, model_id], (name, model_id, cut)
-
-
-# --- artifact JSON ----------------------------------------------------------------
-
-def reference_dumps(obj) -> str:
-    return json.dumps(obj, sort_keys=True, ensure_ascii=False, indent=1)
-
-
-def encoded(dumps, obj):
-    """The text ``dumps`` returns for ``obj``, or the type of what it raises."""
-    try:
-        return dumps(obj)
-    except (TypeError, ValueError) as exc:
-        return type(exc)
-
-
-class Unsupported:
-    """Neither ``json`` nor the one-pass walk can encode this."""
-
-
-json_scalars = st.one_of(
-    key_text, st.just(""), st.none(), st.booleans(),
-    st.integers(), st.integers(-2**70, 2**70), st.sampled_from([2**64, -2**64 - 1, 10**30]),
-    st.floats(), st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 0.0, 1e-310, 1e300]),
-    st.floats().map(np.float64),
-)
-# each dict draws its keys from one kind, since keys of two kinds do not sort
-# (the examples and the test below cover that); int, float, bool and None
-# keys become strings
-json_keys = st.one_of(
-    st.lists(key_text | st.just(""), max_size=5),
-    st.lists(st.integers(-2**66, 2**66) | st.booleans(), max_size=4),
-    st.lists(st.floats(), max_size=3),
-    st.just([None]),
-)
-
-
-def json_dicts(values):
-    return st.tuples(json_keys, st.lists(values, min_size=5, max_size=5)).map(
-        lambda kv: dict(zip(kv[0], kv[1])))
-
-
-json_trees = st.recursive(
-    json_scalars,
-    lambda children: st.one_of(st.lists(children, max_size=4),
-                               st.lists(children, max_size=4).map(tuple),
-                               json_dicts(children)),
-    max_leaves=30,
-)
-
-
-@settings(max_examples=400, deadline=None)
-@given(obj=json_trees)
-@example(obj={"a": [[], {}, ()], "b": {"c": {"d": [[[]], [{}]]}}, "e": ()})
-@example(obj=[{}, [], (), {"x": ()}, [[], [{}]]])
-@example(obj={1: "int", True: "bool", None: "null", 2**65: [2**64, -2**64]})
-@example(obj={"q\"b\\c\x00\x1f é\U0001F600": "𐏿\"\\\n\t\x7f"})
-@example(obj=[math.nan, math.inf, -math.inf, -0.0, np.float64(0.1), np.float64(-0.0), 1e16])
-@example(obj={"pred": ("Kill", [0, 5], (None, False))})
-@example(obj={"ok": [1, Unsupported()]})
-@example(obj={(1, 2): "tuple key"})
-@example(obj={"x": {1, 2}})
-@example(obj={"a": np.int64(3)})
-@example(obj="top-level string  ")
-@example(obj=None)
-@example(obj=())
-def test_artifact_json_matches_one_json_dumps(obj):
-    want = encoded(reference_dumps, obj)
-    assert encoded(pipeline._one_pass_dumps, obj) == want
-    assert encoded(pipeline._dumps, obj) == want
-
-
-def test_artifact_json_refuses_what_json_refuses():
-    for obj in (Unsupported(), [Unsupported()], {"k": (Unsupported(),)},
-                {frozenset(): 1}, {1: "a", "b": 2}):
-        with pytest.raises(TypeError):
-            reference_dumps(obj)
-        with pytest.raises(TypeError):
-            pipeline._one_pass_dumps(obj)
 
 
 # --- numeric artifacts --------------------------------------------------------------
