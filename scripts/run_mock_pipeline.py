@@ -2,9 +2,9 @@
 """Offline pipeline demo on the bundled mini dataset.
 
 Runs every stage with the deterministic mock provider, then compares the
-three prompt formats on output cost and the four selection strategies on
-their annotation audit.  Everything is cached under --workdir, so reruns
-make zero provider calls.
+three prompt formats on output cost and the four selection strategies, plus
+balance on direct triple-set distances, on their annotation audit.
+Everything is cached under --workdir, so reruns make zero provider calls.
 """
 from __future__ import annotations
 
@@ -53,13 +53,18 @@ def main() -> None:
 
     print()
     print("== annotation audit by strategy (tableie) ==")
-    print(f"{'strategy':<9} {'F1':>5} {'checked':>8} {'annotated':>10}  chosen")
-    for strategy in ("topk", "balance", "coverage", "random"):
-        result = run_combo(args.workdir, f"strat-{strategy}", strategy=strategy,
-                           budget=args.budget)
+    print(f"{'strategy':<14} {'F1':>5} {'checked':>8} {'annotated':>10}  chosen")
+    # the last row takes distances straight from the pre-extracted triples
+    # of both splits, with no retriever
+    combos = {f"strat-{strategy}": {"strategy": strategy}
+              for strategy in ("topk", "balance", "coverage", "random")}
+    combos["direct-balance"] = {"strategy": "balance", "distance_source": "direct"}
+    for name, overrides in combos.items():
+        result = run_combo(args.workdir, name, budget=args.budget, **overrides)
         sel = result["selection"]
-        print(f"{strategy:<9} {result['eval']['f1']:>5.3f} {sel['oracle']['checked']:>8} "
-              f"{sel['oracle']['annotated']:>10}  {', '.join(sel['chosen'])}")
+        print(f"{name.removeprefix('strat-'):<14} {result['eval']['f1']:>5.3f} "
+              f"{sel['oracle']['checked']:>8} {sel['oracle']['annotated']:>10}  "
+              f"{', '.join(sel['chosen'])}")
 
     print()
     print(f"artifacts under {args.workdir}")

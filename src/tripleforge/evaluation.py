@@ -1,46 +1,33 @@
 """Strict relation F1 and output-cost reporting.
 
-A predicted triple is correct only when its predicate, both entity types,
-and both recovered character spans all equal a gold triple's.  Matching is
-greedy one-to-one per sample (gold consumed in file order), so duplicated
-correct predictions count as false positives rather than inflating TP.
+A predicted triple is correct only when its strict key, the predicate, both
+entity types and both recovered character spans, equals a gold triple's in
+the same sample.  A prediction missing a span matches nothing.  The true
+positives of a sample are the multiset intersection of its predicted and
+gold keys: a key predicted twice and annotated once is one true positive and
+one false positive, so duplicated correct predictions never inflate TP.
 """
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import asdict, dataclass
 from typing import Mapping, Sequence
 
 from .core import Triple, TripleSet
-from .prompting import count_characters
+
+
+def _strict_key(t: Triple) -> tuple:
+    return (t.predicate, t.subject_type, t.object_type, t.subject_span, t.object_span)
+
+
+def _aligned(t: Triple) -> bool:
+    return t.subject_span is not None and t.object_span is not None
 
 
 def strict_match(pred: Triple, gold: Triple) -> bool:
     """Strict criterion: predicate, entity types, and both spans must match.
     A prediction with an unrecovered span can never match."""
-    return (
-        pred.predicate == gold.predicate
-        and pred.subject_type == gold.subject_type
-        and pred.object_type == gold.object_type
-        and pred.subject_span is not None
-        and pred.subject_span == gold.subject_span
-        and pred.object_span is not None
-        and pred.object_span == gold.object_span
-    )
-
-
-def _greedy_match(preds: Sequence[Triple], golds: Sequence[Triple]) -> tuple[list[bool], list[bool]]:
-    """Greedy one-to-one matching: each prediction consumes the first
-    unconsumed gold it strictly matches.  Returns (pred hit flags, gold
-    consumed flags)."""
-    consumed = [False] * len(golds)
-    hits = [False] * len(preds)
-    for idx, p in enumerate(preds):
-        for k, g in enumerate(golds):
-            if not consumed[k] and strict_match(p, g):
-                consumed[k] = True
-                hits[idx] = True
-                break
-    return hits, consumed
+    return _aligned(pred) and _strict_key(pred) == _strict_key(gold)
 
 
 @dataclass(frozen=True)
@@ -99,42 +86,29 @@ def micro_f1(predictions: Mapping[str, TripleSet], gold: Mapping[str, TripleSet]
     if unknown:
         raise ValueError(f"predictions for unknown sample ids: {sorted(unknown)[:5]}")
 
-    tp = fp = fn = 0
-    unalignable = 0
-    per_relation: dict[str, dict[str, int]] = {}
+    preds = [(sid, t) for sid, ts in predictions.items() for t in ts]
+    golds = [(sid, t) for sid, ts in gold.items() for t in ts]
+    hits = (Counter((sid, _strict_key(t)) for sid, t in preds if _aligned(t))
+            & Counter((sid, _strict_key(t)) for sid, t in golds))
+    tp_by: Counter[str] = Counter()
+    for (_sid, key), n in hits.items():
+        tp_by[key[0]] += n
+    predicted = Counter(t.predicate for _sid, t in preds)
+    annotated = Counter(t.predicate for _sid, t in golds)
 
-    def rel(r: str) -> dict[str, int]:
-        return per_relation.setdefault(r, {"tp": 0, "fp": 0, "fn": 0})
-
-    for sid in gold:
-        golds = list(gold[sid])
-        preds = list(predictions.get(sid, TripleSet()))
-        for p in preds:
-            if p.subject_span is None:
-                unalignable += 1
-            if p.object_span is None:
-                unalignable += 1
-        hits, consumed = _greedy_match(preds, golds)
-        for p, hit in zip(preds, hits):
-            if hit:
-                tp += 1
-                rel(p.predicate)["tp"] += 1
-            else:
-                fp += 1
-                rel(p.predicate)["fp"] += 1
-        for k, g in enumerate(golds):
-            if not consumed[k]:
-                fn += 1
-                rel(g.predicate)["fn"] += 1
-
+    tp = sum(tp_by.values())
+    fp, fn = len(preds) - tp, len(golds) - tp
     precision = _safe_div(tp, tp + fp)
     recall = _safe_div(tp, tp + fn)
     f1 = 2 * precision * recall / (precision + recall) if precision + recall else 0.0
     return EvalReport(
         precision=precision, recall=recall, f1=f1, tp=tp, fp=fp, fn=fn,
-        per_relation={r: RelationCounts(**c) for r, c in per_relation.items()},
+        per_relation={r: RelationCounts(tp=tp_by[r], fp=predicted[r] - tp_by[r],
+                                        fn=annotated[r] - tp_by[r])
+                      for r in sorted(predicted.keys() | annotated.keys())},
         parse_skipped_rows=parse_skipped_rows,
-        unalignable_entities=unalignable,
+        unalignable_entities=sum((t.subject_span is None) + (t.object_span is None)
+                                 for _sid, t in preds),
     )
 
 
@@ -166,7 +140,12 @@ class CostReport:
 
 
 def cost_report(outputs: Sequence[str]) -> CostReport:
-    """Build the cost report from one raw output string per test sample."""
-    total, avg, mn, mx = count_characters(outputs)
-    return CostReport(total_chars=total, avg_chars=avg, min_chars=mn,
-                      max_chars=mx, count=len(outputs))
+    """Build the cost report from one raw output string per test sample,
+    counting code points.  Raises on an empty list because the average and
+    extrema are undefined."""
+    if not outputs:
+        raise ValueError("cost report requires at least one output")
+    lengths = [len(o) for o in outputs]
+    total = sum(lengths)
+    return CostReport(total_chars=total, avg_chars=total / len(lengths),
+                      min_chars=min(lengths), max_chars=max(lengths), count=len(lengths))

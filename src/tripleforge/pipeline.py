@@ -10,6 +10,7 @@ import datetime as _dt
 import functools
 import inspect
 import json
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -142,7 +143,7 @@ def _update_manifest(cfg: PipelineConfig, outcome: StageOutcome) -> None:
     stages = manifest.setdefault("stages", {})
     stages[outcome.stage] = {
         "artifacts": {
-            name: {"path": str(path), "sha256": sha256}
+            name: {"path": os.path.relpath(path, cfg.run_dir), "sha256": sha256}
             for name, (path, sha256) in outcome.artifacts.items()
         },
         "info": outcome.info,

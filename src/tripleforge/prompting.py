@@ -39,15 +39,10 @@ class PromptFormat(enum.Enum):
 
 @dataclass(frozen=True)
 class Demonstration:
-    """An annotated in-context example plus its mean similarity to the test set."""
+    """An annotated in-context example."""
 
     sample: Sample
     gold: TripleSet
-    similarity_score: float
-
-    @property
-    def is_empty_gold(self) -> bool:
-        return len(self.gold) == 0
 
 
 @dataclass(frozen=True)
@@ -264,20 +259,17 @@ def render_zero_shot(sample: Sample) -> str:
 
 def render_few_shot(fmt: PromptFormat, demos: Sequence[Demonstration],
                     queries: Sequence[Sample]) -> tuple[str, list[str]]:
-    """Compose one few-shot prompt per query from demonstrations already
-    sorted by ascending similarity (most similar demonstration adjacent to
-    the query).  Returns ``(prefix, prompts)``.
+    """Compose one few-shot prompt per query from demonstrations in prompt
+    order, as ``selection.order_demonstrations`` returns them: the last one
+    sits next to the query.  Returns ``(prefix, prompts)``.
 
     Every query shares the same demonstrations, so the demonstration block
     is checked, warned about and rendered once per batch; it is ``prefix``,
     the leading part of every returned prompt, and only the query text
     differs between the prompts.  The prompt bytes are the gateway's cache
     keys and must not change."""
-    scores = [d.similarity_score for d in demos]
-    if any(a > b for a, b in zip(scores, scores[1:])):
-        raise ValueError("demonstration order violated: similarity scores must be ascending")
     for d in demos:
-        if d.is_empty_gold:
+        if len(d.gold) == 0:
             log.warning("demonstration %s has no gold triples", d.sample.id)
 
     parts: list[str] = [FEW_SHOT_INSTRUCTION, "\n"]
@@ -296,13 +288,3 @@ def render_few_shot(fmt: PromptFormat, demos: Sequence[Demonstration],
     suffix = "\n" + TABLE_HEADER if fmt is PromptFormat.TABLEIE else ""
     return prefix, [prefix + query.text + suffix for query in queries]
 
-
-def count_characters(outputs: Sequence[str]) -> tuple[int, float, int, int]:
-    """Code-point character statistics over model outputs:
-    (total, average, minimum, maximum).  Raises on an empty list because the
-    average and extrema are undefined."""
-    if not outputs:
-        raise ValueError("count_characters requires at least one output")
-    lengths = [len(o) for o in outputs]
-    total = sum(lengths)
-    return total, total / len(lengths), min(lengths), max(lengths)

@@ -230,10 +230,6 @@ class RetrieverModel:
             raise ValueError("model parameters must be finite")
         object.__setattr__(self, "weights", weights)
 
-    @classmethod
-    def identity(cls, base: EmbeddingProvider) -> "RetrieverModel":
-        return cls(base=base, weights=np.eye(base.dim))
-
     def encode_samples(self, samples: Sequence[Sample]) -> np.ndarray:
         # numpy runs a stack of (d, d) @ (d, 1) products as one dgemv per row,
         # like ``weights @ row``; ``embedded @ weights.T`` (dgemm) is off by 2.8e-14

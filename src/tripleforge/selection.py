@@ -112,9 +112,10 @@ def select_balance(P: PairwiseDistanceSet, schema: Schema, B: int,
 
     Each candidate costs one oracle check to reveal its gold relation labels;
     it is accepted when any of its relations is still under quota (all of its
-    relations' tallies then increment).  Leftover budget is refilled from the
-    remaining ranking, so the number of checked samples can exceed B even
-    though at most B are annotated.
+    relations' tallies then increment); a quota of 0 is met at once.  The
+    leftover budget goes to the highest-ranked samples not yet accepted, each
+    checked too, so the number of checked samples can exceed B even though
+    at most B are annotated.
     """
     if B < 1:
         raise ValueError("B must be >= 1")
@@ -125,12 +126,8 @@ def select_balance(P: PairwiseDistanceSet, schema: Schema, B: int,
     tallies: dict[str, int] = {r: 0 for r in schema.relation_types}
     accepted: list[str] = []
     checked: list[str] = []
-
-    def quotas_met() -> bool:
-        return all(tallies[r] >= quota for r in schema.relation_types)
-
     for sid in ranked_ids:
-        if quota == 0 or quotas_met() or len(accepted) >= B:
+        if len(accepted) >= B or all(tallies[r] >= quota for r in schema.relation_types):
             break
         labels = oracle.check(sid)
         checked.append(sid)
@@ -145,22 +142,14 @@ def select_balance(P: PairwiseDistanceSet, schema: Schema, B: int,
         for r, missing in sorted(shortfall.items())
     )
 
-    chosen = list(accepted)
-    chosen_set, checked_set = set(chosen), set(checked)
-    for sid in ranked_ids:
-        if len(chosen) >= min(B, P.n):
-            break
-        if sid not in chosen_set:
-            oracle.check(sid)
-            if sid not in checked_set:
-                checked.append(sid)
-                checked_set.add(sid)
-            chosen.append(sid)
-            chosen_set.add(sid)
+    taken = set(accepted)
+    refill = [sid for sid in ranked_ids if sid not in taken][:B - len(accepted)]
+    for sid in refill:
+        oracle.check(sid)
 
     return SelectionResult(
-        strategy="balance", budget=B, chosen=tuple(chosen),
-        checked_ids=tuple(dict.fromkeys(checked)), tie_break_hits=ties,
+        strategy="balance", budget=B, chosen=tuple(accepted + refill),
+        checked_ids=tuple(dict.fromkeys(checked + refill)), tie_break_hits=ties,
         warnings=warnings, per_relation_tallies=tallies,
         quota_shortfall=shortfall,
     )
@@ -239,23 +228,17 @@ def order_demonstrations(chosen: Sequence[str], P: PairwiseDistanceSet,
                          samples_by_id: Mapping[str, Sample],
                          gold_by_id: Mapping[str, TripleSet],
                          most_similar_last: bool = True) -> list[Demonstration]:
-    """Order chosen samples for prompting by mean distance to the test set.
+    """The chosen samples as demonstrations in prompt order, ordered by mean
+    distance to the test set.
 
-    With ``most_similar_last`` (the default) the similarity score is the
-    negated mean distance, so ascending order places the most similar
-    demonstration adjacent to the query; flipping the switch negates the
-    score and reverses which end the most similar sample occupies.
+    With ``most_similar_last`` (the default) the largest mean distance comes
+    first, so the most similar demonstration sits next to the query; without
+    it the most similar comes first.  Equal means go to the lower id.
     """
     row = {sid: i for i, sid in enumerate(P.unlabeled_ids)}
     missing = [sid for sid in chosen if sid not in row]
     if missing:
         raise ValueError(f"chosen ids not in the distance set: {missing[:5]}")
     sign = -1.0 if most_similar_last else 1.0
-    scored = sorted(
-        ((sign * float(P.entries[row[sid]].mean()), sid) for sid in chosen),
-        key=lambda pair: (pair[0], pair[1]),
-    )
-    return [
-        Demonstration(sample=samples_by_id[sid], gold=gold_by_id[sid], similarity_score=score)
-        for score, sid in scored
-    ]
+    ordered = sorted(chosen, key=lambda sid: (sign * float(P.entries[row[sid]].mean()), sid))
+    return [Demonstration(sample=samples_by_id[sid], gold=gold_by_id[sid]) for sid in ordered]

@@ -196,7 +196,7 @@ def test_c4_retriever_gradient_and_planted_task():
 
         # identity-initialized model reproduces raw base-embedding distances
         base = HashingEmbedder(dim=32)
-        model = RetrieverModel.identity(base)
+        model = RetrieverModel(base, np.eye(base.dim))
         pool = [Sample(f"p{i}", f"pool sentence {i} alpha") for i in range(4)]
         test = [Sample("t0", "query sentence beta")]
         P = compute_P(model, pool, test)

@@ -143,6 +143,11 @@ class TestCostReport:
         with pytest.raises(ValueError):
             cost_report([])
 
+    def test_counts_code_points(self):
+        report = cost_report(["héllo"])
+        assert (report.total_chars, report.avg_chars, report.min_chars,
+                report.max_chars) == (5, 5.0, 5, 5)
+
     def test_invariant_enforced(self):
         with pytest.raises(ValueError, match="min <= avg <= max"):
             CostReport(total_chars=10, avg_chars=99.0, min_chars=1, max_chars=9, count=2)

@@ -14,12 +14,14 @@ of the whole request, before the streamed key with its hashed shared
 prefix, and ``save_arrays``'s ``np.savez`` straight into the file,
 before every artifact went through ``write_artifact``, and ``core.Triple``,
 ``TripleSet`` and ``_check_field`` as they were before the slotted classes
-and their one checking pass, kept verbatim as oracles apart from renaming and
-returning pairs as tuples.  The kernels must agree with them bit for bit:
-equal float entries, equal chosen ids, covered tests, tie-break counts and
-checked ids, equal prompt strings, parses, cache keys and ``.npz`` bytes,
-equal weight bytes and training history, and equal triples, hashes and
-error messages.
+and their one checking pass, ``select_balance`` as it was before its one
+refill slice, and ``micro_f1`` with ``strict_match`` and ``_greedy_match``
+as they were before the multiset count, kept verbatim as oracles apart from
+renaming and returning pairs as tuples.  The kernels must agree with them
+bit for bit: equal float entries, equal chosen ids, covered tests, tie-break
+counts and checked ids, equal oracle checks and eval reports, equal prompt
+strings, parses, cache keys and ``.npz`` bytes, equal weight bytes and
+training history, and equal triples, hashes and error messages.
 Matrices are built from a few distinct values with duplicated rows and
 columns, so that distance and score ties are common.
 """
@@ -37,8 +39,9 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from tripleforge import prompting, retriever, similarity
-from tripleforge.core import (_LINE_BREAK, DatasetError, Sample, Span, Triple, TripleSet,
-                              load_dataset)
+from tripleforge.core import (_LINE_BREAK, AnnotationOracle, DatasetError, Sample, Schema, Span,
+                              Triple, TripleSet, load_dataset)
+from tripleforge.evaluation import EvalReport, RelationCounts, _safe_div, micro_f1, strict_match
 from tripleforge.gateway import LlmGateway, LlmRequest
 from tripleforge.prompting import (
     FEW_SHOT_INSTRUCTION,
@@ -70,7 +73,7 @@ from tripleforge.retriever import (
     save_checkpoint,
     train,
 )
-from tripleforge.selection import SelectionResult, _ranked_pool, select_coverage
+from tripleforge.selection import SelectionResult, _ranked_pool, select_balance, select_coverage
 from tripleforge.similarity import (
     HashingEmbedder,
     PoolDistanceMatrix,
@@ -81,7 +84,7 @@ from tripleforge.similarity import (
     set_distances,
 )
 
-from conftest import DATA_DIR
+from conftest import DATA_DIR, make_gold_store
 
 log = logging.getLogger(__name__)
 
@@ -212,6 +215,66 @@ def reference_select_coverage(P, B) -> SelectionResult:
         strategy="coverage", budget=B, chosen=tuple(chosen),
         checked_ids=tuple(chosen), tie_break_hits=ties,
         covered_tests=covered,
+    )
+
+
+def reference_select_balance(P: PairwiseDistanceSet, schema: Schema, B: int,
+                             oracle: AnnotationOracle, u: int = 5) -> SelectionResult:
+    """Walk the top-k ranking filling a floor(B/R)-per-relation quota.
+
+    Each candidate costs one oracle check to reveal its gold relation labels;
+    it is accepted when any of its relations is still under quota (all of its
+    relations' tallies then increment).  Leftover budget is refilled from the
+    remaining ranking, so the number of checked samples can exceed B even
+    though at most B are annotated.
+    """
+    if B < 1:
+        raise ValueError("B must be >= 1")
+    quota = B // len(schema.relation_types)
+    ranked, _freq, ties = _ranked_pool(P, u)
+    ranked_ids = [P.unlabeled_ids[i] for i in ranked]
+
+    tallies: dict[str, int] = {r: 0 for r in schema.relation_types}
+    accepted: list[str] = []
+    checked: list[str] = []
+
+    def quotas_met() -> bool:
+        return all(tallies[r] >= quota for r in schema.relation_types)
+
+    for sid in ranked_ids:
+        if quota == 0 or quotas_met() or len(accepted) >= B:
+            break
+        labels = oracle.check(sid)
+        checked.append(sid)
+        if any(tallies.get(r, 0) < quota for r in labels):
+            accepted.append(sid)
+            for r in labels:
+                tallies[r] = tallies.get(r, 0) + 1
+
+    shortfall = {r: quota - tallies[r] for r in schema.relation_types if tallies[r] < quota}
+    warnings = tuple(
+        f"relation {r!r} short by {missing} after exhausting the pool"
+        for r, missing in sorted(shortfall.items())
+    )
+
+    chosen = list(accepted)
+    chosen_set, checked_set = set(chosen), set(checked)
+    for sid in ranked_ids:
+        if len(chosen) >= min(B, P.n):
+            break
+        if sid not in chosen_set:
+            oracle.check(sid)
+            if sid not in checked_set:
+                checked.append(sid)
+                checked_set.add(sid)
+            chosen.append(sid)
+            chosen_set.add(sid)
+
+    return SelectionResult(
+        strategy="balance", budget=B, chosen=tuple(chosen),
+        checked_ids=tuple(dict.fromkeys(checked)), tie_break_hits=ties,
+        warnings=warnings, per_relation_tallies=tallies,
+        quota_shortfall=shortfall,
     )
 
 
@@ -374,13 +437,10 @@ def reference_cache_key(gateway, request) -> str:
 
 
 def reference_render_few_shot(fmt, demos, query) -> str:
-    """Compose a few-shot prompt from demonstrations already sorted by
-    ascending similarity (most similar demonstration adjacent to the query)."""
-    scores = [d.similarity_score for d in demos]
-    if any(a > b for a, b in zip(scores, scores[1:])):
-        raise ValueError("demonstration order violated: similarity scores must be ascending")
+    """Compose a few-shot prompt from demonstrations in the order given (the
+    last one adjacent to the query)."""
     for d in demos:
-        if d.is_empty_gold:
+        if len(d.gold) == 0:
             log.warning("demonstration %s has no gold triples", d.sample.id)
 
     parts: list[str] = [FEW_SHOT_INSTRUCTION, "\n"]
@@ -400,6 +460,87 @@ def reference_render_few_shot(fmt, demos, query) -> str:
         parts.append("\n")
         parts.append(TABLE_HEADER)
     return "".join(parts)
+
+
+def reference_strict_match(pred: Triple, gold: Triple) -> bool:
+    """Strict criterion: predicate, entity types, and both spans must match.
+    A prediction with an unrecovered span can never match."""
+    return (
+        pred.predicate == gold.predicate
+        and pred.subject_type == gold.subject_type
+        and pred.object_type == gold.object_type
+        and pred.subject_span is not None
+        and pred.subject_span == gold.subject_span
+        and pred.object_span is not None
+        and pred.object_span == gold.object_span
+    )
+
+
+def reference_greedy_match(preds: Sequence[Triple],
+                           golds: Sequence[Triple]) -> tuple[list[bool], list[bool]]:
+    """Greedy one-to-one matching: each prediction consumes the first
+    unconsumed gold it strictly matches.  Returns (pred hit flags, gold
+    consumed flags)."""
+    consumed = [False] * len(golds)
+    hits = [False] * len(preds)
+    for idx, p in enumerate(preds):
+        for k, g in enumerate(golds):
+            if not consumed[k] and reference_strict_match(p, g):
+                consumed[k] = True
+                hits[idx] = True
+                break
+    return hits, consumed
+
+
+def reference_micro_f1(predictions: Mapping[str, TripleSet], gold: Mapping[str, TripleSet],
+                       parse_skipped_rows: int = 0) -> EvalReport:
+    """Micro-averaged strict P/R/F1 over all samples.
+
+    Every gold sample is scored; samples absent from ``predictions`` count
+    all their gold triples as misses.  A prediction for an id not in the
+    gold store is an error.
+    """
+    unknown = [sid for sid in predictions if sid not in gold]
+    if unknown:
+        raise ValueError(f"predictions for unknown sample ids: {sorted(unknown)[:5]}")
+
+    tp = fp = fn = 0
+    unalignable = 0
+    per_relation: dict[str, dict[str, int]] = {}
+
+    def rel(r: str) -> dict[str, int]:
+        return per_relation.setdefault(r, {"tp": 0, "fp": 0, "fn": 0})
+
+    for sid in gold:
+        golds = list(gold[sid])
+        preds = list(predictions.get(sid, TripleSet()))
+        for p in preds:
+            if p.subject_span is None:
+                unalignable += 1
+            if p.object_span is None:
+                unalignable += 1
+        hits, consumed = reference_greedy_match(preds, golds)
+        for p, hit in zip(preds, hits):
+            if hit:
+                tp += 1
+                rel(p.predicate)["tp"] += 1
+            else:
+                fp += 1
+                rel(p.predicate)["fp"] += 1
+        for k, g in enumerate(golds):
+            if not consumed[k]:
+                fn += 1
+                rel(g.predicate)["fn"] += 1
+
+    precision = _safe_div(tp, tp + fp)
+    recall = _safe_div(tp, tp + fn)
+    f1 = 2 * precision * recall / (precision + recall) if precision + recall else 0.0
+    return EvalReport(
+        precision=precision, recall=recall, f1=f1, tp=tp, fp=fp, fn=fn,
+        per_relation={r: RelationCounts(**c) for r, c in per_relation.items()},
+        parse_skipped_rows=parse_skipped_rows,
+        unalignable_entities=unalignable,
+    )
 
 
 # --- inputs with forced ties ----------------------------------------------------
@@ -659,17 +800,13 @@ def test_parse_output_matches_the_character_loops(fmt, triples, noise):
 
 @st.composite
 def demonstration_lists(draw):
-    """0-5 demonstrations in ascending score order, some with empty gold."""
-    count = draw(st.integers(0, 5))
-    scores = sorted(draw(st.lists(st.sampled_from([0.1, 0.5, 0.9]),
-                                  min_size=count, max_size=count)))
+    """0-5 demonstrations, some with empty gold."""
     demos = []
-    for k, score in enumerate(scores):
+    for k in range(draw(st.integers(0, 5))):
         triples = draw(st.lists(st.builds(
             Triple, predicate=cell_text, subject_type=cell_text, subject=cell_text,
             object_type=cell_text, object=cell_text), max_size=3))
-        demos.append(Demonstration(Sample(f"d{k}", draw(cell_text)),
-                                   TripleSet.of(triples), score))
+        demos.append(Demonstration(Sample(f"d{k}", draw(cell_text)), TripleSet.of(triples)))
     return demos
 
 
@@ -697,8 +834,7 @@ MINI_PROMPT_SHA256 = {
 def test_mini_fixture_prompt_bytes_pinned():
     pool = load_dataset(DATA_DIR / "train.jsonl", "train")
     test = load_dataset(DATA_DIR / "test.jsonl", "test")
-    demos = [Demonstration(s, pool.gold[s.id].triples, float(k))
-             for k, s in enumerate(pool.samples)]
+    demos = [Demonstration(s, pool.gold[s.id].triples) for s in pool.samples]
     for fmt, want in MINI_PROMPT_SHA256.items():
         _, prompts = render_few_shot(fmt, demos, test.samples)
         assert len(prompts) == len(test.samples)
@@ -744,6 +880,102 @@ def test_select_coverage_sums_scores_left_to_right():
     got, want = select_coverage(P, 1), reference_select_coverage(P, 1)
     assert got == want
     assert got.chosen == ("z",) and got.tie_break_hits == 0
+
+
+class RecordingOracle(AnnotationOracle):
+    """An oracle that also keeps every ``check`` call in order."""
+
+    def __init__(self, gold):
+        super().__init__(gold)
+        self.calls: list[str] = []
+
+    def check(self, sample_id: str) -> tuple[str, ...]:
+        self.calls.append(sample_id)
+        return super().check(sample_id)
+
+
+@st.composite
+def balance_problems(draw):
+    """A tied distance set, a schema of 1-5 relations, and a gold store
+    whose samples carry 0-3 labels, some of them outside the schema."""
+    P = draw(distance_sets())
+    relations = tuple(f"R{k}" for k in range(draw(st.integers(1, 5))))
+    labels = st.lists(st.sampled_from(relations + ("X", "Y")), max_size=3)
+    gold = make_gold_store({sid: draw(labels) for sid in P.unlabeled_ids})
+    return P, Schema(("T",), relations), gold
+
+
+def tied_column(n):
+    return PairwiseDistanceSet(tuple(f"p{i}" for i in range(n)), ("t",), np.ones((n, 1)))
+
+
+@settings(max_examples=120, deadline=None)
+@given(problem=balance_problems(), B=st.integers(1, 12), u=st.integers(1, 10))
+# B below the number of relations: quota 0, the refill alone
+@example(problem=(tied_column(4), Schema(("T",), ("A", "B", "C")),
+                  make_gold_store({"p0": ["A"], "p1": ["B"], "p2": [], "p3": ["C"]})), B=2, u=1)
+# a label outside the schema takes quota room; B larger than the pool
+@example(problem=(tied_column(3), Schema(("T",), ("A", "B")),
+                  make_gold_store({"p0": ["X"], "p1": ["X", "A"], "p2": ["A"]})), B=9, u=2)
+def test_select_balance_matches_the_two_loop_walk(problem, B, u):
+    P, schema, gold = problem
+    got_oracle, want_oracle = RecordingOracle(gold), RecordingOracle(gold)
+    got = select_balance(P, schema, B, got_oracle, u=u)
+    want = reference_select_balance(P, schema, B, want_oracle, u=u)
+    assert got == want
+    assert list(got.per_relation_tallies.items()) == list(want.per_relation_tallies.items())
+    assert got_oracle.calls == want_oracle.calls
+    assert ((got_oracle.checked_count, got_oracle.annotated_count)
+            == (want_oracle.checked_count, want_oracle.annotated_count))
+
+
+# --- evaluation -------------------------------------------------------------------
+
+# Few values per field, so strict keys collide within a sample; gold triples
+# may lack spans, as ``micro_f1``'s TripleSet arguments allow.
+scored_triples = st.builds(
+    Triple, predicate=st.sampled_from(["Kill", "Live_In"]),
+    subject_type=st.sampled_from(["Per", "Loc"]), subject=st.sampled_from(["a", "A"]),
+    object_type=st.just("Per"), object=st.sampled_from(["b", "B"]),
+    subject_span=st.sampled_from([None, (0, 1), (2, 3)]),
+    object_span=st.sampled_from([None, (4, 5)]))
+
+
+@st.composite
+def scoring_problems(draw):
+    """(predictions, gold) over up to 4 samples.  Some predictions are gold
+    triples with another subject surface: the same strict key."""
+    gold = {f"s{k}": TripleSet.of(draw(st.lists(scored_triples, max_size=4)))
+            for k in range(draw(st.integers(0, 4)))}
+    predictions = {}
+    for sid in draw(st.lists(st.sampled_from(sorted(gold)), unique=True)) if gold else []:
+        resurfaced = [Triple(t.predicate, t.subject_type, draw(st.sampled_from(["a", "A"])),
+                             t.object_type, t.object, t.subject_span, t.object_span)
+                      for t in gold[sid] if draw(st.booleans())]
+        predictions[sid] = TripleSet.of(draw(st.lists(scored_triples, max_size=4)) + resurfaced)
+    return predictions, gold
+
+
+@settings(max_examples=150, deadline=None)
+@given(problem=scoring_problems(), skipped=st.integers(0, 3))
+# two predictions with one strict key, one gold: one TP, one FP
+@example(problem=({"s0": TripleSet.of([Triple("Kill", "Per", "a", "Per", "b", (0, 1), (4, 5)),
+                                       Triple("Kill", "Per", "A", "Per", "b", (0, 1), (4, 5))])},
+                  {"s0": TripleSet.of([Triple("Kill", "Per", "a", "Per", "b", (0, 1), (4, 5))])}),
+         skipped=0)
+# a gold triple without spans is matched by nothing, not even its own copy
+@example(problem=({"s0": TripleSet.of([Triple("Kill", "Per", "a", "Per", "b")])},
+                  {"s0": TripleSet.of([Triple("Kill", "Per", "a", "Per", "b")])}), skipped=1)
+def test_micro_f1_matches_the_greedy_match(problem, skipped):
+    predictions, gold = problem
+    got = micro_f1(predictions, gold, parse_skipped_rows=skipped)
+    want = reference_micro_f1(predictions, gold, parse_skipped_rows=skipped)
+    assert got == want
+    assert got.to_table_text() == want.to_table_text()
+    for preds in predictions.values():
+        for p in preds:
+            for g in (g for golds in gold.values() for g in golds):
+                assert strict_match(p, g) == reference_strict_match(p, g)
 
 
 # --- cache keys -------------------------------------------------------------------

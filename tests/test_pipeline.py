@@ -182,7 +182,22 @@ class TestFullPipeline:
         artifacts = manifest["stages"]["select"]["artifacts"]
         assert set(artifacts) == set(outcome.artifacts) == {PAIRWISE, SELECTION} | extra
         for name, entry in artifacts.items():
-            assert entry["path"] == str(cfg.run_dir / name)
+            assert entry["path"] == name
+
+    def test_manifest_paths_are_relative_to_run_dir(self, run_config, tmp_path):
+        # a checkpoint outside run_dir is reached through ".."; config paths
+        # stay as given
+        ckpt = tmp_path / "models" / "r.ckpt"
+        cfg = run_config(checkpoint_path=ckpt)
+        for name in ALL_STAGES[:3]:
+            STAGES[name](cfg)
+        manifest = json.loads((cfg.run_dir / MANIFEST).read_text())
+        paths = {name: entry["path"] for stage in manifest["stages"].values()
+                 for name, entry in stage["artifacts"].items()}
+        assert paths == {PREEXTRACT: PREEXTRACT, "pool_distances.npz": "pool_distances.npz",
+                         "training_history.json": "training_history.json",
+                         "r.ckpt": "../models/r.ckpt"}
+        assert manifest["config"]["checkpoint_path"] == str(ckpt)
 
     def test_manifest_records_stages_and_hashes(self, run_config):
         cfg = run_config()

@@ -11,7 +11,6 @@ from tripleforge.prompting import (
     Demonstration,
     ParsedExtraction,
     PromptFormat,
-    count_characters,
     parse_output,
     render_few_shot,
     render_zero_shot,
@@ -162,9 +161,8 @@ class TestParse:
         assert strip_spans(parsed.triples) == ts
 
 
-def demo(sid, text, triples, score):
-    return Demonstration(sample=Sample(sid, text), gold=TripleSet.of(triples),
-                         similarity_score=score)
+def demo(sid, text, triples):
+    return Demonstration(sample=Sample(sid, text), gold=TripleSet.of(triples))
 
 
 class TestRenderFewShot:
@@ -177,45 +175,37 @@ class TestRenderFewShot:
 
     def test_most_similar_demo_adjacent_to_query(self):
         demos = [
-            demo("d1", "Far example .", [make_triple()], 0.2),
-            demo("d2", "Near example .", [make_triple(o="Kennedy")], 0.9),
+            demo("d1", "Far example .", [make_triple()]),
+            demo("d2", "Near example .", [make_triple(o="Kennedy")]),
         ]
         _, [prompt] = render_few_shot(PromptFormat.TABLEIE, demos, [Sample("q", "Query .")])
         lines = prompt.splitlines()
         assert lines.index("Near example .") > lines.index("Far example .")
         assert lines[-2] == "Query ."
 
-    def test_unsorted_demos_rejected(self):
-        demos = [
-            demo("d1", "a", [make_triple()], 0.9),
-            demo("d2", "b", [make_triple()], 0.2),
-        ]
-        with pytest.raises(ValueError, match="demonstration order violated"):
-            render_few_shot(PromptFormat.TABLEIE, demos, [Sample("q", "x")])
-
     def test_header_count_is_demos_plus_one(self):
-        demos = [demo(f"d{i}", f"Sentence {i} .", [make_triple()], float(i)) for i in range(5)]
+        demos = [demo(f"d{i}", f"Sentence {i} .", [make_triple()]) for i in range(5)]
         _, [prompt] = render_few_shot(PromptFormat.TABLEIE, demos, [Sample("q", "Query .")])
         assert prompt.count(TABLE_HEADER) == 6
 
     def test_demos_separated_by_blank_line(self):
         demos = [
-            demo("d1", "One .", [make_triple()], 0.1),
-            demo("d2", "Two .", [make_triple()], 0.2),
+            demo("d1", "One .", [make_triple()]),
+            demo("d2", "Two .", [make_triple()]),
         ]
         _, [prompt] = render_few_shot(PromptFormat.TEXTIE, demos, [Sample("q", "Query .")])
         assert "(Per: Booth, Kill, Per: Lincoln)\n\nTwo ." in prompt
 
     def test_codeie_demo_blocks_include_def_header(self):
-        demos = [demo("d1", "One .", [make_triple()], 0.1)]
+        demos = [demo("d1", "One .", [make_triple()])]
         _, [prompt] = render_few_shot(PromptFormat.CODEIE, demos, [Sample("q", "Query .")])
         assert prompt.count(CODE_HEADER) == 1
         assert prompt.splitlines()[-1] == "Query ."
 
     @pytest.mark.parametrize("fmt", list(PromptFormat))
     def test_prefix_is_the_demonstration_block_every_prompt_starts_with(self, fmt):
-        demos = [demo("d1", "One .", [make_triple()], 0.1),
-                 demo("d2", "Two .", [], 0.2)]
+        demos = [demo("d1", "One .", [make_triple()]),
+                 demo("d2", "Two .", [])]
         queries = [Sample("q1", "Query one ."), Sample("q2", "Query two .")]
         prefix, prompts = render_few_shot(fmt, demos, queries)
         assert prefix.startswith(FEW_SHOT_INSTRUCTION + "\nOne .\n")
@@ -224,16 +214,16 @@ class TestRenderFewShot:
         assert prompts == [prefix + q.text + suffix for q in queries]
 
     def test_byte_deterministic(self):
-        demos = [demo("d1", "One .", [make_triple()], 0.1)]
+        demos = [demo("d1", "One .", [make_triple()])]
         query = Sample("q", "Query .")
         assert (render_few_shot(PromptFormat.TABLEIE, demos, [query])
                 == render_few_shot(PromptFormat.TABLEIE, demos, [query]))
 
     def test_empty_gold_warned_once_per_batch(self, caplog):
         demos = [
-            demo("d1", "Nothing here .", [], 0.1),
-            demo("d2", "One .", [make_triple()], 0.2),
-            demo("d3", "Nor here .", [], 0.3),
+            demo("d1", "Nothing here .", []),
+            demo("d2", "One .", [make_triple()]),
+            demo("d3", "Nor here .", []),
         ]
         queries = [Sample(f"q{i}", f"Query {i} .") for i in range(3)]
         with caplog.at_level(logging.WARNING, logger="tripleforge.prompting"):
@@ -243,18 +233,3 @@ class TestRenderFewShot:
             "demonstration d1 has no gold triples",
             "demonstration d3 has no gold triples",
         ]
-
-
-class TestCountCharacters:
-    def test_basic_arithmetic(self):
-        assert count_characters(["abc", "de"]) == (5, 2.5, 2, 3)
-
-    def test_single_empty_string(self):
-        assert count_characters([""]) == (0, 0.0, 0, 0)
-
-    def test_empty_list_rejected(self):
-        with pytest.raises(ValueError):
-            count_characters([])
-
-    def test_counts_code_points(self):
-        assert count_characters(["héllo"]) == (5, 5.0, 5, 5)

@@ -193,7 +193,7 @@ class TestTrain:
 class TestRetrieverModel:
     def test_identity_model_reproduces_base_distances_exactly(self):
         base = HashingEmbedder(dim=32)
-        model = RetrieverModel.identity(base)
+        model = RetrieverModel(base, np.eye(base.dim))
         pool = [Sample("a", "alpha beta gamma"), Sample("b", "delta epsilon")]
         test = [Sample("t", "alpha beta zeta")]
         P = compute_P(model, pool, test)
@@ -203,7 +203,7 @@ class TestRetrieverModel:
             assert P.entries[i, 0] == raw
 
     def test_identical_text_gives_zero_distance(self):
-        model = RetrieverModel.identity(HashingEmbedder(dim=16))
+        model = RetrieverModel(HashingEmbedder(dim=16), np.eye(16))
         pool = [Sample("a", "same words here"), Sample("b", "different words")]
         test = [Sample("t", "same words here")]
         P = compute_P(model, pool, test)
@@ -231,7 +231,7 @@ class TestRetrieverModel:
         assert np.array_equal(np.argsort(p1.entries, axis=0), np.argsort(p2.entries, axis=0))
 
     def test_empty_inputs_rejected(self):
-        model = RetrieverModel.identity(HashingEmbedder(dim=8))
+        model = RetrieverModel(HashingEmbedder(dim=8), np.eye(8))
         with pytest.raises(ValueError, match="non-empty"):
             compute_P(model, [], [Sample("t", "x")])
 
@@ -284,7 +284,7 @@ class TestCheckpoints:
     def test_dim_mismatch_rejected(self, tmp_path):
         base = HashingEmbedder(dim=8)
         path = tmp_path / "model.ckpt"
-        save_checkpoint(RetrieverModel.identity(base), path)
+        save_checkpoint(RetrieverModel(base, np.eye(base.dim)), path)
         same_name = StubEmbedder({"x": [0.0] * 16}, name=base.name)
         with pytest.raises(CheckpointError, match=r"\(8, 8\) do not fit float64 \(out_dim, 16\)"):
             load_checkpoint(path, same_name)
@@ -292,14 +292,14 @@ class TestCheckpoints:
     def test_provider_name_mismatch_rejected(self, tmp_path):
         base = HashingEmbedder(dim=8)
         path = tmp_path / "model.ckpt"
-        save_checkpoint(RetrieverModel.identity(base), path)
+        save_checkpoint(RetrieverModel(base, np.eye(base.dim)), path)
         other = StubEmbedder({"x": [0.0] * 8}, name="other-8")
         with pytest.raises(CheckpointError, match="base provider"):
             load_checkpoint(path, other)
 
     def test_corruption_detected(self, tmp_path):
         base = HashingEmbedder(dim=4)
-        model = RetrieverModel.identity(base)
+        model = RetrieverModel(base, np.eye(base.dim))
         path = tmp_path / "model.ckpt"
         save_checkpoint(model, path)
         blob = bytearray(path.read_bytes())

@@ -125,6 +125,23 @@ class TestBalance:
         result = select_balance(ascending_column(4), schema, B=2, oracle=oracle, u=1)
         assert result.chosen == ("x1", "x2")  # quota floor(2/5) = 0
 
+    def test_budget_below_relation_count_is_topk_checking_only_the_chosen(self):
+        # quota floor(B/R) = 0 is met before the walk: the refill takes the
+        # topk prefix and the oracle sees nothing else
+        rng = random.Random(4)
+        schema = Schema(("T",), ("A", "B", "C", "D", "E"))
+        for _ in range(20):
+            n = rng.randint(1, 8)
+            P = P_of([[float(rng.randint(0, 4)) for _ in range(3)] for _ in range(n)])
+            gold = make_gold_store({sid: [rng.choice(schema.relation_types)]
+                                    for sid in P.unlabeled_ids})
+            for B in range(1, len(schema.relation_types)):
+                oracle = AnnotationOracle(gold)
+                result = select_balance(P, schema, B, oracle, u=2)
+                assert result.chosen == select_top_k(P, 2, B).chosen
+                assert result.checked_ids == result.chosen
+                assert oracle.checked_count == len(result.chosen)
+
     def test_annotated_within_budget_while_checked_exceeds(self):
         gold = make_gold_store({"x1": ["A"], "x2": ["A"], "x3": ["A"],
                                 "x4": ["A"], "x5": ["B"], "x6": ["C"]})
@@ -203,7 +220,6 @@ class TestOrderDemonstrations:
     def test_largest_mean_distance_first(self):
         demos = self.build([[0.9, 0.9], [0.2, 0.2]], ["x1", "x2"])
         assert [d.sample.id for d in demos] == ["x1", "x2"]
-        assert demos[0].similarity_score <= demos[-1].similarity_score
 
     def test_equal_means_tie_break_by_id(self):
         demos = self.build([[0.5, 0.5], [0.5, 0.5]], ["x2", "x1"])
@@ -216,8 +232,6 @@ class TestOrderDemonstrations:
     def test_flip_puts_most_similar_first(self):
         demos = self.build([[0.9], [0.2]], ["x1", "x2"], most_similar_last=False)
         assert [d.sample.id for d in demos] == ["x2", "x1"]
-        scores = [d.similarity_score for d in demos]
-        assert scores == sorted(scores)
 
     def test_unknown_id_rejected(self):
         with pytest.raises(ValueError, match="not in the distance set"):
