@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tripleforge.core import Sample, Triple, TripleSet
+from tripleforge.evaluation import cost_report
 from tripleforge.prompting import (
     CODE_HEADER,
     FEW_SHOT_INSTRUCTION,
@@ -233,3 +234,23 @@ class TestRenderFewShot:
             "demonstration d1 has no gold triples",
             "demonstration d3 has no gold triples",
         ]
+
+
+class TestCountCharacters:
+    """Character counts of raw model outputs, as cost_report computes them:
+    (total, average, min, max) over code points."""
+
+    @staticmethod
+    def counts(outputs):
+        report = cost_report(outputs)
+        return (report.total_chars, report.avg_chars, report.min_chars, report.max_chars)
+
+    def test_basic_arithmetic(self):
+        assert self.counts(["abc", "de"]) == (5, 2.5, 2, 3)
+
+    def test_single_empty_string(self):
+        assert self.counts([""]) == (0, 0.0, 0, 0)
+
+    def test_empty_list_rejected(self):
+        with pytest.raises(ValueError):
+            cost_report([])
