@@ -13,7 +13,7 @@ from .core import (
     load_dataset,
     verbalize_triple,
 )
-from .evaluation import CostReport, EvalReport, cost_report, micro_f1, strict_match
+from .evaluation import CostReport, EvalReport, cost_report, micro_f1
 from .prompting import (
     Demonstration,
     ParsedExtraction,

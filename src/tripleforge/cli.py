@@ -13,7 +13,6 @@ import sys
 
 from .config import CHOICES, ConfigError, apply_overrides, load_config
 from .pipeline import STAGES, UpstreamMissingError
-from .prompting import PromptFormat
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -27,11 +26,10 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=(fn.__doc__ or "").strip().splitlines()[0])
         p.add_argument("--config", required=True, help="path to the key-value config file")
         # every other flag overrides the config key it is named after
-        for key in ("strategy", "distance_source", "provider"):
+        for key in ("strategy", "distance_source", "provider", "format"):
             p.add_argument(f"--{key.replace('_', '-')}", dest=key, choices=CHOICES[key])
         p.add_argument("--budget", type=int)
         p.add_argument("--seed", type=int)
-        p.add_argument("--format", choices=[f.value for f in PromptFormat])
     return parser
 
 

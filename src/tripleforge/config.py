@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import Optional, get_type_hints
 
@@ -30,6 +30,7 @@ CHOICES: dict[str, tuple[str, ...]] = {
     "strategy": tuple(STRATEGIES),
     "distance_source": ("retriever", "direct"),
     "demo_order": ("similar-last", "similar-first"),
+    "format": tuple(f.value for f in PromptFormat),
 }
 
 
@@ -73,10 +74,6 @@ class PipelineConfig:
             if getattr(self, name) not in allowed:
                 raise ConfigError(f"{name} must be one of {', '.join(allowed)}, "
                                   f"got {getattr(self, name)!r}")
-        try:
-            PromptFormat.parse(self.format)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
         for name in ("budget", "top_u", "retry_attempts", "concurrency", "embedding_dim"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1")
@@ -138,6 +135,8 @@ def load_config(path: str | Path) -> PipelineConfig:
         if kind is None:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
         try:
+            if kind is Path and not value:
+                raise ValueError("empty path")
             if kind in (Path, Optional[Path]):
                 values[key] = (base / value).resolve() if value else None
             else:
@@ -149,11 +148,4 @@ def load_config(path: str | Path) -> PipelineConfig:
 
 def apply_overrides(cfg: PipelineConfig, **overrides) -> PipelineConfig:
     """Return a copy of the config with non-None overrides applied."""
-    values = {f.name: getattr(cfg, f.name) for f in fields(cfg)}
-    for key, value in overrides.items():
-        if value is None:
-            continue
-        if key not in values:
-            raise ConfigError(f"unknown config override {key!r}")
-        values[key] = value
-    return PipelineConfig(**values)
+    return replace(cfg, **{k: v for k, v in overrides.items() if v is not None})

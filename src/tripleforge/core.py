@@ -349,13 +349,9 @@ def _parse_dataset(path: Path, split: str, data: bytes) -> Dataset:
     samples: list[Sample] = []
     gold: dict[str, GoldAnnotation] = {}
     seen_ids: set[str] = set()
-    entity_types: list[str] = []
-    relation_types: list[str] = []
+    entity_types: set[str] = set()
+    relation_types: set[str] = set()
     first_record = True
-
-    def note_label(pool: list[str], label: str) -> None:
-        if label not in pool:
-            pool.append(label)
 
     # lines as open() splits them; str.splitlines would also split at U+2028
     # inside a JSON string
@@ -375,10 +371,8 @@ def _parse_dataset(path: Path, split: str, data: bytes) -> Dataset:
             )
             first_record = False
             if is_header:
-                for label in record.get("entity_types", []):
-                    note_label(entity_types, label)
-                for label in record.get("relation_types", []):
-                    note_label(relation_types, label)
+                entity_types.update(record.get("entity_types", []))
+                relation_types.update(record.get("relation_types", []))
                 continue
 
             try:
@@ -402,10 +396,9 @@ def _parse_dataset(path: Path, split: str, data: bytes) -> Dataset:
             except (ValueError, KeyError, TypeError) as exc:
                 raise DatasetError(f"{path}:{lineno}: sample {sample.id!r}: bad triple: {exc}") from exc
             for t in triples:
-                t.validate_spans(sample.text, owner=f"sample {sample.id!r}")
-                note_label(relation_types, t.predicate)
-                note_label(entity_types, t.subject_type)
-                note_label(entity_types, t.object_type)
+                t.validate_spans(sample.text, owner=f"{path}:{lineno}: sample {sample.id!r}")
+                relation_types.add(t.predicate)
+                entity_types.update((t.subject_type, t.object_type))
             try:
                 gold[sample.id] = GoldAnnotation(sample_id=sample.id, triples=triples)
             except ValueError as exc:

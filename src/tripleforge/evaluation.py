@@ -10,7 +10,7 @@ one false positive, so duplicated correct predictions never inflate TP.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from .core import Triple, TripleSet
@@ -22,12 +22,6 @@ def _strict_key(t: Triple) -> tuple:
 
 def _aligned(t: Triple) -> bool:
     return t.subject_span is not None and t.object_span is not None
-
-
-def strict_match(pred: Triple, gold: Triple) -> bool:
-    """Strict criterion: predicate, entity types, and both spans must match.
-    A prediction with an unrecovered span can never match."""
-    return _aligned(pred) and _strict_key(pred) == _strict_key(gold)
 
 
 @dataclass(frozen=True)
@@ -48,9 +42,6 @@ class EvalReport:
     per_relation: dict[str, RelationCounts]
     parse_skipped_rows: int = 0
     unalignable_entities: int = 0
-
-    def to_json_dict(self) -> dict:
-        return asdict(self)
 
     def to_table_text(self) -> str:
         lines = [
@@ -125,9 +116,6 @@ class CostReport:
     def __post_init__(self) -> None:
         if not self.min_chars <= self.avg_chars <= self.max_chars:
             raise ValueError("cost report requires min <= avg <= max")
-
-    def to_json_dict(self) -> dict:
-        return asdict(self)
 
     def to_table_text(self) -> str:
         headers = ["# Total", "# Avg.", "# Min.", "# Max."]

@@ -63,7 +63,6 @@ class LlmResponse:
     text: str
     from_cache: bool
     latency_ms: int
-    provider: str
 
 
 class CompletionProvider(Protocol):
@@ -174,17 +173,14 @@ class LlmGateway:
     ``{"model_id", "provider", "text"}``; the last line for a key wins.  The
     log is read into memory once, on first use, and an entry is decoded only
     when its key is looked up.  A miss appends its line with one ``O_APPEND``
-    write under the gateway lock.  At most ``concurrency`` provider calls are
-    in flight at once.
+    write under the gateway lock.  The caller bounds the calls in flight.
     """
 
     def __init__(self, provider: CompletionProvider, cache_dir: str | Path,
                  max_attempts: int = 3, backoff_base: float = 0.5,
-                 concurrency: int = 4, sleep: Callable[[float], None] = time.sleep):
+                 sleep: Callable[[float], None] = time.sleep):
         if max_attempts < 1:
             raise ValueError("max_attempts must be >= 1")
-        if concurrency < 1:
-            raise ValueError("concurrency must be >= 1")
         self.provider = provider
         self.cache_dir = Path(cache_dir)
         self.cache_dir.mkdir(parents=True, exist_ok=True)
@@ -192,7 +188,6 @@ class LlmGateway:
         self.max_attempts = max_attempts
         self.backoff_base = backoff_base
         self._sleep = sleep
-        self._slots = threading.Semaphore(concurrency)
         self._lock = threading.Lock()
         # key bytes -> raw entry bytes; None until the log is first read
         self._index: Optional[dict[bytes, bytes]] = None
@@ -294,8 +289,7 @@ class LlmGateway:
         if cached is not None:
             with self._lock:
                 self.stats.cache_hits += 1
-            return LlmResponse(text=cached, from_cache=True, latency_ms=0,
-                               provider=self.provider.name)
+            return LlmResponse(text=cached, from_cache=True, latency_ms=0)
 
         last_error: Optional[TransientProviderError] = None
         started = time.monotonic()
@@ -304,18 +298,16 @@ class LlmGateway:
                 self._sleep(self.backoff_base * (2 ** (attempt - 1)))
                 with self._lock:
                     self.stats.retries += 1
+            with self._lock:
+                self.stats.provider_calls += 1
             try:
-                with self._slots:
-                    with self._lock:
-                        self.stats.provider_calls += 1
-                    text = self.provider.generate(request)
+                text = self.provider.generate(request)
             except TransientProviderError as exc:
                 last_error = exc
                 continue
             self._write_cache(key, request, text)
             latency = int((time.monotonic() - started) * 1000)
-            return LlmResponse(text=text, from_cache=False, latency_ms=latency,
-                               provider=self.provider.name)
+            return LlmResponse(text=text, from_cache=False, latency_ms=latency)
         assert last_error is not None
         raise GatewayError(
             f"provider failed after {self.max_attempts} attempts: {last_error}",

@@ -12,7 +12,7 @@ import inspect
 import json
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Callable, Optional
 
@@ -58,6 +58,7 @@ from .similarity import (
     PoolDistanceMatrix,
     embed_triple_sets,
     pool_distances,
+    replace_file,
     set_distance,  # noqa: F401  perfbench's tracer patches pipeline.set_distance by name
     set_distances,
     write_artifact,
@@ -113,9 +114,13 @@ def _stage(body: Callable[[PipelineConfig], tuple[list[Artifact], dict]]):
     return stage
 
 
-def _write_json(path: Path, obj) -> Artifact:
+def _json_bytes(obj) -> bytes:
     text = json.dumps(obj, sort_keys=True, ensure_ascii=False, separators=(",", ":"))
-    return write_artifact(path, (text + "\n").encode("utf-8"))
+    return (text + "\n").encode("utf-8")
+
+
+def _write_json(path: Path, obj) -> Artifact:
+    return write_artifact(path, _json_bytes(obj))
 
 
 def _read_json(path: Path) -> dict:
@@ -149,7 +154,8 @@ def _update_manifest(cfg: PipelineConfig, outcome: StageOutcome) -> None:
         "info": outcome.info,
         "completed_at": _dt.datetime.now(_dt.timezone.utc).isoformat(),
     }
-    _write_json(manifest_path, manifest)
+    # ``completed_at`` changes on every run: no equal-bytes check to make
+    replace_file(manifest_path, _json_bytes(manifest))
 
 
 def build_gateway(cfg: PipelineConfig,
@@ -162,13 +168,12 @@ def build_gateway(cfg: PipelineConfig,
             by_id = ds.sample_by_id()
             for sid, ann in ds.gold.items():
                 gold_by_text[by_id[sid].text] = ann.triples
-        provider = MockEchoGoldProvider(gold_by_text, fmt=PromptFormat.parse(cfg.format))
+        provider = MockEchoGoldProvider(gold_by_text, fmt=PromptFormat(cfg.format))
     else:
         provider = HttpChatProvider(cfg.endpoint_url)
     return LlmGateway(provider, cfg.effective_cache_dir,
                       max_attempts=cfg.retry_attempts,
-                      backoff_base=cfg.backoff_base,
-                      concurrency=cfg.concurrency)
+                      backoff_base=cfg.backoff_base)
 
 
 def _call_counts(gateway: LlmGateway) -> dict[str, int]:
@@ -192,9 +197,9 @@ def build_embedder(cfg: PipelineConfig) -> EmbeddingProvider:
 
 def _complete_all(cfg: PipelineConfig, gateway: LlmGateway,
                   prompts: list[str], prefix: str = "") -> list[str]:
-    """Issue completions concurrently; the gateway's semaphore enforces the
-    in-flight bound and results come back in prompt order.  ``prefix`` is a
-    leading part that every prompt shares."""
+    """Issue completions on at most ``cfg.concurrency`` threads, which
+    bounds the calls in flight; results come back in prompt order.
+    ``prefix`` is a leading part that every prompt shares."""
     def one(prompt: str) -> str:
         return gateway.complete(LlmRequest(model_id=cfg.model_id, prompt=prompt,
                                            prefix=prefix)).text
@@ -220,7 +225,7 @@ def _preextraction(cfg: PipelineConfig, gateway: LlmGateway,
             "triples": parsed.triples.to_list(),
             "verbalizations": [verbalize_triple(t) for t in parsed.triples],
             "skipped_rows": parsed.skipped_rows,
-            "diagnostics": [list(d) for d in parsed.diagnostics],
+            "diagnostics": parsed.diagnostics,
         }
         if len(parsed.triples) == 0:
             excluded.append(sample.id)
@@ -280,7 +285,7 @@ def stage_train(cfg: PipelineConfig):
     texts = {s.id: s.text for s in pool.samples}
     model, history = train_retriever(texts, matrix, build_embedder(cfg), cfg.train_config())
     ckpt = save_checkpoint(model, cfg.effective_checkpoint_path)
-    history_path = _write_json(cfg.run_dir / TRAINING_HISTORY, history.to_json_dict())
+    history_path = _write_json(cfg.run_dir / TRAINING_HISTORY, asdict(history))
     return [ckpt, history_path], {
         "best_epoch": history.best_epoch,
         "initial_validation_loss": history.initial_validation_loss,
@@ -389,7 +394,7 @@ def stage_run(cfg: PipelineConfig):
         most_similar_last=(cfg.demo_order == "similar-last"),
     )
 
-    fmt = PromptFormat.parse(cfg.format)
+    fmt = PromptFormat(cfg.format)
     gateway = build_gateway(cfg, [pool, test])
     prefix, prompts = render_few_shot(fmt, demos, test.samples)
     texts = _complete_all(cfg, gateway, prompts, prefix)
@@ -408,8 +413,7 @@ def stage_run(cfg: PipelineConfig):
         "format": fmt.value,
         "predictions": {sid: p.triples.to_list() for sid, p in parsed.items()},
         "parse_skipped_rows": skipped_total,
-        "diagnostics": {sid: [list(d) for d in p.diagnostics]
-                        for sid, p in parsed.items() if p.diagnostics},
+        "diagnostics": {sid: p.diagnostics for sid, p in parsed.items() if p.diagnostics},
     })
     return [outputs_path, predictions_path], {
         "test_size": len(test.samples),
@@ -421,7 +425,7 @@ def stage_run(cfg: PipelineConfig):
 
 def _write_report(cfg: PipelineConfig, json_name: str, txt_name: str, report) -> list[Artifact]:
     """A report's JSON and its table text, side by side in run_dir."""
-    return [_write_json(cfg.run_dir / json_name, report.to_json_dict()),
+    return [_write_json(cfg.run_dir / json_name, asdict(report)),
             write_artifact(cfg.run_dir / txt_name, report.to_table_text().encode("utf-8"))]
 
 
@@ -442,4 +446,4 @@ def stage_cost(cfg: PipelineConfig):
     """Character-count cost report over the raw model outputs."""
     raw = _read_json(_upstream(cfg, OUTPUTS))
     report = cost_report([raw["outputs"][sid] for sid in sorted(raw["outputs"])])
-    return _write_report(cfg, COST_JSON, COST_TXT, report), report.to_json_dict()
+    return _write_report(cfg, COST_JSON, COST_TXT, report), asdict(report)

@@ -28,14 +28,6 @@ class PromptFormat(enum.Enum):
     TEXTIE = "textie"
     CODEIE = "codeie"
 
-    @classmethod
-    def parse(cls, tag: str) -> "PromptFormat":
-        try:
-            return cls(tag.lower())
-        except ValueError:
-            raise ValueError(f"unknown prompt format {tag!r}, expected one of "
-                             f"{[f.value for f in cls]}") from None
-
 
 @dataclass(frozen=True)
 class Demonstration:

@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -123,9 +123,6 @@ class TrainingHistory:
     initial_validation_loss: float
     epochs: list[dict]
     best_epoch: int
-
-    def to_json_dict(self) -> dict:
-        return asdict(self)
 
 
 def _pair_diffs(pairs: np.ndarray, embeddings: np.ndarray) -> np.ndarray:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable, Mapping, Optional, Sequence
 
 import numpy as np
@@ -50,24 +50,9 @@ class SelectionResult:
         return len(self.checked_ids)
 
     def to_json_dict(self) -> dict:
-        out: dict = {
-            "strategy": self.strategy,
-            "budget": self.budget,
-            "chosen": list(self.chosen),
-            "checked_ids": sorted(self.checked_ids),
-            "checked_count": self.checked_count,
-            "tie_break_hits": self.tie_break_hits,
-            "warnings": list(self.warnings),
-        }
-        if self.per_relation_tallies is not None:
-            out["per_relation_tallies"] = dict(sorted(self.per_relation_tallies.items()))
-        if self.quota_shortfall is not None:
-            out["quota_shortfall"] = dict(sorted(self.quota_shortfall.items()))
-        if self.covered_tests is not None:
-            out["covered_tests"] = {k: list(v) for k, v in self.covered_tests.items()}
-        if self.seed is not None:
-            out["seed"] = self.seed
-        return out
+        """The set fields, shallow: ``asdict`` would deep-copy every id."""
+        out = {f.name: v for f in fields(self) if (v := getattr(self, f.name)) is not None}
+        return {**out, "checked_ids": sorted(self.checked_ids), "checked_count": self.checked_count}
 
 
 def _id_ranks(ids: Sequence[str]) -> np.ndarray:

@@ -221,12 +221,19 @@ class Artifact(NamedTuple):
 
 def write_artifact(path: str | Path, data: bytes) -> Artifact:
     """Make ``path`` hold ``data``: equal bytes are left alone, other bytes go
-    through ``<name>.tmp`` and a rename, so a crash never leaves a torn file."""
+    through ``replace_file``."""
     path = Path(path)
     written = Artifact(path, hashlib.sha256(data).hexdigest())
-    path.parent.mkdir(parents=True, exist_ok=True)
     if path.is_file() and path.stat().st_size == len(data) and path.read_bytes() == data:
         return written
+    replace_file(path, data)
+    return written
+
+
+def replace_file(path: Path, data: bytes) -> None:
+    """Write ``data`` to ``<name>.tmp`` and rename it over ``path``, so a
+    crash never leaves a torn file."""
+    path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(path.name + ".tmp")
     try:
         tmp.write_bytes(data)
@@ -235,7 +242,6 @@ def write_artifact(path: str | Path, data: bytes) -> Artifact:
         raise
     path.unlink(missing_ok=True)  # a rename over the old file costs more on ext4
     tmp.rename(path)
-    return written
 
 
 def save_arrays(path: str | Path, kind: str, **arrays: np.ndarray) -> Artifact:

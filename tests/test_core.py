@@ -252,12 +252,24 @@ class TestLoadDataset:
         ('{"id": null, "text": "x"}', "sample id must be a non-empty string, got None"),
         ('{"id": true, "text": "x"}', "sample id must be a non-empty string, got True"),
         ('{"id": "", "text": "x"}', "sample id must be a non-empty string"),
+        ('["a", "x"]', "record must be a JSON object"),
+        ('{"id": "a", "text": "x y", "triples": [{"predicate": "P", "subject_type": "T", '
+         '"subject": "x", "object_type": "T", "object": "y"}]}',
+         "gold triple for 'a' is missing a span"),
+        ('{"id": "a", "text": "abc", "triples": [{"predicate": "P", "subject_type": "T", '
+         '"subject": "abc", "object_type": "T", "object": "abcd", "subject_span": [0, 3], '
+         '"object_span": [4, 8]}]}',
+         r"sample 'a': object span \(4, 8\) exceeds sentence length 3"),
     ])
     def test_bad_record_field_names_line_number(self, tmp_path, record, message):
         path = tmp_path / "bad.jsonl"
         path.write_text('{"id": "ok", "text": "fine"}\n' + record + "\n", encoding="utf-8")
         with pytest.raises(DatasetError, match=f"bad.jsonl:2: {message}"):
             load_dataset(path, "train")
+
+    def test_missing_file(self, tmp_path):
+        with pytest.raises(DatasetError, match="dataset file not found: .*nope.jsonl"):
+            load_dataset(tmp_path / "nope.jsonl", "train")
 
     def test_integer_id_is_kept_as_its_decimal_string(self, tmp_path):
         path = tmp_path / "ints.jsonl"

@@ -3,12 +3,13 @@ import random
 import pytest
 
 from tripleforge.core import TripleSet
+from dataclasses import asdict
+
 from tripleforge.evaluation import (
     CostReport,
     EvalReport,
     cost_report,
     micro_f1,
-    strict_match,
 )
 
 from conftest import make_triple
@@ -25,25 +26,28 @@ def one_sample_counts(preds, golds):
     return report.tp, report.fp, report.fn
 
 
+MATCH, MISS = (1, 0, 0), (0, 1, 1)
+
+
 class TestStrictMatch:
     def test_identical_with_spans(self):
-        assert strict_match(spanned(), spanned())
+        assert one_sample_counts([spanned()], [spanned()]) == MATCH
 
     def test_missing_pred_span_fails(self):
-        assert not strict_match(make_triple(), spanned())
+        assert one_sample_counts([make_triple()], [spanned()]) == MISS
 
     def test_different_predicate_fails(self):
-        assert not strict_match(spanned(pred="Live_In"), spanned())
+        assert one_sample_counts([spanned(pred="Live_In")], [spanned()]) == MISS
 
     def test_different_entity_type_fails(self):
-        assert not strict_match(spanned(st="Org"), spanned())
+        assert one_sample_counts([spanned(st="Org")], [spanned()]) == MISS
 
     def test_different_span_fails(self):
-        assert not strict_match(spanned(s_span=(1, 6)), spanned())
+        assert one_sample_counts([spanned(s_span=(1, 6))], [spanned()]) == MISS
 
     def test_surface_differences_ignored_when_spans_match(self):
         # span equality implies the surfaces select the same text
-        assert strict_match(spanned(s="BOOTH"), spanned())
+        assert one_sample_counts([spanned(s="BOOTH")], [spanned()]) == MATCH
 
 
 GOLD_A = spanned()
@@ -87,7 +91,7 @@ class TestMicroF1:
         a = micro_f1(preds, gold)
         b = micro_f1(dict(reversed(list(preds.items()))),
                      dict(reversed(list(gold.items()))))
-        assert a.to_json_dict() == b.to_json_dict()
+        assert asdict(a) == asdict(b)
 
     def test_triple_order_invariant_for_counts(self):
         rng = random.Random(0)
@@ -164,7 +168,7 @@ class TestCostReport:
 
     def test_json_round_trip_fields(self):
         report = cost_report(["abc", "de"])
-        assert report.to_json_dict() == {
+        assert asdict(report) == {
             "total_chars": 5, "avg_chars": 2.5, "min_chars": 2,
             "max_chars": 3, "count": 2,
         }

@@ -3,6 +3,7 @@ import json
 import os
 import sys
 import threading
+import time
 
 import pytest
 
@@ -48,6 +49,25 @@ class EchoProvider:
         with self._lock:
             self.calls += 1
         return f"echo:{request.prompt}"
+
+
+class InFlightProvider:
+    """Records the most ``generate`` calls that ran at once."""
+
+    name = "in-flight"
+
+    def __init__(self):
+        self.running = self.peak = 0
+        self._lock = threading.Lock()
+
+    def generate(self, request):
+        with self._lock:
+            self.running += 1
+            self.peak = max(self.peak, self.running)
+        time.sleep(0.005)
+        with self._lock:
+            self.running -= 1
+        return "ok"
 
 
 class FlakyProvider:
@@ -132,12 +152,6 @@ class TestCacheAndRetry:
             gw.complete(request())
         gw2 = LlmGateway(provider, tmp_path / "cache", max_attempts=2, sleep=lambda _: None)
         assert gw2.complete(request()).text == "recovered"
-
-    def test_zero_concurrency_rejected(self, tmp_path):
-        # a zero-slot semaphore would block the first complete() for ever;
-        # only construct the gateway, never call it
-        with pytest.raises(ValueError, match="concurrency"):
-            LlmGateway(CountingProvider(), tmp_path / "cache", concurrency=0)
 
 
 class TestCacheKey:
@@ -278,6 +292,12 @@ class TestHttpChatProvider:
         with pytest.raises(TransientProviderError, match="connection failure"):
             provider.generate(request())
 
+    def test_reply_without_choices_is_fatal(self):
+        provider = HttpChatProvider("https://x.test", api_key="k",
+                                    post=lambda *a, **k: FakeResponse(200, {"id": "x"}))
+        with pytest.raises(GatewayError, match="malformed completion response"):
+            provider.generate(request())
+
 
 class TestUnreadableCacheEntry:
     @pytest.mark.parametrize("damage", ["truncate", "no_text"])
@@ -372,7 +392,7 @@ class TestCompletionLog:
         cfg = PipelineConfig(pool_path=tmp_path / "pool.jsonl",
                              test_path=tmp_path / "test.jsonl",
                              run_dir=tmp_path / "run", concurrency=4)
-        gw = LlmGateway(EchoProvider(), cache, concurrency=cfg.concurrency)
+        gw = LlmGateway(EchoProvider(), cache)
         prompts = [f"prompt {i}" for i in range(50)]
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -398,7 +418,7 @@ class TestCompletionLog:
                                  test_path=tmp_path / "test.jsonl",
                                  run_dir=tmp_path / "run", concurrency=concurrency)
             cache = tmp_path / f"cache{concurrency}"
-            gw = LlmGateway(EchoProvider(), cache, concurrency=concurrency)
+            gw = LlmGateway(EchoProvider(), cache)
             interval = sys.getswitchinterval()
             sys.setswitchinterval(1e-6)
             try:
@@ -410,3 +430,15 @@ class TestCompletionLog:
         # the prefix changes no key
         assert {line.split("\t")[0] for line in logs[1]} == {
             gw.cache_key(LlmRequest(model_id=cfg.model_id, prompt=p)) for p in prompts}
+
+    @pytest.mark.parametrize("concurrency", [1, 3])
+    def test_calls_in_flight_bounded_by_concurrency(self, tmp_path, concurrency):
+        cfg = PipelineConfig(pool_path=tmp_path / "pool.jsonl",
+                             test_path=tmp_path / "test.jsonl",
+                             run_dir=tmp_path / "run", concurrency=concurrency)
+        provider = InFlightProvider()
+        gw = LlmGateway(provider, tmp_path / "cache")
+        assert _complete_all(cfg, gw, [f"prompt {i}" for i in range(30)]) == ["ok"] * 30
+        assert provider.peak <= concurrency
+        # more than one call does run at once when the bound allows it
+        assert (provider.peak > 1) == (concurrency > 1)

@@ -148,6 +148,27 @@ class TestFullPipeline:
         selection = json.loads((cfg.run_dir / SELECTION).read_text())
         assert "x99" not in selection["chosen"]
 
+    def test_distances_need_a_pool_sample_with_triples(self, run_config, tmp_path):
+        pool = tmp_path / "train.jsonl"
+        pool.write_text('{"id": "a", "text": "Nothing happens ."}\n'
+                        '{"id": "b", "text": "Nor here ."}\n', encoding="utf-8")
+        cfg = run_config(pool_path=pool)
+        stage_preextract(cfg)
+        with pytest.raises(RuntimeError, match="no pool samples with pre-extracted triples"):
+            stage_distances(cfg)
+
+    def test_balance_on_an_unlabeled_pool_is_refused(self, run_config, tmp_path):
+        # the pool carries no labels, but its sentences are the test split's,
+        # whose gold the echo mock answers with, so every one pre-extracts
+        test = core.load_dataset(DATA_DIR / "test.jsonl", "test")
+        pool = tmp_path / "unlabeled.jsonl"
+        pool.write_text("".join(json.dumps({"id": f"u{s.id}", "text": s.text}) + "\n"
+                                for s in test.samples), encoding="utf-8")
+        cfg = run_config(pool_path=pool, strategy="balance", distance_source="direct")
+        stage_preextract(cfg)
+        with pytest.raises(RuntimeError, match="balance strategy needs a schema"):
+            stage_select(cfg)
+
     @pytest.mark.parametrize("stage, distance_source, producer", [
         ("distances", "retriever", "preextract"),
         ("train", "retriever", "distances"),
@@ -399,6 +420,22 @@ class TestConfig:
         with pytest.raises(ConfigError, match="not found"):
             load_config(tmp_path / "nope.cfg")
 
+    def test_line_without_equals_rejected_with_line(self, tmp_path):
+        path = self.write(tmp_path, "budget = 5\nstrategy topk\n")
+        with pytest.raises(ConfigError, match="run.cfg:2: expected 'key = value'"):
+            load_config(path)
+
+    @pytest.mark.parametrize("key", ["pool_path", "test_path", "run_dir"])
+    def test_empty_required_path_rejected_with_line(self, tmp_path, key):
+        path = self.write(tmp_path, f"budget = 5\n{key} =\n")
+        with pytest.raises(ConfigError, match=f"run.cfg:2: bad value for '{key}': empty path"):
+            load_config(path)
+
+    def test_empty_optional_path_means_the_default(self, tmp_path):
+        cfg = load_config(self.write(tmp_path, "run_dir = out\ncache_dir =\ncheckpoint_path =\n"))
+        assert cfg.effective_cache_dir == (tmp_path / "out" / "cache").resolve()
+        assert cfg.effective_checkpoint_path == (tmp_path / "out" / "retriever.ckpt").resolve()
+
     def test_overrides(self):
         cfg = PipelineConfig(budget=5, strategy="topk")
         out = apply_overrides(cfg, budget=9, strategy=None)
@@ -410,15 +447,15 @@ class TestConfig:
         with pytest.raises(ConfigError, match="provider"):
             PipelineConfig(provider="llm")
 
-    @pytest.mark.parametrize("key", ["demo_order", "distance_source", "embedder", "provider",
-                                     "strategy"])
+    @pytest.mark.parametrize("key", ["demo_order", "distance_source", "embedder", "format",
+                                     "provider", "strategy"])
     def test_choice_settings_checked_against_one_table(self, key):
         with pytest.raises(ConfigError, match=f"{key} must be one of .*, got 'bogus'"):
             PipelineConfig(**{key: "bogus"})
         for value in CHOICES[key]:
             assert getattr(PipelineConfig(**{key: value}), key) == value
 
-    @pytest.mark.parametrize("key", ["strategy", "distance_source", "provider"])
+    @pytest.mark.parametrize("key", ["strategy", "distance_source", "provider", "format"])
     def test_cli_flags_offer_the_table_choices(self, key, capsys):
         flag = "--" + key.replace("_", "-")
         parser = cli._build_parser()
@@ -429,7 +466,7 @@ class TestConfig:
 
     def test_format_and_embedder_validated_before_any_stage(self, tmp_path):
         # both are read only by later stages, after preextract's provider calls
-        with pytest.raises(ConfigError, match="format 'bogus'"):
+        with pytest.raises(ConfigError, match="format must be one of .*, got 'bogus'"):
             PipelineConfig(format="bogus")
         with pytest.raises(ConfigError, match="embedder"):
             PipelineConfig(embedder="nope")
@@ -457,8 +494,7 @@ class TestConfig:
     def test_numeric_settings_validated_before_any_stage(self, tmp_path, setting, value,
                                                          message):
         # rejected when the config is built, before preextract's provider
-        # calls; a zero concurrency would block the first call, so none is
-        # made, and a negative or NaN backoff would reach time.sleep on the
+        # calls; a negative or NaN backoff would reach time.sleep on the
         # first retry, in the middle of a stage
         with pytest.raises(ConfigError, match=message):
             PipelineConfig(**{setting: value})
@@ -547,6 +583,19 @@ class TestCli:
         config = self.write_config(tmp_path)
         assert cli.main(["eval", "--config", str(config)]) == 2
         assert "tripleforge run" in capsys.readouterr().err
+
+    def test_other_errors_are_exit_code_1(self, tmp_path, capsys):
+        config = self.write_config(tmp_path)
+        with config.open("a", encoding="utf-8") as fh:
+            fh.write("provider = real\n")  # and no endpoint_url
+        assert cli.main(["preextract", "--config", str(config)]) == 1
+        assert "GatewayError: HTTP provider requires an endpoint URL" in capsys.readouterr().err
+
+    def test_empty_path_is_exit_code_2(self, tmp_path, capsys):
+        config = tmp_path / "run.cfg"
+        config.write_text("budget = 4\npool_path =\n", encoding="utf-8")
+        assert cli.main(["preextract", "--config", str(config)]) == 2
+        assert "run.cfg:2: bad value for 'pool_path'" in capsys.readouterr().err
 
     def test_bad_config_is_exit_code_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.cfg"

@@ -114,6 +114,16 @@ class TestParse:
         assert len(parsed.triples) == 0 and parsed.skipped_rows == 1
         assert "cell count" in parsed.diagnostics[0][1]
 
+    @pytest.mark.parametrize("fmt, raw, reason", [
+        (PromptFormat.TABLEIE, "|1| |Per|a|Per|b|",
+         "invalid triple: predicate must be non-empty after trimming"),
+        (PromptFormat.TEXTIE, "(Per Booth, Kill, Per: Lincoln)",
+         "missing 'type: surface' separator"),
+    ])
+    def test_bad_line_skipped_with_reason(self, fmt, raw, reason):
+        parsed = parse_output(fmt, raw, "a b")
+        assert len(parsed.triples) == 0 and parsed.diagnostics == ((raw, reason),)
+
     def test_header_lines_ignored(self):
         raw = TABLE_HEADER + "\n|1|Kill|Per|Booth|Per|Lincoln|\n" + TABLE_HEADER.rstrip("|")
         parsed = parse_output(PromptFormat.TABLEIE, raw, "Booth shot Lincoln")

@@ -314,4 +314,4 @@ class TestSelectionResultInvariants:
         result = SelectionResult(strategy="coverage", budget=2, chosen=("a",),
                                  checked_ids=("a",), covered_tests={"a": ("t1",)})
         out = result.to_json_dict()
-        assert out["strategy"] == "coverage" and out["covered_tests"] == {"a": ["t1"]}
+        assert out["strategy"] == "coverage" and out["covered_tests"] == {"a": ("t1",)}
