@@ -371,8 +371,12 @@ def _parse_dataset(path: Path, split: str, data: bytes) -> Dataset:
             )
             first_record = False
             if is_header:
-                entity_types.update(record.get("entity_types", []))
-                relation_types.update(record.get("relation_types", []))
+                for key, labels in (("entity_types", entity_types),
+                                    ("relation_types", relation_types)):
+                    value = record.get(key, [])
+                    if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
+                        raise DatasetError(f"{path}:{lineno}: {key} must be a JSON array of strings")
+                    labels.update(value)
                 continue
 
             try:

@@ -282,6 +282,8 @@ def load_arrays(path: str | Path, kind: str, names: Sequence[str]) -> tuple[np.n
 
 POOL_KIND = "pool_distance_matrix"
 PAIRWISE_KIND = "pairwise_distance_set"
+# rows per band of the pool matrix's symmetry check
+_SYMMETRY_BAND = 64
 
 
 def _checked_entries(entries, rows: int, cols: int) -> np.ndarray:
@@ -322,7 +324,11 @@ class PoolDistanceMatrix:
     def __post_init__(self) -> None:
         object.__setattr__(self, "sample_ids", tuple(self.sample_ids))
         entries = _checked_entries(self.entries, self.n, self.n)
-        if not np.allclose(entries, entries.T, atol=1e-9) or np.any(np.diag(entries) != 0):
+        # ``np.allclose`` is elementwise, so bands of rows give its answer
+        # with (band x n) temporaries instead of several n x n ones
+        bands = (slice(s, s + _SYMMETRY_BAND) for s in range(0, self.n, _SYMMETRY_BAND))
+        symmetric = all(np.allclose(entries[b], entries.T[b], atol=1e-9) for b in bands)
+        if not symmetric or np.any(np.diag(entries) != 0):
             raise ValueError("entries must be symmetric with a zero diagonal")
         object.__setattr__(self, "entries", entries)
 

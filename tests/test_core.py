@@ -308,6 +308,18 @@ class TestLoadDataset:
         with pytest.raises(DatasetError, match=":2: record missing 'id'"):
             load_dataset(path, "train")
 
+    @pytest.mark.parametrize("key, labels", [
+        ("relation_types", "Kill"),  # a string would become the labels K, i, l
+        ("entity_types", [["Per"]]),
+        ("entity_types", [1, "Per"]),
+    ], ids=["string", "nested-list", "number"])
+    def test_schema_header_labels_must_be_an_array_of_strings(self, tmp_path, key, labels):
+        path = tmp_path / "hdr.jsonl"
+        header = {"entity_types": ["Per"], "relation_types": ["Kill"], key: labels}
+        path.write_text("\n" + json.dumps(header) + '\n{"id": "a", "text": "x"}\n')
+        with pytest.raises(DatasetError, match=f"hdr.jsonl:2: {key} must be a JSON array of strings"):
+            load_dataset(path, "train")
+
     def test_lines_split_as_open_splits_them(self, tmp_path):
         # \r\n and a lone \r end a line; U+2028 inside a JSON string (here in
         # a field the loader ignores) does not

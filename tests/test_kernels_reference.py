@@ -6,7 +6,9 @@ The ``reference_*`` functions below are the loop implementations of
 per-query ``render_few_shot`` as they were before the array kernels (and the
 regex splitter and the batch renderer), ``train`` as it was before its
 fused loss-and-gradient step and in-place AdamW update, ``batch_grad``, the
-analytic gradient that step replaced, the per-text
+analytic gradient that step replaced, ``_mean_pair_loss`` and
+``_pair_diffs`` as they were before the validation loss went in fixed-size
+chunks, the per-text
 ``HashingEmbedder.embed`` as it was before the batch embedder, the
 parsers' ``_escape`` and ``_unescape`` loops as they were before their
 escape-free fast paths, and ``LlmGateway.cache_key`` as one ``json.dumps``
@@ -64,9 +66,9 @@ from tripleforge.retriever import (
     TrainConfig,
     TrainingHistory,
     TrainingPairs,
+    _LOSS_CHUNK,
     _loss_and_grad,
     _mean_pair_loss,
-    _pair_diffs,
     batch_loss,
     compute_P,
     make_training_pairs,
@@ -308,6 +310,15 @@ def batch_grad(weights: np.ndarray, diffs: np.ndarray, targets: np.ndarray) -> n
     return (projected * coeff[:, None]).T @ diffs
 
 
+def reference_pair_diffs(pairs: np.ndarray, embeddings: np.ndarray) -> np.ndarray:
+    return embeddings[pairs[:, 0]] - embeddings[pairs[:, 1]]
+
+
+def reference_mean_pair_loss(weights: np.ndarray, pairs: np.ndarray, targets: np.ndarray,
+                             embeddings: np.ndarray) -> float:
+    return batch_loss(weights, reference_pair_diffs(pairs, embeddings), targets) / len(pairs)
+
+
 def reference_train(pairs: TrainingPairs, embeddings: np.ndarray,
                     config: TrainConfig) -> tuple[np.ndarray, TrainingHistory]:
     """Mini-batch AdamW regression of the projection weights.
@@ -322,7 +333,8 @@ def reference_train(pairs: TrainingPairs, embeddings: np.ndarray,
     dim = embeddings.shape[1]
     weights = np.eye(dim, dtype=np.float64)
 
-    init_val = _mean_pair_loss(weights, pairs.validation, pairs.validation_targets, embeddings)
+    init_val = reference_mean_pair_loss(weights, pairs.validation, pairs.validation_targets,
+                                        embeddings)
     best_val = init_val
     best_weights = weights.copy()
     best_epoch = 0
@@ -339,7 +351,7 @@ def reference_train(pairs: TrainingPairs, embeddings: np.ndarray,
         epoch_loss = 0.0
         for start in range(0, len(order), config.batch_size):
             batch = order[start:start + config.batch_size]
-            diffs = _pair_diffs(pairs.train[batch], embeddings)
+            diffs = reference_pair_diffs(pairs.train[batch], embeddings)
             targets = pairs.train_targets[batch]
             loss = batch_loss(weights, diffs, targets)
             if not np.isfinite(loss):
@@ -354,8 +366,8 @@ def reference_train(pairs: TrainingPairs, embeddings: np.ndarray,
             weights = weights - config.learning_rate * (
                 m_hat / (np.sqrt(v_hat) + ADAM_EPS) + config.weight_decay * weights
             )
-        val_loss = _mean_pair_loss(weights, pairs.validation, pairs.validation_targets,
-                                   embeddings)
+        val_loss = reference_mean_pair_loss(weights, pairs.validation, pairs.validation_targets,
+                                            embeddings)
         if not np.isfinite(val_loss):
             raise RuntimeError(f"divergence: non-finite validation loss at epoch {epoch}")
         history.append({
@@ -738,6 +750,23 @@ def test_fused_loss_and_grad_match_the_definitions(seed, rows, dim, zero_rows, t
     loss, grad = _loss_and_grad(weights, diffs, targets)
     assert loss == want_loss
     assert grad.tobytes() == want_grad.tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1),
+       count=st.sampled_from([1, _LOSS_CHUNK - 1, _LOSS_CHUNK, _LOSS_CHUNK + 1,
+                              3 * _LOSS_CHUNK + 5]),
+       dim=st.sampled_from([1, 7, 16, 64]), n=st.integers(2, 60))
+def test_chunked_validation_loss_matches_the_whole_batch(seed, count, dim, n):
+    # a chunk boundary must not move a bit: pair counts below, at and past
+    # one chunk and several chunks with a short tail, with repeated pairs
+    rng = np.random.default_rng(seed)
+    embeddings = rng.normal(size=(n, dim))
+    pairs = rng.integers(0, n, size=(count, 2))
+    weights = np.eye(dim) + 0.3 * rng.normal(size=(dim, dim))
+    targets = 3.0 * rng.random(count)
+    assert (_mean_pair_loss(weights, pairs, targets, embeddings)
+            == reference_mean_pair_loss(weights, pairs, targets, embeddings))
 
 # --- parsing ----------------------------------------------------------------------
 

@@ -1,6 +1,10 @@
 import hashlib
 import json
+import os
+import pickle
 import platform
+import subprocess
+import sys
 from collections import OrderedDict
 from dataclasses import asdict
 from pathlib import Path
@@ -8,6 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import tripleforge
 from tripleforge import cli, core
 from tripleforge.config import (
     CHOICES,
@@ -63,6 +68,50 @@ OPENBLAS_X86_64 = (
     platform.machine().lower() in ("x86_64", "amd64")
     and "openblas" in np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
 )
+# the /proc/cpuinfo flags each forced family needs; OpenBLAS falls back to
+# an older family when one is missing, so that family cannot be checked here
+KERNEL_FAMILY_FLAGS = {
+    "SkylakeX": {"avx512f", "avx512dq", "avx512cd", "avx512bw", "avx512vl"},
+    "Haswell": {"avx2", "fma"},
+    "Sandybridge": {"avx"},
+    "Nehalem": {"ssse3", "sse4_1", "sse4_2"},
+    "Katmai": {"sse"},
+}
+
+
+def cpu_flags() -> set[str]:
+    try:
+        lines = Path("/proc/cpuinfo").read_text().splitlines()
+    except OSError:
+        return set()
+    return next((set(line.partition(":")[2].split()) for line in lines
+                 if line.startswith("flags")), set())
+
+
+# preextract, distances and train for the pickled config on stdin; prints the
+# sha256 of (retriever.ckpt, training_history.json)
+TRAIN_IN_CHILD = """
+import hashlib, json, pickle, sys
+from tripleforge.pipeline import STAGES
+cfg = pickle.loads(sys.stdin.buffer.read())
+for name in ("preextract", "distances", "train"):
+    STAGES[name](cfg)
+print(json.dumps([hashlib.sha256((cfg.run_dir / name).read_bytes()).hexdigest()
+                  for name in ("retriever.ckpt", "training_history.json")]))
+"""
+
+
+def train_under_kernel_family(cfg, family: str) -> tuple[str, str]:
+    """The training digests of ``cfg`` from a child process whose OpenBLAS
+    is forced to ``family`` and one thread; this process is left as it is."""
+    env = dict(os.environ, OPENBLAS_CORETYPE=family, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(
+                   filter(None, [str(Path(tripleforge.__file__).parents[1]),
+                                 os.environ.get("PYTHONPATH")])))
+    child = subprocess.run([sys.executable, "-c", TRAIN_IN_CHILD], input=pickle.dumps(cfg),
+                           capture_output=True, env=env, timeout=300)
+    assert child.returncode == 0, child.stderr.decode(errors="replace")
+    return tuple(json.loads(child.stdout))
 
 
 def run_all(cfg):
@@ -116,6 +165,15 @@ class TestFullPipeline:
         digests = tuple(hashlib.sha256((cfg.run_dir / name).read_bytes()).hexdigest()
                         for name in ("retriever.ckpt", "training_history.json"))
         assert digests in TRAINING_SHA256.values()
+
+    @pytest.mark.skipif(not OPENBLAS_X86_64,
+                        reason="digests are known for numpy's OpenBLAS kernels on x86-64 only")
+    @pytest.mark.parametrize("family", sorted(TRAINING_SHA256))
+    def test_each_kernel_family_reproduces_its_own_pin(self, run_config, family):
+        missing = KERNEL_FAMILY_FLAGS[family] - cpu_flags()
+        if missing:
+            pytest.skip(f"the CPU lacks {sorted(missing)} for {family}")
+        assert train_under_kernel_family(run_config(), family) == TRAINING_SHA256[family]
 
     def test_preextraction_equals_gold_modulo_spans(self, run_config, pool_dataset):
         cfg = run_config()

@@ -1,5 +1,6 @@
 import gc
 import hashlib
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -11,6 +12,7 @@ from tripleforge.retriever import (
     PairwiseDistanceSet,
     RetrieverModel,
     TrainConfig,
+    _mean_pair_loss,
     batch_loss,
     compute_P,
     load_checkpoint,
@@ -176,9 +178,24 @@ class TestTrain:
         assert history.epochs[history.best_epoch - 1]["validation_loss_mean"] == best
         # returned weights really are that epoch's weights: re-evaluating the
         # validation loss reproduces the recorded minimum
-        from tripleforge.retriever import _mean_pair_loss
         assert _mean_pair_loss(weights, pairs.validation, pairs.validation_targets,
                                embeddings) == pytest.approx(best)
+
+    def test_validation_loss_memory_does_not_grow_with_the_pairs(self):
+        # 20,000 pairs of dim 64: one (pairs, dim) float64 array is 10 MB, and
+        # a whole-batch loss holds three of them at once
+        rng = np.random.default_rng(0)
+        embeddings = rng.normal(size=(300, 64))
+        pairs = rng.integers(0, 300, size=(20_000, 2))
+        targets = rng.random(20_000)
+        weights = np.eye(64)
+        tracemalloc.start()
+        try:
+            _mean_pair_loss(weights, pairs, targets, embeddings)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20
 
     def test_divergence_names_epoch(self):
         embeddings, matrix = self.planted_setup()

@@ -178,6 +178,30 @@ class TestPoolDistanceMatrixInvariants:
         with pytest.raises(ValueError, match="entries must be"):
             PoolDistanceMatrix(("a",), np.zeros((2, 2)), "p")
 
+    @settings(max_examples=150, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 150),
+           nudges=st.lists(st.tuples(st.integers(0, 10**6), st.integers(0, 10**6),
+                                     st.sampled_from([0.5, 0.999, 1.0, 1.001, 2.0])),
+                           max_size=3))
+    def test_banded_symmetry_check_accepts_exactly_what_allclose_accepts(self, seed, n, nudges):
+        # a symmetric matrix of mixed magnitudes (zeros too), with a few cells
+        # moved off their mirror by a multiple of allclose's tolerance
+        # 1e-9 + 1e-5 * |mirror|, on both sides of 1; n runs past two bands
+        rng = np.random.default_rng(seed)
+        upper = np.triu(rng.random((n, n)) * rng.choice([0.0, 1e-6, 1.0, 50.0], size=(n, n)), 1)
+        entries = upper + upper.T
+        for i, j, scale in nudges:
+            i, j = i % n, j % n
+            if i != j:
+                entries[i, j] = entries[j, i] + scale * (1e-9 + 1e-5 * entries[j, i])
+        want = bool(np.allclose(entries, entries.T, atol=1e-9))
+        try:
+            PoolDistanceMatrix(tuple(map(str, range(n))), entries, "p")
+        except ValueError as exc:
+            assert not want and "symmetric" in str(exc)
+        else:
+            assert want
+
 
 # ids numpy's fixed-width strings can hold: anything without a trailing NUL
 sample_ids = st.text(max_size=8).filter(lambda s: not s.endswith("\x00"))
