@@ -62,12 +62,12 @@ class PipelineConfig:
     checkpoint_path: Optional[Path] = None  # defaults to <run_dir>/retriever.ckpt
     demo_order: str = "similar-last"
 
-    epochs: int = 5
-    batch_size: int = 16
-    learning_rate: float = 2e-5
-    validation_fraction: float = 0.10
-    weight_decay: float = 0.01
-    max_pairs: int = 0
+    epochs: int = TrainConfig.epochs
+    batch_size: int = TrainConfig.batch_size
+    learning_rate: float = TrainConfig.learning_rate
+    validation_fraction: float = TrainConfig.validation_fraction
+    weight_decay: float = TrainConfig.weight_decay
+    max_pairs: int = TrainConfig.max_pairs
 
     def __post_init__(self) -> None:
         for name, allowed in CHOICES.items():
@@ -85,12 +85,8 @@ class PipelineConfig:
             raise ConfigError(str(exc)) from None
 
     def train_config(self) -> TrainConfig:
-        """The retriever training settings; ``TrainConfig`` checks their ranges."""
-        return TrainConfig(
-            epochs=self.epochs, batch_size=self.batch_size, learning_rate=self.learning_rate,
-            validation_fraction=self.validation_fraction, seed=self.seed,
-            weight_decay=self.weight_decay, max_pairs=self.max_pairs,
-        )
+        """The ``TrainConfig`` of the fields that share its names; it checks their ranges."""
+        return TrainConfig(**{f.name: getattr(self, f.name) for f in fields(TrainConfig)})
 
     @property
     def effective_cache_dir(self) -> Path:

@@ -4,6 +4,7 @@ bounded retries with exponential backoff, and call accounting.
 """
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import os
@@ -20,24 +21,22 @@ from .core import TripleSet
 from .prompting import TABLE_HEADER, PromptFormat, serialize_triples
 
 API_KEY_ENV = "TRIPLEFORGE_API_KEY"
+HTTP_TIMEOUT_S = 60.0
 RETRYABLE_STATUSES = frozenset({429, 500, 502, 503, 504})
 CACHE_LOG = "completions.log"
 
 
 class GatewayError(RuntimeError):
-    """Completion failed for good (bad configuration or exhausted retries)."""
+    """Completion failed: bad configuration, a bad reply or exhausted retries.
+    ``status`` is the HTTP status, when there is one."""
 
     def __init__(self, message: str, status: Optional[int] = None):
         super().__init__(message)
         self.status = status
 
 
-class TransientProviderError(RuntimeError):
+class TransientProviderError(GatewayError):
     """A retryable provider failure (rate limit, 5xx, connection trouble)."""
-
-    def __init__(self, message: str, status: Optional[int] = None):
-        super().__init__(message)
-        self.status = status
 
 
 @dataclass(frozen=True)
@@ -109,21 +108,19 @@ class JsonEndpoint:
     ``TransientProviderError`` and any other status ``GatewayError``."""
 
     def __init__(self, url: str, api_key: Optional[str] = None,
-                 api_key_env: str = API_KEY_ENV, timeout: float = 60.0,
                  post: Callable = requests.post):
         if not url:
             raise GatewayError("HTTP provider requires an endpoint URL")
-        key = api_key if api_key is not None else os.environ.get(api_key_env, "")
+        key = api_key if api_key is not None else os.environ.get(API_KEY_ENV, "")
         if not key:
-            raise GatewayError(f"missing API key: set the {api_key_env} environment variable")
+            raise GatewayError(f"missing API key: set the {API_KEY_ENV} environment variable")
         self._url = url
         self._key = key
-        self._timeout = timeout
         self._post = post
 
     def __call__(self, payload: dict):
         try:
-            response = self._post(self._url, json=payload, timeout=self._timeout,
+            response = self._post(self._url, json=payload, timeout=HTTP_TIMEOUT_S,
                                   headers={"Authorization": f"Bearer {self._key}"})
         except requests.RequestException as exc:
             raise TransientProviderError(f"connection failure: {exc}") from exc
@@ -139,11 +136,11 @@ class HttpChatProvider:
     """Chat-completions provider: POSTs ``{model, messages, temperature: 0}``
     and reads ``choices[0].message.content``."""
 
+    name = "http"
+
     def __init__(self, endpoint_url: str, api_key: Optional[str] = None,
-                 api_key_env: str = API_KEY_ENV, timeout: float = 60.0,
-                 post: Callable = requests.post, name: str = "http"):
-        self.name = name
-        self._endpoint = JsonEndpoint(endpoint_url, api_key, api_key_env, timeout, post)
+                 post: Callable = requests.post):
+        self._endpoint = JsonEndpoint(endpoint_url, api_key, post)
 
     def generate(self, request: LlmRequest) -> str:
         body = self._endpoint({
@@ -155,6 +152,15 @@ class HttpChatProvider:
             return body["choices"][0]["message"]["content"]
         except (KeyError, IndexError, TypeError) as exc:
             raise GatewayError(f"malformed completion response: {exc}") from exc
+
+
+@functools.lru_cache(maxsize=1)
+def _key_head(model_id: str, prefix: str) -> hashlib._Hash:
+    """The sha256 state after a cache key's head and the escaped ``prefix``.
+    Callers copy it and never update it, so every gateway can share it."""
+    head = (f'{{"model_id": {json.dumps(model_id)}, "prompt": '
+            f'{encode_basestring_ascii(prefix)[:-1]}')
+    return hashlib.sha256(head.encode("ascii"))
 
 
 @dataclass
@@ -171,9 +177,10 @@ class LlmGateway:
     Responses are cached in one append-only log, ``cache_dir/completions.log``.
     Each line is the 64-hex cache key, a tab, and the compact JSON entry
     ``{"model_id", "provider", "text"}``; the last line for a key wins.  The
-    log is read into memory once, on first use, and an entry is decoded only
-    when its key is looked up.  A miss appends its line with one ``O_APPEND``
-    write under the gateway lock.  The caller bounds the calls in flight.
+    log is read into memory once, when the gateway is built, and an entry is
+    decoded only when its key is looked up.  A miss appends its line with one
+    ``O_APPEND`` write under the gateway lock.  The caller bounds the calls
+    in flight.
     """
 
     def __init__(self, provider: CompletionProvider, cache_dir: str | Path,
@@ -189,14 +196,15 @@ class LlmGateway:
         self.backoff_base = backoff_base
         self._sleep = sleep
         self._lock = threading.Lock()
-        # key bytes -> raw entry bytes; None until the log is first read
-        self._index: Optional[dict[bytes, bytes]] = None
+        try:
+            data = self.cache_log.read_bytes()
+        except FileNotFoundError:
+            data = b""
         # the log ends in a line torn by a crash mid-append
-        self._torn_tail = False
-        # ((model_id, prefix), sha256 state after the key's head and the
-        # escaped prefix) of the last prefix keyed; the state is only ever
-        # copied, never updated
-        self._prefix_state: Optional[tuple[tuple[str, str], hashlib._Hash]] = None
+        self._torn_tail = bool(data) and not data.endswith(b"\n")
+        # key bytes -> raw entry bytes; JSON escapes control characters, so a
+        # newline only ends a line
+        self._index = {line[:64]: line[65:] for line in data.split(b"\n") if line}
         self.stats = GatewayStats()
 
     def cache_key(self, request: LlmRequest) -> str:
@@ -209,44 +217,20 @@ class LlmGateway:
         keys and ASCII escapes.  That escaping maps each code point on its
         own, so the escaped prompt is the escaped prefix followed by the
         escaped rest: the hash of everything up to the end of the prefix is
-        computed once for a run of requests with one model and prefix, and
-        copied for each of them."""
-        key = (request.model_id, request.prefix)
-        with self._lock:
-            memo = self._prefix_state
-        if memo is not None and memo[0] == key:
-            state = memo[1]
-        else:
-            head = (f'{{"model_id": {json.dumps(request.model_id)}, "prompt": '
-                    f'{encode_basestring_ascii(request.prefix)[:-1]}')
-            state = hashlib.sha256(head.encode("ascii"))
-            with self._lock:
-                self._prefix_state = (key, state)
-        digest = state.copy()
+        computed once for a run of requests with one model and prefix (see
+        ``_key_head``), and copied for each of them."""
+        digest = _key_head(request.model_id, request.prefix).copy()
         rest = encode_basestring_ascii(request.prompt[len(request.prefix):])[1:]
         digest.update(f'{rest}, "provider": {json.dumps(self.provider.name)}, '
                       f'"stop_sequences": [], "temperature": 0.0}}'.encode("ascii"))
         return digest.hexdigest()
-
-    def _loaded_index(self) -> dict[bytes, bytes]:
-        """The log's entries by key, read on first use.  Call with the lock
-        held."""
-        if self._index is None:
-            try:
-                data = self.cache_log.read_bytes()
-            except FileNotFoundError:
-                data = b""
-            self._torn_tail = bool(data) and not data.endswith(b"\n")
-            # JSON escapes control characters, so a newline only ends a line
-            self._index = {line[:64]: line[65:] for line in data.split(b"\n") if line}
-        return self._index
 
     def _read_cache(self, key: bytes) -> Optional[str]:
         """Cached text, or None on a miss.  An entry that cannot be parsed
         (truncated JSON, no ``"text"``) is counted and treated as a miss, so
         the completion is regenerated and its new line shadows the bad one."""
         with self._lock:
-            raw = self._loaded_index().get(key)
+            raw = self._index.get(key)
         if raw is None:
             return None
         try:
@@ -267,7 +251,6 @@ class LlmGateway:
         ).encode("utf-8")
         line = key + b"\t" + entry + b"\n"
         with self._lock:
-            index = self._loaded_index()
             if self._torn_tail:
                 # end the torn line so that it cannot absorb this one
                 line = b"\n" + line
@@ -281,7 +264,7 @@ class LlmGateway:
                 self._torn_tail = False
             finally:
                 os.close(fd)
-            index[key] = entry
+            self._index[key] = entry
 
     def complete(self, request: LlmRequest) -> LlmResponse:
         key = self.cache_key(request).encode("ascii")
@@ -291,7 +274,6 @@ class LlmGateway:
                 self.stats.cache_hits += 1
             return LlmResponse(text=cached, from_cache=True, latency_ms=0)
 
-        last_error: Optional[TransientProviderError] = None
         started = time.monotonic()
         for attempt in range(self.max_attempts):
             if attempt > 0:
@@ -302,14 +284,12 @@ class LlmGateway:
                 self.stats.provider_calls += 1
             try:
                 text = self.provider.generate(request)
+                break
             except TransientProviderError as exc:
-                last_error = exc
-                continue
-            self._write_cache(key, request, text)
-            latency = int((time.monotonic() - started) * 1000)
-            return LlmResponse(text=text, from_cache=False, latency_ms=latency)
-        assert last_error is not None
-        raise GatewayError(
-            f"provider failed after {self.max_attempts} attempts: {last_error}",
-            status=last_error.status,
-        )
+                if attempt + 1 == self.max_attempts:
+                    raise GatewayError(
+                        f"provider failed after {self.max_attempts} attempts: {exc}",
+                        status=exc.status) from exc
+        self._write_cache(key, request, text)
+        latency = int((time.monotonic() - started) * 1000)
+        return LlmResponse(text=text, from_cache=False, latency_ms=latency)

@@ -88,17 +88,10 @@ def make_training_pairs(matrix: PoolDistanceMatrix, validation_fraction: float =
 # --- loss kernel ------------------------------------------------------------
 # For a pair (i, j) with target D the loss is (D - ||W e_i - W e_j||)^2.
 
-def batch_loss(weights: np.ndarray, diffs: np.ndarray, targets: np.ndarray) -> float:
-    """Sum of squared residuals between targets and projected distances."""
-    projected = diffs @ weights.T
-    radii = np.linalg.norm(projected, axis=1)
-    return float(np.sum((targets - radii) ** 2))
-
-
 def _loss_and_grad(weights: np.ndarray, diffs: np.ndarray,
                    targets: np.ndarray) -> tuple[float, np.ndarray | None]:
-    """``batch_loss`` and its gradient in the weights from one forward pass,
-    bit for bit.
+    """``reference_batch_loss`` and its gradient in the weights from one
+    forward pass, bit for bit.
 
     The row norms are ``np.linalg.norm``'s own ``sqrt(add.reduce(p * p))``
     and the loss is ``np.sum``'s own ``add.reduce``; ``np.vecdot`` or ``@``
@@ -131,11 +124,12 @@ _LOSS_CHUNK = 256
 
 def _mean_pair_loss(weights: np.ndarray, pairs: np.ndarray, targets: np.ndarray,
                     embeddings: np.ndarray) -> float:
-    """``batch_loss`` over all ``pairs`` divided by their count, bit for bit,
-    with O(``_LOSS_CHUNK`` * dim) temporaries instead of O(pairs * dim).
+    """``reference_batch_loss`` over all ``pairs`` divided by their count,
+    bit for bit, with O(``_LOSS_CHUNK`` * dim) temporaries instead of
+    O(pairs * dim).
 
     Each row's projection and norm depends on that row alone, and the one
-    ``np.sum`` runs over all radii in pair order, as ``batch_loss`` does.
+    ``np.sum`` runs over all radii in pair order, as the reference does.
     """
     radii = np.empty(len(pairs), dtype=np.float64)
     for start in range(0, len(pairs), _LOSS_CHUNK):
@@ -309,7 +303,9 @@ def load_checkpoint(path: str | Path, base: EmbeddingProvider) -> RetrieverModel
         raise CheckpointError(
             f"{path}: checkpoint base provider {provider.tolist()!r} does not match {base.name!r}"
         )
-    if weights.dtype != np.float64 or weights.ndim != 2 or weights.shape[1] != base.dim:
-        raise CheckpointError(f"{path}: checkpoint weights {weights.dtype} {weights.shape} "
-                              f"do not fit float64 (out_dim, {base.dim}) of the base")
-    return RetrieverModel(base=base, weights=weights)
+    if weights.dtype != np.float64:
+        raise CheckpointError(f"{path}: checkpoint weights must be float64, got {weights.dtype}")
+    try:
+        return RetrieverModel(base=base, weights=weights)
+    except ValueError as exc:
+        raise CheckpointError(f"{path}: {exc}") from exc

@@ -13,12 +13,12 @@ import math
 import zipfile
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Mapping, NamedTuple, Optional, Protocol, Sequence
+from typing import Callable, Mapping, NamedTuple, Optional, Protocol, Sequence, TypeVar
 
 import numpy as np
 import requests
 
-from .gateway import API_KEY_ENV, GatewayError, JsonEndpoint
+from .gateway import GatewayError, JsonEndpoint
 
 
 class EmbeddingProvider(Protocol):
@@ -76,11 +76,10 @@ class HttpEmbeddingProvider:
     ``data[i].embedding``."""
 
     def __init__(self, endpoint_url: str, model_id: str, dim: int,
-                 api_key: Optional[str] = None, api_key_env: str = API_KEY_ENV,
-                 timeout: float = 60.0, post: Callable = requests.post):
+                 api_key: Optional[str] = None, post: Callable = requests.post):
         self.name = f"http-{model_id}"
         self.dim = dim
-        self._endpoint = JsonEndpoint(endpoint_url, api_key, api_key_env, timeout, post)
+        self._endpoint = JsonEndpoint(endpoint_url, api_key, post)
         self._model_id = model_id
 
     def embed(self, texts: Sequence[str]) -> np.ndarray:
@@ -284,6 +283,7 @@ POOL_KIND = "pool_distance_matrix"
 PAIRWISE_KIND = "pairwise_distance_set"
 # rows per band of the pool matrix's symmetry check
 _SYMMETRY_BAND = 64
+_Matrix = TypeVar("_Matrix")
 
 
 def _checked_entries(entries, rows: int, cols: int) -> np.ndarray:
@@ -303,14 +303,17 @@ def save_distances(path: str | Path, kind: str, row_ids: Sequence[str],
                        entries=_checked_entries(entries, len(row_ids), len(col_ids)))
 
 
-def load_distances(path: str | Path, kind: str
-                   ) -> tuple[tuple[str, ...], tuple[str, ...], np.ndarray, str]:
-    """``(row_ids, col_ids, entries, provider)`` of a ``save_distances`` file."""
+def load_distances(path: str | Path, kind: str, build: Callable[..., _Matrix]) -> _Matrix:
+    """``build(row_ids, col_ids, entries, provider)`` over a ``save_distances``
+    file; a ``ValueError`` of ``build`` is raised again naming the path."""
     provider, rows, cols, entries = load_arrays(
         path, kind, ("provider", "row_ids", "col_ids", "entries"))
     if entries.dtype != np.float64:
         raise ValueError(f"{path}: entries must be float64, got {entries.dtype}")
-    return tuple(rows.tolist()), tuple(cols.tolist()), entries, str(provider)
+    try:
+        return build(tuple(rows.tolist()), tuple(cols.tolist()), entries, str(provider))
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -342,8 +345,8 @@ class PoolDistanceMatrix:
 
     @classmethod
     def load(cls, path: str | Path) -> "PoolDistanceMatrix":
-        rows, _, entries, provider = load_distances(path, POOL_KIND)
-        return cls(rows, entries, provider)
+        return load_distances(path, POOL_KIND,
+                              lambda rows, _, entries, provider: cls(rows, entries, provider))
 
 
 @dataclass(frozen=True)
@@ -374,7 +377,7 @@ class PairwiseDistanceSet:
 
     @classmethod
     def load(cls, path: str | Path) -> "PairwiseDistanceSet":
-        return cls(*load_distances(path, PAIRWISE_KIND))
+        return load_distances(path, PAIRWISE_KIND, cls)
 
 
 # Pool rows per band of the upper triangle: smaller bands compute fewer cells

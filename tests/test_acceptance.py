@@ -21,7 +21,6 @@ from tripleforge.retriever import (
     PairwiseDistanceSet,
     RetrieverModel,
     TrainConfig,
-    batch_loss,
     compute_P,
     make_training_pairs,
     train,
@@ -35,7 +34,7 @@ from tripleforge.selection import (
 from tripleforge.similarity import HashingEmbedder, PoolDistanceMatrix, set_distance
 
 from conftest import make_gold_store, make_triple
-from test_kernels_reference import batch_grad
+from test_kernels_reference import batch_grad, reference_batch_loss
 
 
 @contextmanager
@@ -176,8 +175,8 @@ def test_c4_retriever_gradient_and_planted_task():
                 plus, minus = weights.copy(), weights.copy()
                 plus[r, c] += h
                 minus[r, c] -= h
-                fd[r, c] = (batch_loss(plus, diffs, targets)
-                            - batch_loss(minus, diffs, targets)) / (2 * h)
+                fd[r, c] = (reference_batch_loss(plus, diffs, targets)
+                            - reference_batch_loss(minus, diffs, targets)) / (2 * h)
         assert np.linalg.norm(analytic - fd) / np.linalg.norm(fd) <= 1e-4
 
         # planted affine map: validation loss falls to <= 10% of initial

@@ -11,6 +11,7 @@ from tripleforge.config import PipelineConfig
 from tripleforge.core import TripleSet
 from tripleforge.gateway import (
     CACHE_LOG,
+    HTTP_TIMEOUT_S,
     GatewayError,
     HttpChatProvider,
     LlmGateway,
@@ -20,6 +21,7 @@ from tripleforge.gateway import (
 )
 from tripleforge.pipeline import _complete_all
 from tripleforge.prompting import TABLE_HEADER, PromptFormat, render_zero_shot, serialize_triples
+from tripleforge.similarity import HttpEmbeddingProvider
 
 from conftest import make_triple
 
@@ -269,6 +271,21 @@ class TestHttpChatProvider:
         assert seen["payload"]["messages"] == [{"role": "user", "content": "Do it"}]
         assert seen["payload"]["temperature"] == 0.0
         assert seen["headers"]["Authorization"] == "Bearer k"
+
+    def test_posts_with_the_fixed_timeout(self):
+        # both remote providers share JsonEndpoint; neither has a timeout to set
+        timeouts = []
+
+        def post(url, json=None, headers=None, timeout=None):
+            timeouts.append(timeout)
+            if "input" in json:
+                return FakeResponse(200, {"data": [{"embedding": [1.0]}]})
+            return FakeResponse(200, {"choices": [{"message": {"content": "x"}}]})
+
+        HttpChatProvider("https://x.test", api_key="k", post=post).generate(request())
+        HttpEmbeddingProvider("https://x.test", "emb-1", dim=1, api_key="k",
+                              post=post).embed(["text"])
+        assert timeouts == [HTTP_TIMEOUT_S, HTTP_TIMEOUT_S] == [60.0, 60.0]
 
     def test_429_is_transient(self):
         provider = HttpChatProvider("https://x.test", api_key="k",

@@ -69,7 +69,6 @@ from tripleforge.retriever import (
     _LOSS_CHUNK,
     _loss_and_grad,
     _mean_pair_loss,
-    batch_loss,
     compute_P,
     make_training_pairs,
     save_checkpoint,
@@ -300,8 +299,15 @@ def reference_make_training_pairs(matrix, validation_fraction, seed, max_pairs):
     return tuple(train), tuple(validation), tuple(sorted(held))
 
 
+def reference_batch_loss(weights: np.ndarray, diffs: np.ndarray, targets: np.ndarray) -> float:
+    """Sum of squared residuals between targets and projected distances."""
+    projected = diffs @ weights.T
+    radii = np.linalg.norm(projected, axis=1)
+    return float(np.sum((targets - radii) ** 2))
+
+
 def batch_grad(weights: np.ndarray, diffs: np.ndarray, targets: np.ndarray) -> np.ndarray:
-    """Analytic gradient of ``batch_loss`` with respect to the weights."""
+    """Analytic gradient of ``reference_batch_loss`` with respect to the weights."""
     projected = diffs @ weights.T
     radii = np.linalg.norm(projected, axis=1)
     coeff = np.zeros_like(radii)
@@ -316,7 +322,8 @@ def reference_pair_diffs(pairs: np.ndarray, embeddings: np.ndarray) -> np.ndarra
 
 def reference_mean_pair_loss(weights: np.ndarray, pairs: np.ndarray, targets: np.ndarray,
                              embeddings: np.ndarray) -> float:
-    return batch_loss(weights, reference_pair_diffs(pairs, embeddings), targets) / len(pairs)
+    diffs = reference_pair_diffs(pairs, embeddings)
+    return reference_batch_loss(weights, diffs, targets) / len(pairs)
 
 
 def reference_train(pairs: TrainingPairs, embeddings: np.ndarray,
@@ -353,7 +360,7 @@ def reference_train(pairs: TrainingPairs, embeddings: np.ndarray,
             batch = order[start:start + config.batch_size]
             diffs = reference_pair_diffs(pairs.train[batch], embeddings)
             targets = pairs.train_targets[batch]
-            loss = batch_loss(weights, diffs, targets)
+            loss = reference_batch_loss(weights, diffs, targets)
             if not np.isfinite(loss):
                 raise RuntimeError(f"divergence: non-finite training loss at epoch {epoch}")
             epoch_loss += loss
@@ -745,7 +752,7 @@ def test_fused_loss_and_grad_match_the_definitions(seed, rows, dim, zero_rows, t
     if tiny:
         diffs[0] *= 1e-14  # radius under the 1e-12 guard but not zero
     targets = 3.0 * rng.random(rows)
-    want_loss = batch_loss(weights, diffs, targets)
+    want_loss = reference_batch_loss(weights, diffs, targets)
     want_grad = batch_grad(weights, diffs, targets)
     loss, grad = _loss_and_grad(weights, diffs, targets)
     assert loss == want_loss
@@ -1048,6 +1055,23 @@ def test_cache_key_matches_the_json_body_at_every_split(tmp_path_factory, prompt
                 for model_id in model_ids:
                     request = LlmRequest(model_id=model_id, prompt=prompt, prefix=prompt[:cut])
                     assert gw.cache_key(request) == want[name, model_id], (name, model_id, cut)
+
+
+@settings(max_examples=60, deadline=None)
+@given(prompts=st.lists(key_text, min_size=2, max_size=2), cuts=st.lists(
+    st.integers(0, 12), min_size=2, max_size=2), order=st.permutations(range(8)))
+def test_gateways_sharing_the_key_head_match_the_json_body(tmp_path_factory, prompts, cuts,
+                                                           order):
+    # the head of a key is cached once for all gateways: two gateways with
+    # their own provider names key requests on two prefixes, interleaved
+    gateways = [LlmGateway(NamedProvider(name), tmp_path_factory.mktemp("keys"))
+                for name in ("mock", 'hé"ttp\\')]
+    keyed = [LlmRequest(model_id=model_id, prompt=prompt, prefix=prompt[:cut])
+             for prompt, cut in zip(prompts, cuts) for model_id in ("m1", "gpt-é")]
+    calls = [(gw, request) for gw in gateways for request in keyed]
+    for k in order + order:
+        gw, request = calls[k]
+        assert gw.cache_key(request) == reference_cache_key(gw, request), (k, request)
 
 
 # --- numeric artifacts --------------------------------------------------------------

@@ -40,6 +40,7 @@ from tripleforge.pipeline import (
     stage_select,
     stage_train,
 )
+from tripleforge.retriever import TrainConfig
 from tripleforge.similarity import PoolDistanceMatrix
 
 from conftest import DATA_DIR
@@ -567,6 +568,9 @@ class TestConfig:
         assert asdict(cfg.train_config()) == dict(
             epochs=0, batch_size=3, learning_rate=0.5, validation_fraction=0.25, seed=7,
             weight_decay=0.0, max_pairs=9)
+
+    def test_training_defaults_are_train_configs(self):
+        assert PipelineConfig().train_config() == TrainConfig()
 
     def test_default_cache_dir_under_run_dir(self):
         cfg = PipelineConfig(run_dir=Path("/tmp/r"))

@@ -1,5 +1,6 @@
 import gc
 import hashlib
+import re
 import tracemalloc
 import warnings
 
@@ -8,12 +9,12 @@ import pytest
 
 from tripleforge.core import Sample
 from tripleforge.retriever import (
+    CHECKPOINT_KIND,
     CheckpointError,
     PairwiseDistanceSet,
     RetrieverModel,
     TrainConfig,
     _mean_pair_loss,
-    batch_loss,
     compute_P,
     load_checkpoint,
     make_training_pairs,
@@ -21,10 +22,10 @@ from tripleforge.retriever import (
     train,
     train_retriever,
 )
-from tripleforge.similarity import HashingEmbedder, PoolDistanceMatrix
+from tripleforge.similarity import HashingEmbedder, PoolDistanceMatrix, save_arrays
 
 from conftest import StubEmbedder
-from test_kernels_reference import batch_grad
+from test_kernels_reference import batch_grad, reference_batch_loss
 
 
 def distance_matrix_from(points: np.ndarray, transform=None) -> np.ndarray:
@@ -110,8 +111,8 @@ class TestGradient:
                 w_plus, w_minus = weights.copy(), weights.copy()
                 w_plus[r, c] += h
                 w_minus[r, c] -= h
-                fd[r, c] = (batch_loss(w_plus, diffs, targets)
-                            - batch_loss(w_minus, diffs, targets)) / (2 * h)
+                fd[r, c] = (reference_batch_loss(w_plus, diffs, targets)
+                            - reference_batch_loss(w_minus, diffs, targets)) / (2 * h)
         rel_err = np.linalg.norm(analytic - fd) / np.linalg.norm(fd)
         assert rel_err <= 1e-4
 
@@ -123,8 +124,8 @@ class TestGradient:
         weights = np.eye(4) + 0.05 * rng.normal(size=(4, 4))
         grad = batch_grad(weights, diffs, targets)
         assert np.linalg.norm(grad) > 0
-        before = batch_loss(weights, diffs, targets)
-        after = batch_loss(weights - 1e-6 * grad, diffs, targets)
+        before = reference_batch_loss(weights, diffs, targets)
+        after = reference_batch_loss(weights - 1e-6 * grad, diffs, targets)
         assert after < before
 
     def test_zero_gradient_at_exact_fit(self):
@@ -303,8 +304,19 @@ class TestCheckpoints:
         path = tmp_path / "model.ckpt"
         save_checkpoint(RetrieverModel(base, np.eye(base.dim)), path)
         same_name = StubEmbedder({"x": [0.0] * 16}, name=base.name)
-        with pytest.raises(CheckpointError, match=r"\(8, 8\) do not fit float64 \(out_dim, 16\)"):
+        with pytest.raises(CheckpointError, match=r"weights must be \(out_dim, 16\), got \(8, 8\)"):
             load_checkpoint(path, same_name)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_weight_is_a_checkpoint_error(self, tmp_path, bad):
+        base = HashingEmbedder(dim=4)
+        weights = np.eye(base.dim)
+        weights[1, 2] = bad
+        path = tmp_path / "model.ckpt"
+        save_arrays(path, CHECKPOINT_KIND, provider=np.array(base.name), weights=weights)
+        with pytest.raises(CheckpointError,
+                           match=f"^{re.escape(str(path))}: model parameters must be finite"):
+            load_checkpoint(path, base)
 
     def test_provider_name_mismatch_rejected(self, tmp_path):
         base = HashingEmbedder(dim=8)

@@ -1,4 +1,5 @@
 import math
+import re
 import time
 import zipfile
 
@@ -318,6 +319,28 @@ class TestDistanceMatrixFiles:
         with pytest.raises(ValueError, match="entries must be float64"):
             PairwiseDistanceSet.load(tmp_path / "p.npz")
 
+    @pytest.mark.parametrize("cls, members, message", [
+        (PairwiseDistanceSet, {"entries": np.array([[np.inf]])}, "finite and non-negative"),
+        (PairwiseDistanceSet, {"entries": np.array([[-0.5]])}, "finite and non-negative"),
+        (PairwiseDistanceSet, {"col_ids": np.array(["t", "u"])}, "entries must be 1x2"),
+        (PoolDistanceMatrix, {"row_ids": np.array(["a", "b"]),
+                              "entries": np.array([[0.0, np.nan], [np.nan, 0.0]])},
+         "finite and non-negative"),
+        (PoolDistanceMatrix, {"row_ids": np.array(["a", "b", "c"]),
+                              "entries": np.array([[0.0, 1.0], [1.0, 0.0]])},
+         "entries must be 3x3"),
+        (PoolDistanceMatrix, {"row_ids": np.array(["a", "b"]),
+                              "entries": np.array([[0.0, 1.0], [2.0, 0.0]])}, "symmetric"),
+    ], ids=["inf", "negative", "ids-off-shape", "pool-nan", "pool-ids-off-shape",
+            "pool-asymmetric"])
+    def test_load_names_the_file_its_constructor_refuses(self, tmp_path, cls, members,
+                                                          message):
+        kind = POOL_KIND if cls is PoolDistanceMatrix else PAIRWISE_KIND
+        path = tmp_path / "m.npz"
+        write_raw(path, kind=np.array(kind), **members)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: .*{message}"):
+            cls.load(path)
+
     @pytest.mark.parametrize("cls", [PoolDistanceMatrix, PairwiseDistanceSet])
     def test_load_rejects_an_npy_file(self, tmp_path, cls):
         # np.load hands back a bare array for NPY bytes, not an archive
@@ -417,6 +440,15 @@ class TestHttpEmbeddingProvider:
         provider = HttpEmbeddingProvider("https://x.test", "emb-1", dim=3, api_key="k",
                                          post=lambda *a, **k: FakeResponse(503))
         with pytest.raises(TransientProviderError) as raised:
+            provider.embed(["text"])
+        assert raised.value.status == 503
+
+    def test_503_without_a_retry_is_a_gateway_error(self):
+        # the embedder has no retry loop: a caller that catches GatewayError
+        # sees the transient failure and its status
+        provider = HttpEmbeddingProvider("https://x.test", "emb-1", dim=3, api_key="k",
+                                         post=lambda *a, **k: FakeResponse(503))
+        with pytest.raises(GatewayError) as raised:
             provider.embed(["text"])
         assert raised.value.status == 503
 
