@@ -8,6 +8,7 @@ a run can be launched from anywhere.  CLI flags override file values.
 from __future__ import annotations
 
 import math
+import os
 import re
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
@@ -98,14 +99,13 @@ class PipelineConfig:
                 else self.run_dir / "retriever.ckpt")
 
     def snapshot(self) -> dict:
-        """JSON-safe view of every setting, for the run manifest."""
-        out = {}
-        for f in fields(self):
-            value = getattr(self, f.name)
-            out[f.name] = str(value) if isinstance(value, Path) else value
-        out["cache_dir"] = str(self.effective_cache_dir)
-        out["checkpoint_path"] = str(self.effective_checkpoint_path)
-        return out
+        """JSON-safe view of every setting, for the run manifest; paths are
+        relative to ``run_dir`` (itself ``"."``), so the run_dir can move."""
+        out = {f.name: getattr(self, f.name) for f in fields(self)}
+        out.update(cache_dir=self.effective_cache_dir,
+                   checkpoint_path=self.effective_checkpoint_path)
+        return {name: os.path.relpath(value, self.run_dir) if isinstance(value, Path) else value
+                for name, value in out.items()}
 
 
 _KEY_TYPES = get_type_hints(PipelineConfig)

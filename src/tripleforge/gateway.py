@@ -15,8 +15,6 @@ from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Callable, Mapping, Optional, Protocol
 
-import requests
-
 from .core import TripleSet
 from .prompting import TABLE_HEADER, PromptFormat, serialize_triples
 
@@ -102,13 +100,13 @@ class MockEchoGoldProvider:
 
 
 class JsonEndpoint:
-    """An HTTP endpoint that takes a JSON body and a bearer API key, shared by
-    the remote completion and embedding providers.  A call returns the decoded
-    body of a 200 reply; a connection failure, 429 or 5xx raises
-    ``TransientProviderError`` and any other status ``GatewayError``."""
+    """A JSON-over-HTTP endpoint with a bearer API key, for the HTTP providers.
+    A call returns the decoded body of a 200 reply; a connection failure, 429
+    or 5xx raises ``TransientProviderError`` and any other status
+    ``GatewayError``.  The first call imports ``requests`` (``post``'s default)."""
 
     def __init__(self, url: str, api_key: Optional[str] = None,
-                 post: Callable = requests.post):
+                 post: Optional[Callable] = None):
         if not url:
             raise GatewayError("HTTP provider requires an endpoint URL")
         key = api_key if api_key is not None else os.environ.get(API_KEY_ENV, "")
@@ -119,9 +117,11 @@ class JsonEndpoint:
         self._post = post
 
     def __call__(self, payload: dict):
+        import requests
+        post = self._post or requests.post
         try:
-            response = self._post(self._url, json=payload, timeout=HTTP_TIMEOUT_S,
-                                  headers={"Authorization": f"Bearer {self._key}"})
+            response = post(self._url, json=payload, timeout=HTTP_TIMEOUT_S,
+                            headers={"Authorization": f"Bearer {self._key}"})
         except requests.RequestException as exc:
             raise TransientProviderError(f"connection failure: {exc}") from exc
         if response.status_code in RETRYABLE_STATUSES:
@@ -139,7 +139,7 @@ class HttpChatProvider:
     name = "http"
 
     def __init__(self, endpoint_url: str, api_key: Optional[str] = None,
-                 post: Callable = requests.post):
+                 post: Optional[Callable] = None):
         self._endpoint = JsonEndpoint(endpoint_url, api_key, post)
 
     def generate(self, request: LlmRequest) -> str:

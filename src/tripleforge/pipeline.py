@@ -196,18 +196,18 @@ def build_embedder(cfg: PipelineConfig) -> EmbeddingProvider:
 
 
 def _complete_all(cfg: PipelineConfig, gateway: LlmGateway,
-                  prompts: list[str], prefix: str = "") -> list[str]:
+                  bodies: list[str], prefix: str = "") -> list[str]:
     """Issue completions on at most ``cfg.concurrency`` threads, which
-    bounds the calls in flight; results come back in prompt order.
-    ``prefix`` is a leading part that every prompt shares."""
-    def one(prompt: str) -> str:
-        return gateway.complete(LlmRequest(model_id=cfg.model_id, prompt=prompt,
+    bounds the calls in flight; results come back in body order; each
+    prompt is ``prefix + body``, built for its call."""
+    def one(body: str) -> str:
+        return gateway.complete(LlmRequest(model_id=cfg.model_id, prompt=prefix + body,
                                            prefix=prefix)).text
 
-    if cfg.concurrency <= 1 or len(prompts) <= 1:
-        return [one(p) for p in prompts]
+    if cfg.concurrency <= 1 or len(bodies) <= 1:
+        return [one(b) for b in bodies]
     with ThreadPoolExecutor(max_workers=cfg.concurrency) as pool:
-        return list(pool.map(one, prompts))
+        return list(pool.map(one, bodies))
 
 
 def _preextraction(cfg: PipelineConfig, gateway: LlmGateway,
@@ -396,10 +396,8 @@ def stage_run(cfg: PipelineConfig):
 
     fmt = PromptFormat(cfg.format)
     gateway = build_gateway(cfg, [pool, test])
-    prefix, prompts = render_few_shot(fmt, demos, test.samples)
-    texts = _complete_all(cfg, gateway, prompts, prefix)
-    # megabytes at a few hundred queries: free them for the parse to reuse
-    del prompts
+    prefix, bodies = render_few_shot(fmt, demos, test.samples)
+    texts = _complete_all(cfg, gateway, bodies, prefix)
     outputs = {sample.id: text for sample, text in zip(test.samples, texts)}
     parsed = {sample.id: parse_output(fmt, text, sample.text)
               for sample, text in zip(test.samples, texts)}

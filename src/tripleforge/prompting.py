@@ -253,13 +253,13 @@ def render_few_shot(fmt: PromptFormat, demos: Sequence[Demonstration],
                     queries: Sequence[Sample]) -> tuple[str, list[str]]:
     """Compose one few-shot prompt per query from demonstrations in prompt
     order, as ``selection.order_demonstrations`` returns them: the last one
-    sits next to the query.  Returns ``(prefix, prompts)``.
+    sits next to the query.  Returns ``(prefix, bodies)``.
 
     Every query shares the same demonstrations, so the demonstration block
     is checked, warned about and rendered once per batch; it is ``prefix``,
-    the leading part of every returned prompt, and only the query text
-    differs between the prompts.  The prompt bytes are the gateway's cache
-    keys and must not change."""
+    and a query's prompt is ``prefix + body``, its body being the query text
+    and what follows it.  The prompt bytes are the gateway's cache keys and
+    must not change."""
     for d in demos:
         if len(d.gold) == 0:
             log.warning("demonstration %s has no gold triples", d.sample.id)
@@ -278,5 +278,5 @@ def render_few_shot(fmt: PromptFormat, demos: Sequence[Demonstration],
         parts.append("\n")
     prefix = "".join(parts)
     suffix = "\n" + TABLE_HEADER if fmt is PromptFormat.TABLEIE else ""
-    return prefix, [prefix + query.text + suffix for query in queries]
+    return prefix, [query.text + suffix for query in queries]
 

@@ -16,7 +16,6 @@ from pathlib import Path
 from typing import Callable, Mapping, NamedTuple, Optional, Protocol, Sequence, TypeVar
 
 import numpy as np
-import requests
 
 from .gateway import GatewayError, JsonEndpoint
 
@@ -76,7 +75,7 @@ class HttpEmbeddingProvider:
     ``data[i].embedding``."""
 
     def __init__(self, endpoint_url: str, model_id: str, dim: int,
-                 api_key: Optional[str] = None, post: Callable = requests.post):
+                 api_key: Optional[str] = None, post: Optional[Callable] = None):
         self.name = f"http-{model_id}"
         self.dim = dim
         self._endpoint = JsonEndpoint(endpoint_url, api_key, post)
@@ -345,8 +344,12 @@ class PoolDistanceMatrix:
 
     @classmethod
     def load(cls, path: str | Path) -> "PoolDistanceMatrix":
-        return load_distances(path, POOL_KIND,
-                              lambda rows, _, entries, provider: cls(rows, entries, provider))
+        def build(rows, cols, entries, provider):
+            matrix = cls(rows, entries, provider)
+            if cols != rows:
+                raise ValueError("col_ids must equal row_ids")
+            return matrix
+        return load_distances(path, POOL_KIND, build)
 
 
 @dataclass(frozen=True)

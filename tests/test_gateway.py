@@ -251,6 +251,16 @@ class FakeResponse:
         return self._payload
 
 
+def patch_requests_post(monkeypatch, post):
+    """Install ``post`` as ``requests.post``; a request that reaches
+    ``requests`` any other way fails the test instead of the network."""
+    import requests
+
+    monkeypatch.setattr(requests, "post", post)
+    monkeypatch.setattr(requests.Session, "send",
+                        lambda *a, **k: pytest.fail("request sent past requests.post"))
+
+
 class TestHttpChatProvider:
     def test_missing_api_key_is_configuration_error(self, monkeypatch):
         monkeypatch.delenv("TRIPLEFORGE_API_KEY", raising=False)
@@ -308,6 +318,33 @@ class TestHttpChatProvider:
         provider = HttpChatProvider("https://x.test", api_key="k", post=post)
         with pytest.raises(TransientProviderError, match="connection failure"):
             provider.generate(request())
+
+    def test_without_post_the_providers_call_requests_post(self, monkeypatch):
+        urls = []
+
+        def post(url, json=None, headers=None, timeout=None):
+            urls.append(url)
+            if "input" in json:
+                return FakeResponse(200, {"data": [{"embedding": [1.0]}]})
+            return FakeResponse(200, {"choices": [{"message": {"content": "x"}}]})
+
+        patch_requests_post(monkeypatch, post)
+        assert HttpChatProvider("https://chat.test", api_key="k").generate(request()) == "x"
+        embedder = HttpEmbeddingProvider("https://emb.test", "emb-1", dim=1, api_key="k")
+        assert embedder.embed(["text"]).tolist() == [[1.0]]
+        assert urls == ["https://chat.test", "https://emb.test"]
+
+    def test_without_post_a_connection_error_is_transient(self, monkeypatch):
+        import requests
+
+        def post(*a, **k):
+            raise requests.ConnectionError("refused")
+
+        patch_requests_post(monkeypatch, post)
+        with pytest.raises(TransientProviderError, match="connection failure: refused"):
+            HttpChatProvider("https://x.test", api_key="k").generate(request())
+        with pytest.raises(TransientProviderError, match="connection failure: refused"):
+            HttpEmbeddingProvider("https://x.test", "emb-1", dim=1, api_key="k").embed(["text"])
 
     def test_reply_without_choices_is_fatal(self):
         provider = HttpChatProvider("https://x.test", api_key="k",
@@ -428,7 +465,8 @@ class TestCompletionLog:
 
     def test_shared_prefix_writes_the_log_lines_of_a_serial_run(self, tmp_path):
         prefix = "Extract.\nDémo \"one\" \U0001F600 | x\n\n"
-        prompts = [f"{prefix}query {i}\n{i}" for i in range(40)]
+        bodies = [f"query {i}\n{i}" for i in range(40)]
+        prompts = [prefix + body for body in bodies]
         logs = {}
         for concurrency in (1, 4):
             cfg = PipelineConfig(pool_path=tmp_path / "pool.jsonl",
@@ -439,7 +477,7 @@ class TestCompletionLog:
             interval = sys.getswitchinterval()
             sys.setswitchinterval(1e-6)
             try:
-                assert _complete_all(cfg, gw, prompts, prefix) == [f"echo:{p}" for p in prompts]
+                assert _complete_all(cfg, gw, bodies, prefix) == [f"echo:{p}" for p in prompts]
             finally:
                 sys.setswitchinterval(interval)
             logs[concurrency] = (cache / CACHE_LOG).read_text(encoding="utf-8").splitlines()

@@ -851,9 +851,11 @@ def demonstration_lists(draw):
        texts=st.lists(cell_text, min_size=1, max_size=5))
 def test_batch_render_matches_the_per_query_render(fmt, demos, texts):
     queries = [Sample(f"q{k}", text) for k, text in enumerate(texts)]
-    prefix, prompts = render_few_shot(fmt, demos, queries)
-    assert prompts == [reference_render_few_shot(fmt, demos, q) for q in queries]
-    assert all(p.startswith(prefix) for p in prompts)
+    prefix, bodies = render_few_shot(fmt, demos, queries)
+    assert [prefix + body for body in bodies] == [
+        reference_render_few_shot(fmt, demos, q) for q in queries]
+    # the demonstration block is in the prefix alone
+    assert all(body.startswith(q.text) for body, q in zip(bodies, queries))
 
 
 # sha256 of the NUL-joined few-shot prompts for the mini test set, with every
@@ -872,7 +874,8 @@ def test_mini_fixture_prompt_bytes_pinned():
     test = load_dataset(DATA_DIR / "test.jsonl", "test")
     demos = [Demonstration(s, pool.gold[s.id].triples) for s in pool.samples]
     for fmt, want in MINI_PROMPT_SHA256.items():
-        _, prompts = render_few_shot(fmt, demos, test.samples)
+        prefix, bodies = render_few_shot(fmt, demos, test.samples)
+        prompts = [prefix + body for body in bodies]
         assert len(prompts) == len(test.samples)
         assert hashlib.sha256("\0".join(prompts).encode("utf-8")).hexdigest() == want, fmt
 

@@ -5,6 +5,7 @@ import pickle
 import platform
 import subprocess
 import sys
+import tracemalloc
 from collections import OrderedDict
 from dataclasses import asdict
 from pathlib import Path
@@ -22,7 +23,12 @@ from tripleforge.config import (
     load_config,
 )
 from tripleforge.core import TripleSet
-from tripleforge.gateway import CACHE_LOG, MockEchoGoldProvider, TransientProviderError
+from tripleforge.gateway import (
+    CACHE_LOG,
+    LlmGateway,
+    MockEchoGoldProvider,
+    TransientProviderError,
+)
 from tripleforge.pipeline import (
     COST_JSON,
     EVAL_JSON,
@@ -102,17 +108,35 @@ print(json.dumps([hashlib.sha256((cfg.run_dir / name).read_bytes()).hexdigest()
 """
 
 
+# all seven stages for the pickled config on stdin; prints the modules of the
+# HTTP client that the process imported
+OFFLINE_IN_CHILD = """
+import json, pickle, sys
+from tripleforge.pipeline import STAGES
+cfg = pickle.loads(sys.stdin.buffer.read())
+for stage in STAGES.values():
+    stage(cfg)
+print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] in ("requests", "urllib3"))))
+"""
+
+
+def run_in_child(script: str, cfg, **env):
+    """The JSON that ``script`` prints when run on the pickled ``cfg`` in a
+    child process, with ``env`` added to this one's environment."""
+    env = dict(os.environ, **env, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(Path(tripleforge.__file__).parents[1]),
+                      os.environ.get("PYTHONPATH")])))
+    child = subprocess.run([sys.executable, "-c", script], input=pickle.dumps(cfg),
+                           capture_output=True, env=env, timeout=300)
+    assert child.returncode == 0, child.stderr.decode(errors="replace")
+    return json.loads(child.stdout)
+
+
 def train_under_kernel_family(cfg, family: str) -> tuple[str, str]:
     """The training digests of ``cfg`` from a child process whose OpenBLAS
     is forced to ``family`` and one thread; this process is left as it is."""
-    env = dict(os.environ, OPENBLAS_CORETYPE=family, OPENBLAS_NUM_THREADS="1",
-               PYTHONPATH=os.pathsep.join(
-                   filter(None, [str(Path(tripleforge.__file__).parents[1]),
-                                 os.environ.get("PYTHONPATH")])))
-    child = subprocess.run([sys.executable, "-c", TRAIN_IN_CHILD], input=pickle.dumps(cfg),
-                           capture_output=True, env=env, timeout=300)
-    assert child.returncode == 0, child.stderr.decode(errors="replace")
-    return tuple(json.loads(child.stdout))
+    return tuple(run_in_child(TRAIN_IN_CHILD, cfg, OPENBLAS_CORETYPE=family,
+                              OPENBLAS_NUM_THREADS="1"))
 
 
 def run_all(cfg):
@@ -265,8 +289,8 @@ class TestFullPipeline:
             assert entry["path"] == name
 
     def test_manifest_paths_are_relative_to_run_dir(self, run_config, tmp_path):
-        # a checkpoint outside run_dir is reached through ".."; config paths
-        # stay as given
+        # a checkpoint outside run_dir is reached through "..", in the
+        # artifact paths and the config block alike
         ckpt = tmp_path / "models" / "r.ckpt"
         cfg = run_config(checkpoint_path=ckpt)
         for name in ALL_STAGES[:3]:
@@ -277,7 +301,67 @@ class TestFullPipeline:
         assert paths == {PREEXTRACT: PREEXTRACT, "pool_distances.npz": "pool_distances.npz",
                          "training_history.json": "training_history.json",
                          "r.ckpt": "../models/r.ckpt"}
-        assert manifest["config"]["checkpoint_path"] == str(ckpt)
+        assert manifest["config"]["checkpoint_path"] == "../models/r.ckpt"
+
+    def test_config_block_does_not_depend_on_where_the_run_sits(self, tmp_path):
+        # one config file and dataset copy, in two directories of different depth
+        blocks = []
+        for base in (tmp_path / "a", tmp_path / "b" / "deeper" / "still"):
+            (base / "data").mkdir(parents=True)
+            for name in ("train.jsonl", "test.jsonl"):
+                (base / "data" / name).write_bytes((DATA_DIR / name).read_bytes())
+            (base / "run.cfg").write_text("pool_path = data/train.jsonl\n"
+                                          "test_path = data/test.jsonl\nrun_dir = out\n")
+            cfg = load_config(base / "run.cfg")
+            STAGES["preextract"](cfg)
+            blocks.append(json.loads((cfg.run_dir / MANIFEST).read_text())["config"])
+        assert blocks[0] == blocks[1]
+        paths = ("pool_path", "run_dir", "cache_dir", "checkpoint_path")
+        assert [blocks[0][k] for k in paths] == [
+            "../data/train.jsonl", ".", "cache", "retriever.ckpt"]
+
+    def test_an_offline_run_never_imports_requests(self, run_config):
+        # in a child process: this one imports requests for tests/test_similarity.py
+        cfg = run_config()
+        assert (cfg.provider, cfg.embedder) == ("mock", "hash")
+        assert run_in_child(OFFLINE_IN_CHILD, cfg) == []
+        manifest = json.loads((cfg.run_dir / MANIFEST).read_text())
+        assert set(manifest["stages"]) == set(ALL_STAGES)
+
+    def test_run_stage_never_holds_every_full_prompt(self, run_config, tmp_path,
+                                                     monkeypatch):
+        # long demonstrations and a few hundred queries, so that the full
+        # prompts, shared block and all, outweigh the rest of the stage
+        def records(name):
+            lines = (DATA_DIR / name).read_text(encoding="utf-8").splitlines()
+            return lines[0], [json.loads(line) for line in lines[1:]]
+
+        header, pool = records("train.jsonl")
+        for record in pool:
+            record["text"] += " and so on" * 200
+        _, mini_test = records("test.jsonl")
+        test = [dict(r, id=f"{r['id']}-{i}", text=f"{r['text']} ({i})")
+                for i in range(40) for r in mini_test]
+        for name, rows in (("pool.jsonl", pool), ("test.jsonl", test)):
+            (tmp_path / name).write_text(
+                "\n".join([header, *map(json.dumps, rows)]) + "\n", encoding="utf-8")
+        cfg = run_config(pool_path=tmp_path / "pool.jsonl", test_path=tmp_path / "test.jsonl",
+                         distance_source="direct", strategy="topk", budget=12)
+        for name in ("preextract", "select"):
+            STAGES[name](cfg)
+
+        prompt_chars = []
+        complete = LlmGateway.complete
+        monkeypatch.setattr(LlmGateway, "complete", lambda gw, request: (
+            prompt_chars.append(len(request.prompt)) or complete(gw, request)))
+        tracemalloc.start()
+        try:
+            STAGES["run"](cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(prompt_chars) == len(test) >= 300 and min(prompt_chars) > 20_000
+        assert peak < sum(prompt_chars) / 2, (peak, sum(prompt_chars))
 
     def test_manifest_records_stages_and_hashes(self, run_config):
         cfg = run_config()

@@ -176,10 +176,16 @@ def demo(sid, text, triples):
     return Demonstration(sample=Sample(sid, text), gold=TripleSet.of(triples))
 
 
+def render_prompts(fmt, demos, queries):
+    """The full prompts: the shared prefix plus each query's body."""
+    prefix, bodies = render_few_shot(fmt, demos, queries)
+    return [prefix + body for body in bodies]
+
+
 class TestRenderFewShot:
     def test_zero_demos_degenerates_to_plural_zero_shot(self):
         query = Sample("q", "Booth shot Lincoln.")
-        _, [prompt] = render_few_shot(PromptFormat.TABLEIE, [], [query])
+        [prompt] = render_prompts(PromptFormat.TABLEIE, [], [query])
         assert prompt == (
             f"{FEW_SHOT_INSTRUCTION}\nBooth shot Lincoln.\n{TABLE_HEADER}"
         )
@@ -189,14 +195,14 @@ class TestRenderFewShot:
             demo("d1", "Far example .", [make_triple()]),
             demo("d2", "Near example .", [make_triple(o="Kennedy")]),
         ]
-        _, [prompt] = render_few_shot(PromptFormat.TABLEIE, demos, [Sample("q", "Query .")])
+        [prompt] = render_prompts(PromptFormat.TABLEIE, demos, [Sample("q", "Query .")])
         lines = prompt.splitlines()
         assert lines.index("Near example .") > lines.index("Far example .")
         assert lines[-2] == "Query ."
 
     def test_header_count_is_demos_plus_one(self):
         demos = [demo(f"d{i}", f"Sentence {i} .", [make_triple()]) for i in range(5)]
-        _, [prompt] = render_few_shot(PromptFormat.TABLEIE, demos, [Sample("q", "Query .")])
+        [prompt] = render_prompts(PromptFormat.TABLEIE, demos, [Sample("q", "Query .")])
         assert prompt.count(TABLE_HEADER) == 6
 
     def test_demos_separated_by_blank_line(self):
@@ -204,12 +210,12 @@ class TestRenderFewShot:
             demo("d1", "One .", [make_triple()]),
             demo("d2", "Two .", [make_triple()]),
         ]
-        _, [prompt] = render_few_shot(PromptFormat.TEXTIE, demos, [Sample("q", "Query .")])
+        [prompt] = render_prompts(PromptFormat.TEXTIE, demos, [Sample("q", "Query .")])
         assert "(Per: Booth, Kill, Per: Lincoln)\n\nTwo ." in prompt
 
     def test_codeie_demo_blocks_include_def_header(self):
         demos = [demo("d1", "One .", [make_triple()])]
-        _, [prompt] = render_few_shot(PromptFormat.CODEIE, demos, [Sample("q", "Query .")])
+        [prompt] = render_prompts(PromptFormat.CODEIE, demos, [Sample("q", "Query .")])
         assert prompt.count(CODE_HEADER) == 1
         assert prompt.splitlines()[-1] == "Query ."
 
@@ -218,11 +224,11 @@ class TestRenderFewShot:
         demos = [demo("d1", "One .", [make_triple()]),
                  demo("d2", "Two .", [])]
         queries = [Sample("q1", "Query one ."), Sample("q2", "Query two .")]
-        prefix, prompts = render_few_shot(fmt, demos, queries)
+        prefix, bodies = render_few_shot(fmt, demos, queries)
         assert prefix.startswith(FEW_SHOT_INSTRUCTION + "\nOne .\n")
         assert "Two ." in prefix and prefix.endswith("\n\n")
         suffix = "\n" + TABLE_HEADER if fmt is PromptFormat.TABLEIE else ""
-        assert prompts == [prefix + q.text + suffix for q in queries]
+        assert bodies == [q.text + suffix for q in queries]
 
     def test_byte_deterministic(self):
         demos = [demo("d1", "One .", [make_triple()])]
@@ -238,8 +244,8 @@ class TestRenderFewShot:
         ]
         queries = [Sample(f"q{i}", f"Query {i} .") for i in range(3)]
         with caplog.at_level(logging.WARNING, logger="tripleforge.prompting"):
-            _, prompts = render_few_shot(PromptFormat.TABLEIE, demos, queries)
-        assert len(prompts) == 3
+            _, bodies = render_few_shot(PromptFormat.TABLEIE, demos, queries)
+        assert len(bodies) == 3
         assert [r.getMessage() for r in caplog.records] == [
             "demonstration d1 has no gold triples",
             "demonstration d3 has no gold triples",

@@ -331,8 +331,11 @@ class TestDistanceMatrixFiles:
          "entries must be 3x3"),
         (PoolDistanceMatrix, {"row_ids": np.array(["a", "b"]),
                               "entries": np.array([[0.0, 1.0], [2.0, 0.0]])}, "symmetric"),
+        (PoolDistanceMatrix, {"row_ids": np.array(["a", "b"]), "col_ids": np.array(["x"]),
+                              "entries": np.array([[0.0, 1.0], [1.0, 0.0]])},
+         "col_ids must equal row_ids"),
     ], ids=["inf", "negative", "ids-off-shape", "pool-nan", "pool-ids-off-shape",
-            "pool-asymmetric"])
+            "pool-asymmetric", "pool-col-ids"])
     def test_load_names_the_file_its_constructor_refuses(self, tmp_path, cls, members,
                                                           message):
         kind = POOL_KIND if cls is PoolDistanceMatrix else PAIRWISE_KIND
