@@ -102,8 +102,8 @@ class MockEchoGoldProvider:
 class JsonEndpoint:
     """A JSON-over-HTTP endpoint with a bearer API key, for the HTTP providers.
     A call returns the decoded body of a 200 reply; a connection failure, 429
-    or 5xx raises ``TransientProviderError`` and any other status
-    ``GatewayError``.  The first call imports ``requests`` (``post``'s default)."""
+    or 5xx raises ``TransientProviderError``, any other status or a body that
+    is not JSON ``GatewayError``.  The first call imports ``requests``."""
 
     def __init__(self, url: str, api_key: Optional[str] = None,
                  post: Optional[Callable] = None):
@@ -129,7 +129,10 @@ class JsonEndpoint:
         if response.status_code != 200:
             raise GatewayError(f"HTTP {response.status_code}: {response.text[:200]}",
                                status=response.status_code)
-        return response.json()
+        try:
+            return response.json()
+        except ValueError as exc:
+            raise GatewayError(f"reply is not JSON: {exc}") from exc
 
 
 class HttpChatProvider:

@@ -142,10 +142,7 @@ def _upstream(cfg: PipelineConfig, name: str) -> Path:
 
 def _update_manifest(cfg: PipelineConfig, outcome: StageOutcome) -> None:
     manifest_path = cfg.run_dir / MANIFEST
-    manifest = _read_json(manifest_path) if manifest_path.exists() else {}
-    manifest.update(config=cfg.snapshot(), seed=cfg.seed, provider=cfg.provider,
-                    model_id=cfg.model_id)
-    stages = manifest.setdefault("stages", {})
+    stages = _read_json(manifest_path).get("stages", {}) if manifest_path.exists() else {}
     stages[outcome.stage] = {
         "artifacts": {
             name: {"path": os.path.relpath(path, cfg.run_dir), "sha256": sha256}
@@ -155,7 +152,7 @@ def _update_manifest(cfg: PipelineConfig, outcome: StageOutcome) -> None:
         "completed_at": _dt.datetime.now(_dt.timezone.utc).isoformat(),
     }
     # ``completed_at`` changes on every run: no equal-bytes check to make
-    replace_file(manifest_path, _json_bytes(manifest))
+    replace_file(manifest_path, _json_bytes({"config": cfg.snapshot(), "stages": stages}))
 
 
 def build_gateway(cfg: PipelineConfig,

@@ -122,21 +122,27 @@ class TrainingHistory:
 _LOSS_CHUNK = 256
 
 
+def _project(weights: np.ndarray, embedded: np.ndarray) -> np.ndarray:
+    """``weights @ row`` for every row: numpy runs a stack of (d, d) @ (d, 1)
+    products as one dgemv per row; ``embedded @ weights.T`` (dgemm) is off by 2.8e-14."""
+    return (weights @ embedded[:, :, None])[..., 0]
+
+
 def _mean_pair_loss(weights: np.ndarray, pairs: np.ndarray, targets: np.ndarray,
                     embeddings: np.ndarray) -> float:
-    """``reference_batch_loss`` over all ``pairs`` divided by their count,
-    bit for bit, with O(``_LOSS_CHUNK`` * dim) temporaries instead of
-    O(pairs * dim).
-
-    Each row's projection and norm depends on that row alone, and the one
-    ``np.sum`` runs over all radii in pair order, as the reference does.
-    """
+    """Mean squared error over all ``pairs`` of ``compute_P``'s distance (the
+    norm of the difference of the projected samples), with O(``_LOSS_CHUNK``
+    * dim) temporaries besides the projected samples.  Each projected row is
+    a dgemv of that row alone and the rest is elementwise or a row-wise
+    ``add.reduce``, so no chunk boundary moves a bit; the one ``np.sum`` runs
+    over all radii in pair order."""
+    projected = _project(weights, embeddings)
     radii = np.empty(len(pairs), dtype=np.float64)
     for start in range(0, len(pairs), _LOSS_CHUNK):
         chunk = pairs[start:start + _LOSS_CHUNK]
-        diffs = embeddings.take(chunk[:, 0], axis=0)
-        diffs -= embeddings.take(chunk[:, 1], axis=0)
-        radii[start:start + len(chunk)] = np.linalg.norm(diffs @ weights.T, axis=1)
+        diffs = projected.take(chunk[:, 0], axis=0)
+        diffs -= projected.take(chunk[:, 1], axis=0)
+        radii[start:start + len(chunk)] = np.linalg.norm(diffs, axis=1)
     return float(np.sum((targets - radii) ** 2)) / len(pairs)
 
 
@@ -234,10 +240,7 @@ class RetrieverModel:
         object.__setattr__(self, "weights", weights)
 
     def encode_samples(self, samples: Sequence[Sample]) -> np.ndarray:
-        # numpy runs a stack of (d, d) @ (d, 1) products as one dgemv per row,
-        # like ``weights @ row``; ``embedded @ weights.T`` (dgemm) is off by 2.8e-14
-        embedded = self.base.embed([s.text for s in samples])
-        return (self.weights @ embedded[:, :, None])[..., 0]
+        return _project(self.weights, self.base.embed([s.text for s in samples]))
 
 
 def train_retriever(texts_by_id: Mapping[str, str], matrix: PoolDistanceMatrix,

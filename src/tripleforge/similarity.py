@@ -86,11 +86,14 @@ class HttpEmbeddingProvider:
         out = np.empty((len(texts), self.dim), dtype=np.float64)
         for start in range(0, len(texts), HTTP_EMBED_CHUNK):
             chunk = list(texts[start:start + HTTP_EMBED_CHUNK])
-            data = self._endpoint({"model": self._model_id, "input": chunk})["data"]
-            if len(data) != len(chunk):
-                raise GatewayError(f"expected {len(chunk)} embeddings, got {len(data)}")
-            for row, item in enumerate(data, start):
-                vec = np.asarray(item["embedding"], dtype=np.float64)
+            body = self._endpoint({"model": self._model_id, "input": chunk})
+            try:
+                vecs = [np.asarray(item["embedding"], dtype=np.float64) for item in body["data"]]
+            except (KeyError, TypeError, ValueError) as exc:
+                raise GatewayError(f"malformed embedding response: {exc}") from exc
+            if len(vecs) != len(chunk):
+                raise GatewayError(f"expected {len(chunk)} embeddings, got {len(vecs)}")
+            for row, vec in enumerate(vecs, start):
                 if vec.shape != (self.dim,):
                     raise GatewayError(
                         f"embedding dim mismatch: expected {self.dim}, got {vec.shape}")
@@ -172,13 +175,16 @@ def set_distances(A_sets: Sequence[Sequence[np.ndarray] | np.ndarray],
     Each side is concatenated into one embedding array, with segment offsets
     per set, and the matrix is filled block by block so that a block's triple
     differences stay near ``_BLOCK_ELEMENTS``.  Every cell has the bits a
-    single-pair computation gives (see ``_segment_means``).
+    single-pair computation gives (see ``_segment_means``).  With the same
+    object on both sides it stacks that side once and mirrors the blocks on
+    and above the diagonal: ``set_distance`` is symmetric to the bit.
     """
     out = np.zeros((len(A_sets), len(B_sets)), dtype=np.float64)
     if not len(A_sets) or not len(B_sets):
         return out
+    symmetric = A_sets is B_sets
     a, a_starts, a_sizes = _stack(A_sets)
-    b, b_starts, b_sizes = _stack(B_sets)
+    b, b_starts, b_sizes = (a, a_starts, a_sizes) if symmetric else _stack(B_sets)
     if a.shape[1] != b.shape[1]:
         raise ValueError(f"embedding dim mismatch: {a.shape[1]} vs {b.shape[1]}")
     side = max(1, math.isqrt(_BLOCK_ELEMENTS // a.shape[1]))
@@ -186,10 +192,15 @@ def set_distances(A_sets: Sequence[Sequence[np.ndarray] | np.ndarray],
     for s0, s1 in _runs(a_starts, a_sizes, side):
         ra = slice(a_starts[s0], a_starts[s1 - 1] + a_sizes[s1 - 1])
         for t0, t1 in b_runs:
+            if symmetric and t1 <= s0:
+                continue
             rb = slice(b_starts[t0], b_starts[t1 - 1] + b_sizes[t1 - 1])
             out[s0:s1, t0:t1] = _set_distance_block(
                 a[ra], a_starts[s0:s1] - ra.start, a_sizes[s0:s1],
                 b[rb], b_starts[t0:t1] - rb.start, b_sizes[t0:t1])
+    if symmetric:
+        out = np.triu(out, 1)
+        out += out.T
     return out
 
 
@@ -383,11 +394,6 @@ class PairwiseDistanceSet:
         return load_distances(path, PAIRWISE_KIND, cls)
 
 
-# Pool rows per band of the upper triangle: smaller bands compute fewer cells
-# below the diagonal, larger ones restack the remaining sets less often.
-_TRIANGLE_BAND = 32
-
-
 def embed_triple_sets(preextracted: Mapping[str, Sequence[str]],
                       provider: EmbeddingProvider) -> dict[str, np.ndarray]:
     """Embed each sample's verbalized triples, with one provider call for the
@@ -406,17 +412,8 @@ def embed_triple_sets(preextracted: Mapping[str, Sequence[str]],
 
 def pool_distances(preextracted: Mapping[str, Sequence[str]],
                    provider: EmbeddingProvider) -> PoolDistanceMatrix:
-    """All-pairs set distances over the pool, in the mapping's id order.
-
-    Only the upper triangle is computed, in bands of rows, and then mirrored;
-    ``set_distance`` is symmetric to the bit."""
+    """All-pairs set distances over the pool, in the mapping's id order."""
     embedded = embed_triple_sets(preextracted, provider)
-    ids = list(embedded.keys())
     sets = list(embedded.values())
-    n = len(ids)
-    upper = np.zeros((n, n), dtype=np.float64)
-    for s0 in range(0, n, _TRIANGLE_BAND):
-        upper[s0:s0 + _TRIANGLE_BAND, s0:] = set_distances(sets[s0:s0 + _TRIANGLE_BAND], sets[s0:])
-    upper = np.triu(upper, 1)
-    return PoolDistanceMatrix(sample_ids=tuple(ids), entries=upper + upper.T,
+    return PoolDistanceMatrix(sample_ids=tuple(embedded), entries=set_distances(sets, sets),
                               provider=provider.name)

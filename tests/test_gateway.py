@@ -251,6 +251,16 @@ class FakeResponse:
         return self._payload
 
 
+class NotJsonResponse(FakeResponse):
+    """A 200 reply whose body does not decode, as ``requests`` reports it."""
+
+    def __init__(self, text):
+        super().__init__(200, text=text)
+
+    def json(self):
+        return json.loads(self.text)
+
+
 def patch_requests_post(monkeypatch, post):
     """Install ``post`` as ``requests.post``; a request that reaches
     ``requests`` any other way fails the test instead of the network."""
@@ -351,6 +361,27 @@ class TestHttpChatProvider:
                                     post=lambda *a, **k: FakeResponse(200, {"id": "x"}))
         with pytest.raises(GatewayError, match="malformed completion response"):
             provider.generate(request())
+
+    @pytest.mark.parametrize("provider, reply, match", [
+        ("chat", NotJsonResponse("<html>busy</html>"), "reply is not JSON"),
+        ("embed", NotJsonResponse(""), "reply is not JSON"),
+        ("embed", FakeResponse(200, {"id": "x"}), "malformed embedding response"),
+        ("embed", FakeResponse(200, {"data": [{"vector": [1.0]}]}),
+         "malformed embedding response"),
+        ("embed", FakeResponse(200, {"data": [{"embedding": ["one"]}]}),
+         "malformed embedding response"),
+        ("embed", FakeResponse(200, [{"embedding": [1.0]}]), "malformed embedding response"),
+    ], ids=["chat-not-json", "embed-not-json", "no-data", "no-embedding", "not-numeric",
+            "list-body"])
+    def test_malformed_200_reply_is_a_fatal_gateway_error(self, provider, reply, match):
+        post = lambda *a, **k: reply  # noqa: E731
+        with pytest.raises(GatewayError, match=match) as raised:
+            if provider == "chat":
+                HttpChatProvider("https://x.test", api_key="k", post=post).generate(request())
+            else:
+                HttpEmbeddingProvider("https://x.test", "emb-1", dim=1, api_key="k",
+                                      post=post).embed(["text"])
+        assert not isinstance(raised.value, TransientProviderError)
 
 
 class TestUnreadableCacheEntry:

@@ -65,11 +65,11 @@ TRAINING_SHA256 = {
     "Haswell": ("b94ae0b211103eb821590dab3ca470db13906194d2d6b80d8c00424c1a41a923",
                 "318b4f7b6185b55bafa145b8c6f4c214fa3c14f21658348a604e05e06578e0f2"),
     "Sandybridge": ("b24e1a3ab6e94745c9ba9f8ef9638eb0a2e8669a0f066e36801e76690ebad12f",
-                    "5c113e9ed389f66c2f4f71053c5e8b43f1bf878279d81736c7483e610c24e2d8"),
+                    "06461d8dfbd0f6bca986b27e78bdedd7509032bff86c2868ad1170689d9bedd4"),
     "Nehalem": ("2928a34ff2c2440f9e9412e2e36de46e4379b13bee06da7322921204edae7a4b",
-                "5c113e9ed389f66c2f4f71053c5e8b43f1bf878279d81736c7483e610c24e2d8"),
+                "06461d8dfbd0f6bca986b27e78bdedd7509032bff86c2868ad1170689d9bedd4"),
     "Katmai": ("b5a40ed675b30add2ea597e10960677ea898ccf97249bf40de70886df792239a",
-               "5c113e9ed389f66c2f4f71053c5e8b43f1bf878279d81736c7483e610c24e2d8"),
+               "06461d8dfbd0f6bca986b27e78bdedd7509032bff86c2868ad1170689d9bedd4"),
 }
 OPENBLAS_X86_64 = (
     platform.machine().lower() in ("x86_64", "amd64")
@@ -373,6 +373,15 @@ class TestFullPipeline:
         assert entry["sha256"] == hashlib.sha256(
             (cfg.run_dir / PREEXTRACT).read_bytes()).hexdigest()
         assert manifest["config"]["budget"] == cfg.budget
+
+    def test_manifest_states_the_run_identity_once(self, run_config):
+        # seed, provider and model_id live in the config block only
+        cfg = run_config(seed=7)
+        run_all(cfg)
+        manifest = json.loads((cfg.run_dir / MANIFEST).read_text())
+        assert set(manifest) == {"config", "stages"}
+        assert (manifest["config"]["seed"], manifest["config"]["provider"],
+                manifest["config"]["model_id"]) == (7, cfg.provider, cfg.model_id)
 
     def test_manifest_records_retries_and_unreadable_entries(self, run_config,
                                                              monkeypatch):

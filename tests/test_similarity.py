@@ -8,6 +8,7 @@ import pytest
 import requests
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from tripleforge import similarity
 from tripleforge.gateway import GatewayError, TransientProviderError
 from tripleforge.similarity import (
     HTTP_EMBED_CHUNK,
@@ -20,6 +21,7 @@ from tripleforge.similarity import (
     embed_triple_sets,
     pool_distances,
     set_distance,
+    set_distances,
 )
 
 from conftest import StubEmbedder
@@ -155,6 +157,21 @@ class TestPoolDistances:
     def test_empty_preextraction_rejected(self):
         with pytest.raises(ValueError, match="no pre-extracted triples"):
             pool_distances({"a": []}, self.fixture_provider())
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_symmetric_call_computes_each_block_pair_once(self, monkeypatch, k):
+        # single-row sets at dim 64 fill a block run with ``side`` sets, so
+        # the pool has k runs: k(k+1)/2 blocks on or above the diagonal
+        dim = 64
+        side = math.isqrt(similarity._BLOCK_ELEMENTS // dim)
+        sets = list(np.random.default_rng(k).normal(size=(k * side, 1, dim)))
+        full = set_distances(sets, list(sets))  # another object: every block
+        calls = []
+        block = similarity._set_distance_block
+        monkeypatch.setattr(similarity, "_set_distance_block",
+                            lambda *args: calls.append(1) or block(*args))
+        assert np.array_equal(set_distances(sets, sets), full)
+        assert len(calls) == k * (k + 1) // 2
 
     def test_save_load_round_trip(self, tmp_path):
         matrix = pool_distances({"a": ["u"], "b": ["v"]}, self.fixture_provider())
