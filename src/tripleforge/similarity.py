@@ -97,6 +97,8 @@ class HttpEmbeddingProvider:
                 if vec.shape != (self.dim,):
                     raise GatewayError(
                         f"embedding dim mismatch: expected {self.dim}, got {vec.shape}")
+                if not np.all(np.isfinite(vec)):  # JSON null, NaN, Infinity or 1e400
+                    raise GatewayError(f"malformed embedding response: row {row} is not finite")
                 out[row] = vec
         return out
 
@@ -310,7 +312,7 @@ def save_distances(path: str | Path, kind: str, row_ids: Sequence[str],
                    col_ids: Sequence[str], entries: np.ndarray, provider: str) -> Artifact:
     return save_arrays(path, kind, provider=_text_array(provider),
                        row_ids=_text_array(list(row_ids)), col_ids=_text_array(list(col_ids)),
-                       entries=_checked_entries(entries, len(row_ids), len(col_ids)))
+                       entries=entries)
 
 
 def load_distances(path: str | Path, kind: str, build: Callable[..., _Matrix]) -> _Matrix:
@@ -350,12 +352,25 @@ class PoolDistanceMatrix:
         return len(self.sample_ids)
 
     def save(self, path: str | Path) -> Artifact:
-        return save_distances(path, POOL_KIND, self.sample_ids, self.sample_ids, self.entries,
+        """Saves the strict upper triangle, row-major: ``np.triu_indices(n, 1)``."""
+        entries = _checked_entries(self.entries, self.n, self.n)
+        upper = np.concatenate([np.empty(0)] + [entries[i, i + 1:] for i in range(self.n)])
+        return save_distances(path, POOL_KIND, self.sample_ids, self.sample_ids, upper,
                               self.provider)
 
     @classmethod
     def load(cls, path: str | Path) -> "PoolDistanceMatrix":
-        def build(rows, cols, entries, provider):
+        def build(rows, cols, upper, provider):
+            n = len(rows)
+            if upper.ndim == 2:
+                raise ValueError("square entries, the layout before the upper triangle: "
+                                 "re-run `tripleforge distances`")
+            if upper.shape != (n * (n - 1) // 2,):
+                raise ValueError(f"entries must hold {n * (n - 1) // 2} values, got {upper.shape}")
+            entries = np.zeros((n, n))
+            for i in range(n):
+                start = i * (2 * n - i - 1) // 2  # the values of rows 0..i-1 come first
+                entries[i, i + 1:] = entries[i + 1:, i] = upper[start:start + n - 1 - i]
             matrix = cls(rows, entries, provider)
             if cols != rows:
                 raise ValueError("col_ids must equal row_ids")
@@ -387,7 +402,7 @@ class PairwiseDistanceSet:
 
     def save(self, path: str | Path) -> Artifact:
         return save_distances(path, PAIRWISE_KIND, self.unlabeled_ids, self.test_ids,
-                              self.entries, self.provider)
+                              _checked_entries(self.entries, self.n, self.m), self.provider)
 
     @classmethod
     def load(cls, path: str | Path) -> "PairwiseDistanceSet":

@@ -1,3 +1,4 @@
+import json
 import math
 import re
 import time
@@ -10,6 +11,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from tripleforge import similarity
 from tripleforge.gateway import GatewayError, TransientProviderError
+from tripleforge.retriever import make_training_pairs
 from tripleforge.similarity import (
     HTTP_EMBED_CHUNK,
     PAIRWISE_KIND,
@@ -340,19 +342,18 @@ class TestDistanceMatrixFiles:
         (PairwiseDistanceSet, {"entries": np.array([[np.inf]])}, "finite and non-negative"),
         (PairwiseDistanceSet, {"entries": np.array([[-0.5]])}, "finite and non-negative"),
         (PairwiseDistanceSet, {"col_ids": np.array(["t", "u"])}, "entries must be 1x2"),
-        (PoolDistanceMatrix, {"row_ids": np.array(["a", "b"]),
-                              "entries": np.array([[0.0, np.nan], [np.nan, 0.0]])},
+        (PoolDistanceMatrix, {"row_ids": np.array(["a", "b"]), "entries": np.array([np.nan])},
          "finite and non-negative"),
         (PoolDistanceMatrix, {"row_ids": np.array(["a", "b", "c"]),
-                              "entries": np.array([[0.0, 1.0], [1.0, 0.0]])},
-         "entries must be 3x3"),
-        (PoolDistanceMatrix, {"row_ids": np.array(["a", "b"]),
-                              "entries": np.array([[0.0, 1.0], [2.0, 0.0]])}, "symmetric"),
+                              "entries": np.array([1.0])}, "entries must hold 3 values"),
         (PoolDistanceMatrix, {"row_ids": np.array(["a", "b"]), "col_ids": np.array(["x"]),
+                              "entries": np.array([1.0])}, "col_ids must equal row_ids"),
+        # the square layout of a run directory made before the upper triangle
+        (PoolDistanceMatrix, {"row_ids": np.array(["a", "b"]), "col_ids": np.array(["a", "b"]),
                               "entries": np.array([[0.0, 1.0], [1.0, 0.0]])},
-         "col_ids must equal row_ids"),
+         "re-run `tripleforge distances`"),
     ], ids=["inf", "negative", "ids-off-shape", "pool-nan", "pool-ids-off-shape",
-            "pool-asymmetric", "pool-col-ids"])
+            "pool-col-ids", "pool-square"])
     def test_load_names_the_file_its_constructor_refuses(self, tmp_path, cls, members,
                                                           message):
         kind = POOL_KIND if cls is PoolDistanceMatrix else PAIRWISE_KIND
@@ -360,6 +361,23 @@ class TestDistanceMatrixFiles:
         write_raw(path, kind=np.array(kind), **members)
         with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: .*{message}"):
             cls.load(path)
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 40])
+    def test_pool_file_holds_the_upper_triangle_training_reads(self, tmp_path, n):
+        upper = np.triu(np.random.default_rng(n).random((n, n)), 1)
+        matrix = PoolDistanceMatrix(tuple(map(str, range(n))), upper + upper.T, "p")
+        matrix.save(tmp_path / "pool.npz")
+        with np.load(tmp_path / "pool.npz") as data:
+            saved = data["entries"]
+        assert saved.dtype == np.float64 and saved.shape == (n * (n - 1) // 2,)
+        assert np.array_equal(saved, matrix.entries[np.triu_indices(n, 1)])
+        if n >= 3:  # the smallest pool make_training_pairs splits
+            pairs = make_training_pairs(matrix, 0.25, seed=n)
+            i, j = np.triu_indices(n, 1)
+            held = np.isin(np.arange(n), pairs.held_out)
+            in_validation = held[i] | held[j]
+            assert np.array_equal(pairs.train_targets, saved[~in_validation])
+            assert np.array_equal(pairs.validation_targets, saved[in_validation])
 
     @pytest.mark.parametrize("cls", [PoolDistanceMatrix, PairwiseDistanceSet])
     def test_load_rejects_an_npy_file(self, tmp_path, cls):
@@ -441,6 +459,17 @@ class TestHttpEmbeddingProvider:
             "https://x.test", "emb-1", dim=3, api_key="k",
             post=lambda *a, **k: FakeResponse(200, {"data": [{"embedding": r} for r in rows]}))
         with pytest.raises(GatewayError, match=match):
+            provider.embed(["a", "b"])
+
+    @pytest.mark.parametrize("value", ["null", "1e400", "NaN", "Infinity"])
+    def test_non_finite_reply_rejected_naming_the_row(self, value):
+        # the reply as json.loads reads it: null is None, 1e400 is inf, and
+        # NaN and Infinity are accepted as extensions
+        reply = json.loads(f'{{"data": [{{"embedding": [1.0, 2.0, 3.0]}}, '
+                           f'{{"embedding": [1.0, {value}, 3.0]}}]}}')
+        provider = HttpEmbeddingProvider("https://x.test", "emb-1", dim=3, api_key="k",
+                                         post=lambda *a, **k: FakeResponse(200, reply))
+        with pytest.raises(GatewayError, match="malformed embedding response: row 1 "):
             provider.embed(["a", "b"])
 
     def test_missing_key_rejected(self, monkeypatch):
