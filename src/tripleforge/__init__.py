@@ -43,7 +43,6 @@ from .similarity import (
     PairwiseDistanceSet,
     PoolDistanceMatrix,
     pool_distances,
-    set_distance,
 )
 
 __version__ = "0.1.0"

@@ -152,9 +152,13 @@ class HttpChatProvider:
             "temperature": 0.0,
         })
         try:
-            return body["choices"][0]["message"]["content"]
+            text = body["choices"][0]["message"]["content"]
         except (KeyError, IndexError, TypeError) as exc:
             raise GatewayError(f"malformed completion response: {exc}") from exc
+        if not isinstance(text, str):  # JSON null, a list of parts, a number
+            raise GatewayError(
+                f"malformed completion response: content is {type(text).__name__}, not str")
+        return text
 
 
 @functools.lru_cache(maxsize=1)

@@ -74,14 +74,15 @@ def make_training_pairs(matrix: PoolDistanceMatrix, validation_fraction: float =
     held = np.zeros(n, dtype=bool)
     held[indices[:held_count]] = True
 
-    pairs = np.stack(np.triu_indices(n, 1), axis=1)  # row-major, like the i < j loop
+    pairs = np.stack(np.triu_indices(n, 1), axis=1)  # the order of matrix.entries
     in_validation = held[pairs[:, 0]] | held[pairs[:, 1]]
-    train, validation = pairs[~in_validation], pairs[in_validation]
+    train, train_targets = pairs[~in_validation], matrix.entries[~in_validation]
     if max_pairs > 0 and len(train) > max_pairs:
-        train = train[sorted(rng.sample(range(len(train)), max_pairs))]
-    return TrainingPairs(train=train, train_targets=matrix.entries[train[:, 0], train[:, 1]],
-                         validation=validation,
-                         validation_targets=matrix.entries[validation[:, 0], validation[:, 1]],
+        keep = sorted(rng.sample(range(len(train)), max_pairs))
+        train, train_targets = train[keep], train_targets[keep]
+    return TrainingPairs(train=train, train_targets=train_targets,
+                         validation=pairs[in_validation],
+                         validation_targets=matrix.entries[in_validation],
                          held_out=tuple(np.flatnonzero(held).tolist()))
 
 

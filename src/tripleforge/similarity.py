@@ -293,16 +293,15 @@ def load_arrays(path: str | Path, kind: str, names: Sequence[str]) -> tuple[np.n
 
 POOL_KIND = "pool_distance_matrix"
 PAIRWISE_KIND = "pairwise_distance_set"
-# rows per band of the pool matrix's symmetry check
-_SYMMETRY_BAND = 64
 _Matrix = TypeVar("_Matrix")
 
 
-def _checked_entries(entries, rows: int, cols: int) -> np.ndarray:
-    """``entries`` as a ``rows x cols`` float64 array of distances."""
+def _checked_entries(entries, shape: tuple[int, ...]) -> np.ndarray:
+    """``entries`` as a float64 array of distances of the given shape."""
     entries = np.asarray(entries, dtype=np.float64)
-    if entries.shape != (rows, cols):
-        raise ValueError(f"entries must be {rows}x{cols}, got {entries.shape}")
+    if entries.shape != shape:
+        want = f"hold {shape[0]} values" if len(shape) == 1 else "be {}x{}".format(*shape)
+        raise ValueError(f"entries must {want}, got {entries.shape}")
     if not np.all(np.isfinite(entries)) or np.any(entries < 0):
         raise ValueError("entries must be finite and non-negative")
     return entries
@@ -330,7 +329,9 @@ def load_distances(path: str | Path, kind: str, build: Callable[..., _Matrix]) -
 
 @dataclass(frozen=True)
 class PoolDistanceMatrix:
-    """Symmetric pairwise set distances over the candidate pool."""
+    """Symmetric pairwise set distances over the candidate pool, held as the
+    strict upper triangle, row-major: ``entries[k]`` is the distance of the
+    k-th pair of ``np.triu_indices(n, 1)``, as in the file."""
 
     sample_ids: tuple[str, ...]
     entries: np.ndarray
@@ -338,39 +339,23 @@ class PoolDistanceMatrix:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "sample_ids", tuple(self.sample_ids))
-        entries = _checked_entries(self.entries, self.n, self.n)
-        # ``np.allclose`` is elementwise, so bands of rows give its answer
-        # with (band x n) temporaries instead of several n x n ones
-        bands = (slice(s, s + _SYMMETRY_BAND) for s in range(0, self.n, _SYMMETRY_BAND))
-        symmetric = all(np.allclose(entries[b], entries.T[b], atol=1e-9) for b in bands)
-        if not symmetric or np.any(np.diag(entries) != 0):
-            raise ValueError("entries must be symmetric with a zero diagonal")
-        object.__setattr__(self, "entries", entries)
+        object.__setattr__(self, "entries",
+                           _checked_entries(self.entries, (self.n * (self.n - 1) // 2,)))
 
     @property
     def n(self) -> int:
         return len(self.sample_ids)
 
     def save(self, path: str | Path) -> Artifact:
-        """Saves the strict upper triangle, row-major: ``np.triu_indices(n, 1)``."""
-        entries = _checked_entries(self.entries, self.n, self.n)
-        upper = np.concatenate([np.empty(0)] + [entries[i, i + 1:] for i in range(self.n)])
-        return save_distances(path, POOL_KIND, self.sample_ids, self.sample_ids, upper,
-                              self.provider)
+        return save_distances(path, POOL_KIND, self.sample_ids, self.sample_ids,
+                              _checked_entries(self.entries, self.entries.shape), self.provider)
 
     @classmethod
     def load(cls, path: str | Path) -> "PoolDistanceMatrix":
-        def build(rows, cols, upper, provider):
-            n = len(rows)
-            if upper.ndim == 2:
+        def build(rows, cols, entries, provider):
+            if entries.ndim == 2:
                 raise ValueError("square entries, the layout before the upper triangle: "
                                  "re-run `tripleforge distances`")
-            if upper.shape != (n * (n - 1) // 2,):
-                raise ValueError(f"entries must hold {n * (n - 1) // 2} values, got {upper.shape}")
-            entries = np.zeros((n, n))
-            for i in range(n):
-                start = i * (2 * n - i - 1) // 2  # the values of rows 0..i-1 come first
-                entries[i, i + 1:] = entries[i + 1:, i] = upper[start:start + n - 1 - i]
             matrix = cls(rows, entries, provider)
             if cols != rows:
                 raise ValueError("col_ids must equal row_ids")
@@ -390,7 +375,7 @@ class PairwiseDistanceSet:
     def __post_init__(self) -> None:
         object.__setattr__(self, "unlabeled_ids", tuple(self.unlabeled_ids))
         object.__setattr__(self, "test_ids", tuple(self.test_ids))
-        object.__setattr__(self, "entries", _checked_entries(self.entries, self.n, self.m))
+        object.__setattr__(self, "entries", _checked_entries(self.entries, (self.n, self.m)))
 
     @property
     def n(self) -> int:
@@ -402,7 +387,7 @@ class PairwiseDistanceSet:
 
     def save(self, path: str | Path) -> Artifact:
         return save_distances(path, PAIRWISE_KIND, self.unlabeled_ids, self.test_ids,
-                              _checked_entries(self.entries, self.n, self.m), self.provider)
+                              _checked_entries(self.entries, (self.n, self.m)), self.provider)
 
     @classmethod
     def load(cls, path: str | Path) -> "PairwiseDistanceSet":
@@ -430,5 +415,6 @@ def pool_distances(preextracted: Mapping[str, Sequence[str]],
     """All-pairs set distances over the pool, in the mapping's id order."""
     embedded = embed_triple_sets(preextracted, provider)
     sets = list(embedded.values())
-    return PoolDistanceMatrix(sample_ids=tuple(embedded), entries=set_distances(sets, sets),
-                              provider=provider.name)
+    square = set_distances(sets, sets)
+    upper = np.concatenate([np.empty(0)] + [row[i + 1:] for i, row in enumerate(square)])
+    return PoolDistanceMatrix(sample_ids=tuple(embedded), entries=upper, provider=provider.name)

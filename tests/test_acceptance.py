@@ -185,7 +185,8 @@ def test_c4_retriever_gradient_and_planted_task():
         planted = rng.normal(size=(dim, dim)) * 0.8
         projected = base_embeddings @ planted.T
         entries = np.linalg.norm(projected[:, None, :] - projected[None, :, :], axis=-1)
-        matrix = PoolDistanceMatrix(tuple(f"s{i}" for i in range(n)), entries, "stub")
+        matrix = PoolDistanceMatrix(tuple(f"s{i}" for i in range(n)),
+                                    entries[np.triu_indices(n, 1)], "stub")
         cfg = TrainConfig(epochs=200, batch_size=16, learning_rate=0.02,
                           validation_fraction=0.10, seed=0, weight_decay=0.0)
         pairs = make_training_pairs(matrix, cfg.validation_fraction, cfg.seed)

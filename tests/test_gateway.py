@@ -362,6 +362,19 @@ class TestHttpChatProvider:
         with pytest.raises(GatewayError, match="malformed completion response"):
             provider.generate(request())
 
+    @pytest.mark.parametrize("content", [None, [{"type": "text", "text": "x"}], 7],
+                             ids=["null", "list", "number"])
+    def test_content_that_is_not_a_string_is_refused_before_caching(self, tmp_path, content):
+        log = tmp_path / CACHE_LOG
+        log.touch()
+        reply = FakeResponse(200, {"choices": [{"message": {"content": content}}]})
+        provider = HttpChatProvider("https://x.test", api_key="k", post=lambda *a, **k: reply)
+        gateway = LlmGateway(provider, tmp_path)
+        with pytest.raises(GatewayError, match="malformed completion response: content is"):
+            gateway.complete(request())
+        assert gateway.stats.provider_calls == 1
+        assert log.read_bytes() == b""
+
     @pytest.mark.parametrize("provider, reply, match", [
         ("chat", NotJsonResponse("<html>busy</html>"), "reply is not JSON"),
         ("embed", NotJsonResponse(""), "reply is not JSON"),

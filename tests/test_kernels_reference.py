@@ -111,13 +111,13 @@ def reference_pool_distances(preextracted, provider) -> PoolDistanceMatrix:
     embedded = embed_triple_sets(preextracted, provider)
     ids = list(embedded.keys())
     n = len(ids)
-    entries = np.zeros((n, n), dtype=np.float64)
+    entries = []  # the strict upper triangle, row by row
     for i in range(n):
         for j in range(i + 1, n):
             d = reference_set_distance(embedded[ids[i]], embedded[ids[j]])
-            entries[i, j] = d
-            entries[j, i] = d
-    return PoolDistanceMatrix(sample_ids=tuple(ids), entries=entries, provider=provider.name)
+            entries.append(d)
+    return PoolDistanceMatrix(sample_ids=tuple(ids), entries=np.array(entries, dtype=np.float64),
+                              provider=provider.name)
 
 
 def reference_embed(text: str, dim: int) -> np.ndarray:
@@ -289,9 +289,11 @@ def reference_make_training_pairs(matrix, validation_fraction, seed, max_pairs):
     held = set(indices[:held_count])
     train = []
     validation = []
+    k = 0  # the position of (i, j) in the upper-triangle entries
     for i in range(n):
         for j in range(i + 1, n):
-            pair = (i, j, float(matrix.entries[i, j]))
+            pair = (i, j, float(matrix.entries[k]))
+            k += 1
             (validation if i in held or j in held else train).append(pair)
     if max_pairs > 0 and len(train) > max_pairs:
         train = rng.sample(train, max_pairs)
@@ -668,10 +670,13 @@ def test_pool_distance_cells_equal_set_distance_bitwise():
     matrix = pool_distances(preextracted, provider)
     embedded = embed_triple_sets(preextracted, provider)
     sets = [embedded[sid] for sid in matrix.sample_ids]
+    k = 0
     for i in range(matrix.n):
-        for j in range(matrix.n):
-            expected = 0.0 if i == j else set_distance(sets[i], sets[j])
-            assert matrix.entries[i, j] == expected
+        for j in range(i + 1, matrix.n):
+            assert matrix.entries[k] == set_distance(sets[i], sets[j]) == set_distance(sets[j],
+                                                                                        sets[i])
+            k += 1
+    assert k == len(matrix.entries)
 
 
 # --- retriever --------------------------------------------------------------------
@@ -700,7 +705,8 @@ def test_compute_P_matches_the_cell_by_cell_norms(seed, pool_words, test_words):
 def test_training_pairs_match_the_pair_loop(n, fraction, seed, max_pairs):
     points = np.random.default_rng(seed).normal(size=(n, 2))
     entries = np.linalg.norm(points[:, None, :] - points[None, :, :], axis=-1)
-    matrix = PoolDistanceMatrix(tuple(f"s{i}" for i in range(n)), entries, "stub")
+    matrix = PoolDistanceMatrix(tuple(f"s{i}" for i in range(n)),
+                                entries[np.triu_indices(n, 1)], "stub")
     got = make_training_pairs(matrix, fraction, seed, max_pairs)
     train, validation, held = reference_make_training_pairs(matrix, fraction, seed, max_pairs)
     assert got.held_out == held
@@ -722,7 +728,8 @@ def training_problems(draw):
     embeddings = rows[draw(st.lists(st.integers(0, len(rows) - 1), min_size=n, max_size=n))]
     points = rng.normal(size=(n, 2))
     entries = np.linalg.norm(points[:, None, :] - points[None, :, :], axis=-1)
-    matrix = PoolDistanceMatrix(tuple(f"s{i}" for i in range(n)), entries, "stub")
+    matrix = PoolDistanceMatrix(tuple(f"s{i}" for i in range(n)),
+                                entries[np.triu_indices(n, 1)], "stub")
     seed = draw(st.integers(0, 2**16))
     pairs = make_training_pairs(matrix, draw(st.sampled_from([0.1, 0.3])), seed,
                                 draw(st.just(0) | st.integers(1, 60)))
@@ -1114,10 +1121,10 @@ artifact_ids = st.lists(
 def test_save_arrays_writes_the_bytes_of_one_savez_to_the_file(tmp_path_factory, ids, test_ids,
                                                                 dim, seed, provider):
     rng = np.random.default_rng(seed)
-    upper = np.triu(rng.random((len(ids), len(ids))), 1)
+    upper = rng.random((len(ids), len(ids)))[np.triu_indices(len(ids), 1)]
     model = RetrieverModel(HashingEmbedder(dim), rng.standard_normal((dim + 1, dim)))
     artifacts = {
-        "pool": PoolDistanceMatrix(ids, upper + upper.T, provider).save,
+        "pool": PoolDistanceMatrix(ids, upper, provider).save,
         "pairwise": PairwiseDistanceSet(ids, test_ids, rng.random((len(ids), len(test_ids))),
                                         provider).save,
         "checkpoint": lambda path: save_checkpoint(model, path),

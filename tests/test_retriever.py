@@ -29,8 +29,11 @@ from test_kernels_reference import batch_grad, reference_batch_loss
 
 
 def distance_matrix_from(points: np.ndarray, transform=None) -> np.ndarray:
+    """Pool matrix entries: the distances between ``points`` in
+    ``np.triu_indices(n, 1)`` order."""
     projected = points if transform is None else points @ transform.T
-    return np.linalg.norm(projected[:, None, :] - projected[None, :, :], axis=-1)
+    square = np.linalg.norm(projected[:, None, :] - projected[None, :, :], axis=-1)
+    return square[np.triu_indices(len(points), 1)]
 
 
 def make_matrix(points: np.ndarray, transform=None) -> PoolDistanceMatrix:
@@ -86,12 +89,13 @@ class TestMakeTrainingPairs:
 
     def test_targets_match_matrix(self):
         rng = np.random.default_rng(4)
-        matrix = make_matrix(rng.normal(size=(5, 3)))
-        pairs = make_training_pairs(matrix, 0.2, seed=0)
+        points = rng.normal(size=(5, 3))
+        square = np.linalg.norm(points[:, None, :] - points[None, :, :], axis=-1)
+        pairs = make_training_pairs(make_matrix(points), 0.2, seed=0)
         for split, targets in ((pairs.train, pairs.train_targets),
                                (pairs.validation, pairs.validation_targets)):
             for (i, j), target in zip(split, targets, strict=True):
-                assert target == matrix.entries[i, j]
+                assert target == square[i, j]
 
 
 class TestGradient:
@@ -342,7 +346,7 @@ class TestCheckpoints:
         path.write_bytes(b"hello world, definitely not a checkpoint")
         with pytest.raises(CheckpointError, match="damaged retriever_checkpoint artifact"):
             load_checkpoint(path, HashingEmbedder(dim=4))
-        PoolDistanceMatrix(("a",), [[0.0]], "hash-4").save(path)
+        PoolDistanceMatrix(("a",), [], "hash-4").save(path)
         with pytest.raises(CheckpointError, match="not a retriever_checkpoint artifact"):
             load_checkpoint(path, HashingEmbedder(dim=4))
         with pytest.raises(FileNotFoundError):
@@ -367,7 +371,7 @@ class TestCheckpoints:
                 return load_checkpoint(path, base).weights.tobytes()
             original = model.weights.tobytes()
         else:
-            matrix = PoolDistanceMatrix(("a", "b"), [[0.0, 1.5], [1.5, 0.0]], base.name)
+            matrix = PoolDistanceMatrix(("a", "b"), [1.5], base.name)
             matrix.save(tmp_path / "saved")
 
             def load(path):
