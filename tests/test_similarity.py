@@ -264,8 +264,7 @@ class TestDistanceMatrixFiles:
     def test_equal_matrices_save_to_equal_bytes(self, tmp_path, monkeypatch):
         def pair():
             entries = np.array([[0.0, 0.5, 2.0], [0.5, 0.0, 1.25], [2.0, 1.25, 0.0]])
-            return (PoolDistanceMatrix(("a", "b", "c"), entries[np.triu_indices(3, 1)],
-                                       "hash-64"),
+            return (PoolDistanceMatrix(("a", "b", "c"), [0.5, 2.0, 1.25], "hash-64"),
                     PairwiseDistanceSet(("a", "b"), ("t1", "t2", "t3"), entries[:2].copy(), "x"))
 
         first, second = pair(), pair()
