@@ -35,8 +35,11 @@ CHOICES: dict[str, tuple[str, ...]] = {
 }
 
 
-@dataclass
-class PipelineConfig:
+@dataclass(frozen=True)
+class PipelineConfig(TrainConfig):
+    """Every setting of a run; ``stage_train`` passes it to the retriever as
+    the ``TrainConfig`` it extends."""
+
     pool_path: Path = Path("train.jsonl")
     test_path: Path = Path("test.jsonl")
     run_dir: Path = Path("runs/default")
@@ -58,17 +61,9 @@ class PipelineConfig:
     strategy: str = "coverage"
     budget: int = 5
     top_u: int = 5
-    seed: int = 0
     distance_source: str = "retriever"
     checkpoint_path: Optional[Path] = None  # defaults to <run_dir>/retriever.ckpt
     demo_order: str = "similar-last"
-
-    epochs: int = TrainConfig.epochs
-    batch_size: int = TrainConfig.batch_size
-    learning_rate: float = TrainConfig.learning_rate
-    validation_fraction: float = TrainConfig.validation_fraction
-    weight_decay: float = TrainConfig.weight_decay
-    max_pairs: int = TrainConfig.max_pairs
 
     def __post_init__(self) -> None:
         for name, allowed in CHOICES.items():
@@ -81,13 +76,9 @@ class PipelineConfig:
         if not 0 <= self.backoff_base < math.inf:
             raise ConfigError("backoff_base must be >= 0 and finite")
         try:
-            self.train_config()
+            super().__post_init__()
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
-
-    def train_config(self) -> TrainConfig:
-        """The ``TrainConfig`` of the fields that share its names; it checks their ranges."""
-        return TrainConfig(**{f.name: getattr(self, f.name) for f in fields(TrainConfig)})
 
     @property
     def effective_cache_dir(self) -> Path:

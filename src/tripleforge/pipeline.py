@@ -280,7 +280,7 @@ def stage_train(cfg: PipelineConfig):
     matrix = PoolDistanceMatrix.load(_upstream(cfg, POOL_DISTANCES))
     pool = load_dataset(cfg.pool_path, "train")
     texts = {s.id: s.text for s in pool.samples}
-    model, history = train_retriever(texts, matrix, build_embedder(cfg), cfg.train_config())
+    model, history = train_retriever(texts, matrix, build_embedder(cfg), cfg)
     ckpt = save_checkpoint(model, cfg.effective_checkpoint_path)
     history_path = _write_json(cfg.run_dir / TRAINING_HISTORY, asdict(history))
     return [ckpt, history_path], {
@@ -429,6 +429,10 @@ def stage_eval(cfg: PipelineConfig):
     """Strict micro F1 of the parsed predictions against the test gold."""
     raw = _read_json(_upstream(cfg, PREDICTIONS))
     test = load_dataset(cfg.test_path, "test")
+    unlabeled = [s.id for s in test.samples if s.id not in test.gold]
+    if unlabeled:
+        raise ValueError(f"{cfg.test_path}: eval needs gold triples, and test samples "
+                         f"{unlabeled[:5]} have none")
     predictions = {sid: TripleSet.from_list(ts) for sid, ts in raw["predictions"].items()}
     report = micro_f1(predictions, test.gold_triples(),
                       parse_skipped_rows=raw.get("parse_skipped_rows", 0))

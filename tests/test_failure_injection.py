@@ -9,6 +9,7 @@ leave the old bytes under the artifact's name and no ``.tmp`` behind.
 import collections
 import contextlib
 import errno
+import json
 import sys
 from pathlib import Path
 from unittest import mock
@@ -18,7 +19,8 @@ import pytest
 from tripleforge.pipeline import MANIFEST, SELECTION, STAGES
 from tripleforge.similarity import write_artifact
 
-from test_pipeline import run_all
+from conftest import DATA_DIR
+from test_pipeline import ALL_STAGES, run_all
 
 
 def files(root: Path) -> dict[Path, bytes]:
@@ -157,3 +159,22 @@ def test_warm_rerun_reads_each_artifact_once(run_config):
         run_all(cfg)
     assert readers["_update_manifest"] == 0
     assert readers["write_artifact"] == 12  # the 12 unchanged artifacts
+
+
+def test_eval_refuses_a_test_split_without_gold(run_config, tmp_path):
+    # run makes predictions for an unlabeled split; eval has nothing to
+    # score them against and must say so, naming the file, and write nothing
+    test_path = tmp_path / "unlabeled.jsonl"
+    records = [json.loads(line) for line in (DATA_DIR / "test.jsonl").read_text().splitlines()]
+    for record in records:
+        record.pop("triples", None)
+    test_path.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+    cfg = run_config(test_path=test_path)
+    for stage in ALL_STAGES[:ALL_STAGES.index("eval")]:
+        STAGES[stage](cfg)
+    before = files(cfg.run_dir)
+    with pytest.raises(ValueError) as refused:
+        STAGES["eval"](cfg)
+    assert str(refused.value).startswith(f"{test_path}: eval needs gold triples")
+    assert "['t01', 't02', 't03', 't04', 't05']" in str(refused.value)
+    assert files(cfg.run_dir) == before

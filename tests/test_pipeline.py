@@ -1,3 +1,4 @@
+import ast
 import hashlib
 import json
 import os
@@ -6,8 +7,9 @@ import platform
 import subprocess
 import sys
 import tracemalloc
+import types
 from collections import OrderedDict
-from dataclasses import asdict
+from dataclasses import FrozenInstanceError, asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -655,15 +657,28 @@ class TestConfig:
         with pytest.raises(ConfigError, match=message):
             apply_overrides(PipelineConfig(), **{setting: value})
 
-    def test_train_config_mirrors_the_settings(self):
+    @staticmethod
+    def training_settings(cfg) -> dict:
+        return {f.name: getattr(cfg, f.name) for f in fields(TrainConfig)}
+
+    def test_a_pipeline_config_is_a_train_config(self):
+        # stage_train hands the config itself to train_retriever
         cfg = PipelineConfig(epochs=0, batch_size=3, learning_rate=0.5, seed=7,
                              validation_fraction=0.25, weight_decay=0.0, max_pairs=9)
-        assert asdict(cfg.train_config()) == dict(
+        assert isinstance(cfg, TrainConfig)
+        assert self.training_settings(cfg) == dict(
             epochs=0, batch_size=3, learning_rate=0.5, validation_fraction=0.25, seed=7,
             weight_decay=0.0, max_pairs=9)
 
     def test_training_defaults_are_train_configs(self):
-        assert PipelineConfig().train_config() == TrainConfig()
+        assert self.training_settings(PipelineConfig()) == asdict(TrainConfig())
+
+    @pytest.mark.parametrize("setting, value", [("epochs", 3), ("budget", 3), ("seed", 1)])
+    def test_settings_cannot_be_assigned(self, setting, value):
+        cfg = PipelineConfig()
+        with pytest.raises(FrozenInstanceError):
+            setattr(cfg, setting, value)
+        assert getattr(cfg, setting) == getattr(PipelineConfig(), setting)
 
     def test_default_cache_dir_under_run_dir(self):
         cfg = PipelineConfig(run_dir=Path("/tmp/r"))
@@ -756,3 +771,22 @@ class TestCli:
         bad = tmp_path / "bad.cfg"
         bad.write_text("nonsense_key = 1\n")
         assert cli.main(["preextract", "--config", str(bad)]) == 2
+
+
+def test_readme_library_use_block_runs_and_imports_every_root_export(monkeypatch):
+    readme = DATA_DIR.parents[1] / "README.md"
+    section = readme.read_text(encoding="utf-8").split("## Library use\n", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    imported = {alias.name for node in ast.walk(ast.parse(code))
+                if isinstance(node, ast.ImportFrom) and node.module == "tripleforge"
+                for alias in node.names}
+    exported = {name for name, value in vars(tripleforge).items()
+                if not name.startswith("_") and not isinstance(value, types.ModuleType)}
+    assert imported == exported == {"HashingEmbedder", "load_dataset", "pool_distances",
+                                    "select_coverage"}
+    monkeypatch.chdir(readme.parent)  # the block reads the mini fixture by a relative path
+    namespace: dict = {}
+    exec(compile(code, f"{readme}:Library use", "exec"), namespace)
+    assert len(namespace["pool"].samples) > 0
+    assert namespace["matrix"].n == 2 and namespace["matrix"].entries.shape == (1,)
+    assert namespace["rows"].shape == (2, 64)
