@@ -4,12 +4,9 @@ labels on demand while auditing how many samples were checked vs annotated.
 """
 from __future__ import annotations
 
-import hashlib
-import io
+import functools
 import json
 import re
-import threading
-from collections import OrderedDict
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Iterable, Mapping, Optional, Sequence
@@ -218,7 +215,6 @@ class Dataset:
     header line (a fully unlabeled split).
     """
 
-    split: str
     samples: list[Sample]
     gold: dict[str, GoldAnnotation]
     schema: Optional[Schema]
@@ -290,62 +286,33 @@ class AnnotationOracle:
         return ann
 
 
-_SPLITS = ("train", "valid", "test")
+def load_dataset(path: str | Path, _split: object = None) -> Dataset:
+    """Load a JSONL file into samples, a validated gold store, and a schema.
 
-# Parsed splits by (path, split, sha256 of the file's bytes), least recently
-# used first.  Every pipeline stage loads the pool and test files again; a
-# repeat load in one process then costs a read and a hash, not a parse.
-# Keying on the bytes, not on the mtime, means a rewritten file is parsed
-# again even when its size and mtime are unchanged.
-_PARSED: OrderedDict[tuple[str, str, str], Dataset] = OrderedDict()
-_PARSED_MAX = 4
-_PARSED_LOCK = threading.Lock()
-
-
-def load_dataset(path: str | Path, split: str = "train") -> Dataset:
-    """Load a JSONL split into samples, a validated gold store, and a schema.
-
-    ``path`` may be the JSONL file itself or a directory containing
-    ``<split>.jsonl``.  Records: ``{"id", "text", "triples": [...]}``; the
-    ``triples`` key is omitted on unlabeled splits.  An optional first record
+    Records: ``{"id", "text", "triples": [...]}``; the ``triples`` key is
+    omitted on unlabeled splits.  An optional first record
     ``{"entity_types": [...], "relation_types": [...]}`` declares a schema
     header merged with labels found in the data.
 
     The file is parsed once per process for as long as its bytes stay the
     same (the four most recently used files are kept); every call returns
     its own ``samples`` list and ``gold`` dict, and a file that fails to
-    parse is parsed, and fails, again on the next call.
+    parse is parsed, and fails, again on the next call.  A second argument
+    (the split name of the old ``(path, split)`` form) is ignored.
     """
-    if split not in _SPLITS:
-        raise DatasetError(f"unknown split {split!r}, expected one of {_SPLITS}")
     path = Path(path)
-    if path.is_dir():
-        path = path / f"{split}.jsonl"
-    if not path.exists():
+    if not path.is_file():
         raise DatasetError(f"dataset file not found: {path}")
-    data = path.read_bytes()
-    key = (str(path), split, hashlib.sha256(data).hexdigest())
-    with _PARSED_LOCK:
-        # popped and put back, a hit becomes the most recently used entry
-        dataset = _PARSED.pop(key, None) or _parse_dataset(path, split, data)
-        _PARSED[key] = dataset
-        if len(_PARSED) > _PARSED_MAX:
-            _PARSED.popitem(last=False)
-    # samples, gold annotations and the schema are frozen; the containers
-    # are the only parts a caller could change
+    dataset = _parse_dataset(path, path.read_bytes())
+    # the containers are the only parts of a parsed Dataset that are not frozen
     return replace(dataset, samples=list(dataset.samples), gold=dict(dataset.gold))
 
 
-def _parse_dataset(path: Path, split: str, data: bytes) -> Dataset:
+# Keyed on the path and the bytes, not the mtime: every stage loads the pool
+# and test files again, and a file rewritten in place is parsed again.
+@functools.lru_cache(maxsize=4)
+def _parse_dataset(path: Path, data: bytes) -> Dataset:
     """Parse the bytes of the JSONL file ``path``; errors name ``path:lineno``."""
-    # checked up front: the line reader decodes in chunks, and its error
-    # gives an offset into the chunk, not the file
-    try:
-        data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        lineno = len(re.findall(rb"\r\n?|\n", data[: exc.start])) + 1
-        raise DatasetError(f"{path}:{lineno}: not valid UTF-8: {exc.reason}") from None
-
     samples: list[Sample] = []
     gold: dict[str, GoldAnnotation] = {}
     seen_ids: set[str] = set()
@@ -353,60 +320,63 @@ def _parse_dataset(path: Path, split: str, data: bytes) -> Dataset:
     relation_types: set[str] = set()
     first_record = True
 
-    # lines as open() splits them; str.splitlines would also split at U+2028
-    # inside a JSON string
-    with io.TextIOWrapper(io.BytesIO(data), encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise DatasetError(f"{path}:{lineno}: malformed JSON: {exc.msg}") from exc
-            if not isinstance(record, dict):
-                raise DatasetError(f"{path}:{lineno}: record must be a JSON object")
+    # bytes.splitlines breaks at \n, \r and \r\n only, as open() does;
+    # str.splitlines would also break at U+2028 inside a JSON string
+    for lineno, raw in enumerate(data.splitlines(), start=1):
+        try:
+            line = raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise DatasetError(f"{path}:{lineno}: not valid UTF-8: {exc.reason}") from None
+        if not line.strip():
+            continue
+        try:
+            record = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise DatasetError(f"{path}:{lineno}: malformed JSON: {exc.msg}") from exc
+        if not isinstance(record, dict):
+            raise DatasetError(f"{path}:{lineno}: record must be a JSON object")
 
-            is_header = first_record and "id" not in record and (
-                "entity_types" in record or "relation_types" in record
-            )
-            first_record = False
-            if is_header:
-                for key, labels in (("entity_types", entity_types),
-                                    ("relation_types", relation_types)):
-                    value = record.get(key, [])
-                    if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
-                        raise DatasetError(f"{path}:{lineno}: {key} must be a JSON array of strings")
-                    labels.update(value)
-                continue
+        is_header = first_record and "id" not in record and (
+            "entity_types" in record or "relation_types" in record
+        )
+        first_record = False
+        if is_header:
+            for key, labels in (("entity_types", entity_types),
+                                ("relation_types", relation_types)):
+                value = record.get(key, [])
+                if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
+                    raise DatasetError(f"{path}:{lineno}: {key} must be a JSON array of strings")
+                labels.update(value)
+            continue
 
-            try:
-                sample_id = record["id"]
-                if type(sample_id) is int:  # not bool
-                    sample_id = str(sample_id)
-                sample = Sample(id=sample_id, text=record["text"])
-            except KeyError as exc:
-                raise DatasetError(f"{path}:{lineno}: record missing {exc.args[0]!r}") from exc
-            except ValueError as exc:
-                raise DatasetError(f"{path}:{lineno}: {exc}") from exc
-            if sample.id in seen_ids:
-                raise DatasetError(f"{path}:{lineno}: duplicate sample id {sample.id!r}")
-            seen_ids.add(sample.id)
-            samples.append(sample)
+        try:
+            sample_id = record["id"]
+            if type(sample_id) is int:  # not bool
+                sample_id = str(sample_id)
+            sample = Sample(id=sample_id, text=record["text"])
+        except KeyError as exc:
+            raise DatasetError(f"{path}:{lineno}: record missing {exc.args[0]!r}") from exc
+        except ValueError as exc:
+            raise DatasetError(f"{path}:{lineno}: {exc}") from exc
+        if sample.id in seen_ids:
+            raise DatasetError(f"{path}:{lineno}: duplicate sample id {sample.id!r}")
+        seen_ids.add(sample.id)
+        samples.append(sample)
 
-            if "triples" not in record:
-                continue
-            try:
-                triples = TripleSet.from_list(record["triples"])
-            except (ValueError, KeyError, TypeError) as exc:
-                raise DatasetError(f"{path}:{lineno}: sample {sample.id!r}: bad triple: {exc}") from exc
-            for t in triples:
-                t.validate_spans(sample.text, owner=f"{path}:{lineno}: sample {sample.id!r}")
-                relation_types.add(t.predicate)
-                entity_types.update((t.subject_type, t.object_type))
-            try:
-                gold[sample.id] = GoldAnnotation(sample_id=sample.id, triples=triples)
-            except ValueError as exc:
-                raise DatasetError(f"{path}:{lineno}: {exc}") from exc
+        if "triples" not in record:
+            continue
+        try:
+            triples = TripleSet.from_list(record["triples"])
+        except (ValueError, KeyError, TypeError) as exc:
+            raise DatasetError(f"{path}:{lineno}: sample {sample.id!r}: bad triple: {exc}") from exc
+        for t in triples:
+            t.validate_spans(sample.text, owner=f"{path}:{lineno}: sample {sample.id!r}")
+            relation_types.add(t.predicate)
+            entity_types.update((t.subject_type, t.object_type))
+        try:
+            gold[sample.id] = GoldAnnotation(sample_id=sample.id, triples=triples)
+        except ValueError as exc:
+            raise DatasetError(f"{path}:{lineno}: {exc}") from exc
 
     if not samples:
         raise DatasetError(f"{path}: no samples")
@@ -414,4 +384,4 @@ def _parse_dataset(path: Path, split: str, data: bytes) -> Dataset:
     schema = None
     if entity_types and relation_types:
         schema = Schema(tuple(sorted(entity_types)), tuple(sorted(relation_types)))
-    return Dataset(split=split, samples=samples, gold=gold, schema=schema)
+    return Dataset(samples=samples, gold=gold, schema=schema)

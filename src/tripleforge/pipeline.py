@@ -123,10 +123,6 @@ def _write_json(path: Path, obj) -> Artifact:
     return write_artifact(path, _json_bytes(obj))
 
 
-def _read_json(path: Path) -> dict:
-    return json.loads(path.read_text(encoding="utf-8"))
-
-
 def _require(path: Path, producer: str) -> Path:
     if not path.exists():
         raise UpstreamMissingError(
@@ -140,9 +136,22 @@ def _upstream(cfg: PipelineConfig, name: str) -> Path:
     return _require(cfg.run_dir / name, PRODUCERS[name])
 
 
+def _read_upstream(cfg: PipelineConfig, name: str) -> dict:
+    """The run_dir JSON artifact ``name``; a damaged one names its producer."""
+    path = _upstream(cfg, name)
+    try:
+        return json.loads(path.read_text(encoding="utf-8"))
+    except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
+        raise RuntimeError(f"damaged artifact {path} ({exc}): "
+                           f"re-run `tripleforge {PRODUCERS[name]}`") from None
+
+
 def _update_manifest(cfg: PipelineConfig, outcome: StageOutcome) -> None:
     manifest_path = cfg.run_dir / MANIFEST
-    stages = _read_json(manifest_path).get("stages", {}) if manifest_path.exists() else {}
+    try:  # ``{**stages}`` raises TypeError unless it is a JSON object
+        stages = {**json.loads(manifest_path.read_text(encoding="utf-8"))["stages"]}
+    except (FileNotFoundError, ValueError, LookupError, TypeError):
+        stages = {}  # a missing or damaged manifest starts afresh
     stages[outcome.stage] = {
         "artifacts": {
             name: {"path": os.path.relpath(path, cfg.run_dir), "sha256": sha256}
@@ -240,8 +249,8 @@ def _preextraction(cfg: PipelineConfig, gateway: LlmGateway,
 @_stage
 def stage_preextract(cfg: PipelineConfig):
     """Schema-agnostic zero-shot extraction over the unlabeled pool."""
-    pool = load_dataset(cfg.pool_path, "train")
-    test = load_dataset(cfg.test_path, "test")
+    pool = load_dataset(cfg.pool_path)
+    test = load_dataset(cfg.test_path)
     gateway = build_gateway(cfg, [pool, test])
     artifact = _preextraction(cfg, gateway, pool.samples, "pool")
     return [_write_json(cfg.run_dir / PREEXTRACT, artifact)], {
@@ -265,7 +274,7 @@ def _verbalizations(artifact: dict) -> tuple[dict[str, list[str]], list[str]]:
 @_stage
 def stage_distances(cfg: PipelineConfig):
     """Pairwise triple-set distances over the pre-extracted pool."""
-    verbal, excluded = _verbalizations(_read_json(_upstream(cfg, PREEXTRACT)))
+    verbal, excluded = _verbalizations(_read_upstream(cfg, PREEXTRACT))
     if len(verbal) < 1:
         raise RuntimeError("no pool samples with pre-extracted triples")
     embedder = build_embedder(cfg)
@@ -278,7 +287,7 @@ def stage_distances(cfg: PipelineConfig):
 def stage_train(cfg: PipelineConfig):
     """Fit the retriever projection to the pool distance matrix."""
     matrix = PoolDistanceMatrix.load(_upstream(cfg, POOL_DISTANCES))
-    pool = load_dataset(cfg.pool_path, "train")
+    pool = load_dataset(cfg.pool_path)
     texts = {s.id: s.text for s in pool.samples}
     model, history = train_retriever(texts, matrix, build_embedder(cfg), cfg)
     ckpt = save_checkpoint(model, cfg.effective_checkpoint_path)
@@ -296,9 +305,8 @@ def _pairwise_from_retriever(cfg: PipelineConfig, pool: Dataset, test: Dataset
     # the checkpoint may sit outside run_dir, so it is required by path
     ckpt = _require(cfg.effective_checkpoint_path, "train")
     model = load_checkpoint(ckpt, build_embedder(cfg))
-    pre_path = cfg.run_dir / PREEXTRACT
-    if pre_path.exists():
-        verbal, excluded = _verbalizations(_read_json(pre_path))
+    if (cfg.run_dir / PREEXTRACT).exists():
+        verbal, excluded = _verbalizations(_read_upstream(cfg, PREEXTRACT))
         included = set(verbal)
         pool_samples = [s for s in pool.samples if s.id in included]
     else:
@@ -313,7 +321,7 @@ def _pairwise_direct(cfg: PipelineConfig, pool: Dataset, test: Dataset
                      ) -> tuple[PairwiseDistanceSet, dict, list[Artifact]]:
     """Pre-extract the test samples too and take triple-set distances
     straight into the pool-to-test matrix; no retriever involved."""
-    pool_verbal, excluded_pool = _verbalizations(_read_json(_upstream(cfg, PREEXTRACT)))
+    pool_verbal, excluded_pool = _verbalizations(_read_upstream(cfg, PREEXTRACT))
 
     gateway = build_gateway(cfg, [pool, test])
     test_artifact = _preextraction(cfg, gateway, test.samples, "test")
@@ -350,8 +358,8 @@ def _select(cfg: PipelineConfig, P: PairwiseDistanceSet, schema: Optional[Schema
 @_stage
 def stage_select(cfg: PipelineConfig):
     """Pick demonstrations from pool-to-test distances and annotate them."""
-    pool = load_dataset(cfg.pool_path, "train")
-    test = load_dataset(cfg.test_path, "test")
+    pool = load_dataset(cfg.pool_path)
+    test = load_dataset(cfg.test_path)
     pairwise = (_pairwise_from_retriever if cfg.distance_source == "retriever"
                 else _pairwise_direct)
     P, info, extra_paths = pairwise(cfg, pool, test)
@@ -380,10 +388,10 @@ def stage_select(cfg: PipelineConfig):
 @_stage
 def stage_run(cfg: PipelineConfig):
     """Query the model with one shared demonstration set and parse the outputs."""
-    selection = _read_json(_upstream(cfg, SELECTION))
+    selection = _read_upstream(cfg, SELECTION)
     P = PairwiseDistanceSet.load(_upstream(cfg, PAIRWISE))
-    pool = load_dataset(cfg.pool_path, "train")
-    test = load_dataset(cfg.test_path, "test")
+    pool = load_dataset(cfg.pool_path)
+    test = load_dataset(cfg.test_path)
 
     gold_by_id = {sid: TripleSet.from_list(raw) for sid, raw in selection["annotations"].items()}
     demos = order_demonstrations(
@@ -427,8 +435,8 @@ def _write_report(cfg: PipelineConfig, json_name: str, txt_name: str, report) ->
 @_stage
 def stage_eval(cfg: PipelineConfig):
     """Strict micro F1 of the parsed predictions against the test gold."""
-    raw = _read_json(_upstream(cfg, PREDICTIONS))
-    test = load_dataset(cfg.test_path, "test")
+    raw = _read_upstream(cfg, PREDICTIONS)
+    test = load_dataset(cfg.test_path)
     unlabeled = [s.id for s in test.samples if s.id not in test.gold]
     if unlabeled:
         raise ValueError(f"{cfg.test_path}: eval needs gold triples, and test samples "
@@ -443,6 +451,6 @@ def stage_eval(cfg: PipelineConfig):
 @_stage
 def stage_cost(cfg: PipelineConfig):
     """Character-count cost report over the raw model outputs."""
-    raw = _read_json(_upstream(cfg, OUTPUTS))
+    raw = _read_upstream(cfg, OUTPUTS)
     report = cost_report([raw["outputs"][sid] for sid in sorted(raw["outputs"])])
     return _write_report(cfg, COST_JSON, COST_TXT, report), asdict(report)

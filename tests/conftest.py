@@ -44,12 +44,12 @@ class StubEmbedder:
 
 @pytest.fixture(scope="session")
 def pool_dataset():
-    return load_dataset(DATA_DIR / "train.jsonl", "train")
+    return load_dataset(DATA_DIR / "train.jsonl")
 
 
 @pytest.fixture(scope="session")
 def test_dataset():
-    return load_dataset(DATA_DIR / "test.jsonl", "test")
+    return load_dataset(DATA_DIR / "test.jsonl")
 
 
 @pytest.fixture

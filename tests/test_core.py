@@ -1,9 +1,9 @@
 import copy
 import dataclasses
+import functools
 import json
 import os
 import pickle
-from collections import OrderedDict
 
 import pytest
 from hypothesis import given, strategies as st
@@ -182,25 +182,25 @@ class TestLoadDataset:
         assert pool_dataset.schema.entity_types == ("Loc", "Org", "Other", "Per")
 
     def test_deterministic(self):
-        a = load_dataset(DATA_DIR / "train.jsonl", "train")
-        b = load_dataset(DATA_DIR / "train.jsonl", "train")
+        a = load_dataset(DATA_DIR / "train.jsonl")
+        b = load_dataset(DATA_DIR / "train.jsonl")
         assert a.samples == b.samples and a.gold == b.gold and a.schema == b.schema
 
-    def test_directory_plus_split(self):
-        ds = load_dataset(DATA_DIR, "test")
-        assert len(ds.samples) == 8
+    def test_directory_is_refused(self):
+        with pytest.raises(DatasetError, match="dataset file not found: .*conll04_mini$"):
+            load_dataset(DATA_DIR)
 
     def test_empty_file(self, tmp_path):
         empty = tmp_path / "train.jsonl"
         empty.write_text("")
         with pytest.raises(DatasetError, match="no samples"):
-            load_dataset(empty, "train")
+            load_dataset(empty)
 
     def test_malformed_line_names_line_number(self, tmp_path):
         path = tmp_path / "bad.jsonl"
         path.write_text('{"id": "a", "text": "ok"}\n{oops\n', encoding="utf-8")
         with pytest.raises(DatasetError, match=":2:"):
-            load_dataset(path, "train")
+            load_dataset(path)
 
     def test_span_mismatch_names_sample_id(self, tmp_path):
         record = {
@@ -214,13 +214,13 @@ class TestLoadDataset:
         path = tmp_path / "bad.jsonl"
         path.write_text(json.dumps(record) + "\n", encoding="utf-8")
         with pytest.raises(DatasetError, match="s9"):
-            load_dataset(path, "train")
+            load_dataset(path)
 
     def test_duplicate_id_rejected(self, tmp_path):
         path = tmp_path / "dup.jsonl"
         path.write_text('{"id": "a", "text": "x"}\n{"id": "a", "text": "y"}\n')
         with pytest.raises(DatasetError, match="duplicate sample id"):
-            load_dataset(path, "train")
+            load_dataset(path)
 
     def test_duplicate_gold_triples_collapsed(self, tmp_path):
         triple = {
@@ -231,13 +231,13 @@ class TestLoadDataset:
         record = {"id": "a", "text": "Booth shot Lincoln", "triples": [triple, dict(triple)]}
         path = tmp_path / "dup.jsonl"
         path.write_text(json.dumps(record) + "\n")
-        ds = load_dataset(path, "train")
+        ds = load_dataset(path)
         assert len(ds.gold["a"].triples) == 1
 
     def test_unlabeled_split_has_empty_gold_and_no_schema(self, tmp_path):
         path = tmp_path / "plain.jsonl"
         path.write_text('{"id": "a", "text": "hello there"}\n')
-        ds = load_dataset(path, "train")
+        ds = load_dataset(path)
         assert ds.gold == {} and ds.schema is None
 
     def test_288_record_file_loads_288_samples(self, tmp_path):
@@ -245,7 +245,7 @@ class TestLoadDataset:
         with path.open("w", encoding="utf-8") as fh:
             for k in range(288):
                 fh.write(json.dumps({"id": f"r{k}", "text": f"record number {k}"}) + "\n")
-        assert len(load_dataset(path, "test").samples) == 288
+        assert len(load_dataset(path).samples) == 288
 
     @pytest.mark.parametrize("record, message", [
         ('{"id": "a", "text": 123}', "sample 'a': text must be a string, got int"),
@@ -265,22 +265,22 @@ class TestLoadDataset:
         path = tmp_path / "bad.jsonl"
         path.write_text('{"id": "ok", "text": "fine"}\n' + record + "\n", encoding="utf-8")
         with pytest.raises(DatasetError, match=f"bad.jsonl:2: {message}"):
-            load_dataset(path, "train")
+            load_dataset(path)
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(DatasetError, match="dataset file not found: .*nope.jsonl"):
-            load_dataset(tmp_path / "nope.jsonl", "train")
+            load_dataset(tmp_path / "nope.jsonl")
 
     def test_integer_id_is_kept_as_its_decimal_string(self, tmp_path):
         path = tmp_path / "ints.jsonl"
         path.write_text('{"id": 7, "text": "seven"}\n{"id": "8", "text": "eight"}\n')
-        assert [s.id for s in load_dataset(path, "train").samples] == ["7", "8"]
+        assert [s.id for s in load_dataset(path).samples] == ["7", "8"]
 
     def test_invalid_utf8_names_line_number(self, tmp_path):
         path = tmp_path / "latin1.jsonl"
         path.write_bytes(b'{"id": "a", "text": "ok"}\r\n\r{"id": "b", "text": "caf\xe9"}\n')
         with pytest.raises(DatasetError, match="latin1.jsonl:3: not valid UTF-8"):
-            load_dataset(path, "train")
+            load_dataset(path)
 
     def test_gold_span_values_are_not_coerced(self, tmp_path):
         # int() would load [0, 5.9] as (0, 5), a span that selects "Booth"
@@ -292,13 +292,13 @@ class TestLoadDataset:
         path = tmp_path / "float.jsonl"
         path.write_text(json.dumps({"id": "a", "text": "Booth shot Lincoln", "triples": [triple]}))
         with pytest.raises(DatasetError, match="float.jsonl:1: sample 'a': bad triple"):
-            load_dataset(path, "train")
+            load_dataset(path)
 
     def test_schema_header_after_blank_lines(self, tmp_path):
         path = tmp_path / "train.jsonl"
         header = {"entity_types": ["Per", "Loc"], "relation_types": ["Live_In"]}
         path.write_text("\n  \n" + json.dumps(header) + '\n{"id": "a", "text": "x"}\n')
-        ds = load_dataset(path, "train")
+        ds = load_dataset(path)
         assert ds.schema is not None and ds.schema.entity_types == ("Loc", "Per")
         assert [s.id for s in ds.samples] == ["a"]
 
@@ -306,7 +306,7 @@ class TestLoadDataset:
         path = tmp_path / "train.jsonl"
         path.write_text('{"id": "a", "text": "x"}\n{"entity_types": ["Per"]}\n')
         with pytest.raises(DatasetError, match=":2: record missing 'id'"):
-            load_dataset(path, "train")
+            load_dataset(path)
 
     @pytest.mark.parametrize("key, labels", [
         ("relation_types", "Kill"),  # a string would become the labels K, i, l
@@ -318,7 +318,7 @@ class TestLoadDataset:
         header = {"entity_types": ["Per"], "relation_types": ["Kill"], key: labels}
         path.write_text("\n" + json.dumps(header) + '\n{"id": "a", "text": "x"}\n')
         with pytest.raises(DatasetError, match=f"hdr.jsonl:2: {key} must be a JSON array of strings"):
-            load_dataset(path, "train")
+            load_dataset(path)
 
     def test_lines_split_as_open_splits_them(self, tmp_path):
         # \r\n and a lone \r end a line; U+2028 inside a JSON string (here in
@@ -327,7 +327,7 @@ class TestLoadDataset:
         path.write_bytes('{"id": "a", "text": "one", "note": "x\u2028y"}\r\n'
                          '{"id": "b", "text": "three"}\r{"id": "c", "text": "four"}'
                          .encode("utf-8"))
-        ds = load_dataset(path, "train")
+        ds = load_dataset(path)
         assert [(s.id, s.text) for s in ds.samples] == [
             ("a", "one"), ("b", "three"), ("c", "four")]
 
@@ -341,7 +341,7 @@ class TestLoadDataset:
                         encoding="utf-8")
         with pytest.raises(DatasetError, match="brk.jsonl:2: sample 'a': bad triple: "
                                                "subject must not contain line breaks"):
-            load_dataset(path, "train")
+            load_dataset(path)
 
     @pytest.mark.parametrize("brk", LINE_BREAKS, ids=lambda c: f"U+{ord(c):04X}")
     def test_line_break_in_a_sentence_names_line_number(self, tmp_path, brk):
@@ -350,7 +350,7 @@ class TestLoadDataset:
                         + json.dumps({"id": "a", "text": f"one{brk}two"}) + "\n",
                         encoding="utf-8")
         with pytest.raises(DatasetError, match="brk.jsonl:2: sample 'a': text must be a single line"):
-            load_dataset(path, "train")
+            load_dataset(path)
 
     def test_gold_spans_checked_bidirectionally(self, pool_dataset):
         by_id = pool_dataset.sample_by_id()
@@ -365,29 +365,25 @@ class TestLoadDataset:
 def parses(monkeypatch):
     """An empty parse memo for the test, and the file name of every parse."""
     names = []
-    parse = core._parse_dataset
+    parse = core._parse_dataset.__wrapped__
 
-    def counting(path, split, data):
+    def counting(path, data):
         names.append(path.name)
-        return parse(path, split, data)
+        return parse(path, data)
 
-    monkeypatch.setattr(core, "_PARSED", OrderedDict())
-    monkeypatch.setattr(core, "_parse_dataset", counting)
+    core._parse_dataset.cache_clear()
+    # the same bound as the real memo, so a change to it shows in the eviction test
+    memo = functools.lru_cache(**core._parse_dataset.cache_parameters())
+    monkeypatch.setattr(core, "_parse_dataset", memo(counting))
     return names
 
 
 class TestLoadDatasetMemo:
     def test_unchanged_bytes_are_parsed_once(self, parses):
-        a = load_dataset(DATA_DIR, "train")
-        b = load_dataset(DATA_DIR, "train")
+        a = load_dataset(DATA_DIR / "train.jsonl")
+        b = load_dataset(DATA_DIR / "train.jsonl")
         assert a.samples == b.samples and a.gold == b.gold and a.schema == b.schema
-        assert a.split == b.split == "train"
         assert parses == ["train.jsonl"]
-
-    def test_split_is_part_of_the_key(self, parses):
-        assert load_dataset(DATA_DIR / "test.jsonl", "test").split == "test"
-        assert load_dataset(DATA_DIR / "test.jsonl", "valid").split == "valid"
-        assert parses == ["test.jsonl", "test.jsonl"]
 
     def test_rewrite_with_same_size_and_mtime_is_parsed_again(self, tmp_path, parses):
         path = tmp_path / "train.jsonl"
@@ -411,11 +407,11 @@ class TestLoadDatasetMemo:
         assert len(parses) == 3
 
     def test_each_load_returns_its_own_containers(self, parses):
-        first = load_dataset(DATA_DIR, "train")
+        first = load_dataset(DATA_DIR / "train.jsonl")
         removed = first.samples.pop()
         first.samples.clear()
         first.gold.clear()
-        again = load_dataset(DATA_DIR, "train")
+        again = load_dataset(DATA_DIR / "train.jsonl")
         assert len(again.samples) == 20 and again.samples[-1] == removed
         assert len(again.gold) == 20
         assert parses == ["train.jsonl"]
@@ -440,7 +436,7 @@ class TestLoadDatasetMemo:
             load_dataset(paths[k])
         # f0 was used again before f4 arrived, so f4 pushed out f1
         assert parses == ["f0.jsonl", "f1.jsonl", "f2.jsonl", "f3.jsonl", "f4.jsonl", "f1.jsonl"]
-        assert len(core._PARSED) == 4
+        assert core._parse_dataset.cache_info().currsize == 4
 
 
 class TestAnnotationOracle:

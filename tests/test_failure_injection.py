@@ -16,7 +16,8 @@ from unittest import mock
 
 import pytest
 
-from tripleforge.pipeline import MANIFEST, SELECTION, STAGES
+from tripleforge.pipeline import (MANIFEST, OUTPUTS, PREDICTIONS, PREEXTRACT, PRODUCERS,
+                                  SELECTION, STAGES)
 from tripleforge.similarity import write_artifact
 
 from conftest import DATA_DIR
@@ -177,4 +178,36 @@ def test_eval_refuses_a_test_split_without_gold(run_config, tmp_path):
         STAGES["eval"](cfg)
     assert str(refused.value).startswith(f"{test_path}: eval needs gold triples")
     assert "['t01', 't02', 't03', 't04', 't05']" in str(refused.value)
+    assert files(cfg.run_dir) == before
+
+
+@pytest.mark.parametrize("damage", [b'{"config": {"a"', b"[]", b'{"stages": []}'],
+                         ids=["truncated", "array", "array-stages"])
+def test_damaged_manifest_is_written_afresh(run_config, damage):
+    cfg = run_config()
+    STAGES["preextract"](cfg)
+    (cfg.run_dir / MANIFEST).write_bytes(damage)
+
+    def stages():
+        return set(json.loads((cfg.run_dir / MANIFEST).read_text())["stages"])
+
+    STAGES["preextract"](cfg)
+    assert stages() == {"preextract"}
+    STAGES["distances"](cfg)
+    assert stages() == {"preextract", "distances"}
+
+
+@pytest.mark.parametrize("stage, artifact", [
+    ("distances", PREEXTRACT), ("run", SELECTION), ("eval", PREDICTIONS), ("cost", OUTPUTS)])
+def test_damaged_upstream_json_names_the_file_and_its_producer(run_config, stage, artifact):
+    cfg = run_config()
+    for name in ALL_STAGES[:ALL_STAGES.index(stage)]:
+        STAGES[name](cfg)
+    path = cfg.run_dir / artifact
+    path.write_bytes(path.read_bytes()[:40])
+    before = files(cfg.run_dir)
+    with pytest.raises(RuntimeError) as refused:
+        STAGES[stage](cfg)
+    assert str(refused.value).startswith(f"damaged artifact {path} (")
+    assert str(refused.value).endswith(f"re-run `tripleforge {PRODUCERS[artifact]}`")
     assert files(cfg.run_dir) == before

@@ -884,8 +884,8 @@ MINI_PROMPT_SHA256 = {
 
 
 def test_mini_fixture_prompt_bytes_pinned():
-    pool = load_dataset(DATA_DIR / "train.jsonl", "train")
-    test = load_dataset(DATA_DIR / "test.jsonl", "test")
+    pool = load_dataset(DATA_DIR / "train.jsonl")
+    test = load_dataset(DATA_DIR / "test.jsonl")
     demos = [Demonstration(s, pool.gold[s.id].triples) for s in pool.samples]
     for fmt, want in MINI_PROMPT_SHA256.items():
         prefix, bodies = render_few_shot(fmt, demos, test.samples)

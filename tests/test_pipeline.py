@@ -1,4 +1,5 @@
 import ast
+import functools
 import hashlib
 import json
 import os
@@ -8,7 +9,6 @@ import subprocess
 import sys
 import tracemalloc
 import types
-from collections import OrderedDict
 from dataclasses import FrozenInstanceError, asdict, fields
 from pathlib import Path
 
@@ -245,7 +245,7 @@ class TestFullPipeline:
     def test_balance_on_an_unlabeled_pool_is_refused(self, run_config, tmp_path):
         # the pool carries no labels, but its sentences are the test split's,
         # whose gold the echo mock answers with, so every one pre-extracts
-        test = core.load_dataset(DATA_DIR / "test.jsonl", "test")
+        test = core.load_dataset(DATA_DIR / "test.jsonl")
         pool = tmp_path / "unlabeled.jsonl"
         pool.write_text("".join(json.dumps({"id": f"u{s.id}", "text": s.text}) + "\n"
                                 for s in test.samples), encoding="utf-8")
@@ -502,10 +502,11 @@ class TestFullPipeline:
         # every stage of two combos, first with the parse memo, then with it
         # emptied before every stage: the manifests must record equal sha256s
         parsed = []
-        parse = core._parse_dataset
-        monkeypatch.setattr(core, "_PARSED", OrderedDict())
+        parse = core._parse_dataset.__wrapped__
+        core._parse_dataset.cache_clear()
+        memo = functools.lru_cache(**core._parse_dataset.cache_parameters())
         monkeypatch.setattr(core, "_parse_dataset",
-                            lambda path, split, data: parsed.append(path.name) or parse(path, split, data))
+                            memo(lambda path, data: parsed.append(path.name) or parse(path, data)))
         combos = (dict(strategy="coverage", budget=4),
                   dict(format="codeie", strategy="balance", budget=5))
 
@@ -515,7 +516,7 @@ class TestFullPipeline:
                 cfg = run_config(run_dir=tmp_path / tag / str(k), **combo)
                 for name in ALL_STAGES:
                     if clear:
-                        core._PARSED.clear()
+                        core._parse_dataset.cache_clear()
                     STAGES[name](cfg)
                 stages = json.loads((cfg.run_dir / MANIFEST).read_text())["stages"]
                 found.append({(stage, name): artifact["sha256"]
