@@ -81,6 +81,9 @@ COST_TXT = "cost_report.txt"
 # the stage that writes each run_dir artifact a later stage reads
 PRODUCERS = {PREEXTRACT: "preextract", POOL_DISTANCES: "distances", PAIRWISE: "select",
              SELECTION: "select", OUTPUTS: "run", PREDICTIONS: "run"}
+# the ``kind`` each JSON artifact a later stage reads declares
+KINDS = {PREEXTRACT: "preextraction", SELECTION: "selection", OUTPUTS: "outputs",
+         PREDICTIONS: "predictions"}
 
 
 class UpstreamMissingError(RuntimeError):
@@ -137,11 +140,15 @@ def _upstream(cfg: PipelineConfig, name: str) -> Path:
 
 
 def _read_upstream(cfg: PipelineConfig, name: str) -> dict:
-    """The run_dir JSON artifact ``name``; a damaged one names its producer."""
+    """The run_dir JSON artifact ``name``; a damaged one, or one of another
+    kind, names its producer."""
     path = _upstream(cfg, name)
     try:
-        return json.loads(path.read_text(encoding="utf-8"))
-    except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
+        value = json.loads(path.read_text(encoding="utf-8"))
+        if not isinstance(value, dict) or value.get("kind") != KINDS[name]:
+            raise ValueError(f"not a {KINDS[name]} artifact")
+        return value
+    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError or another kind
         raise RuntimeError(f"damaged artifact {path} ({exc}): "
                            f"re-run `tripleforge {PRODUCERS[name]}`") from None
 
@@ -236,7 +243,7 @@ def _preextraction(cfg: PipelineConfig, gateway: LlmGateway,
         if len(parsed.triples) == 0:
             excluded.append(sample.id)
     return {
-        "kind": "preextraction",
+        "kind": KINDS[PREEXTRACT],
         "split": split,
         "provider": gateway.provider.name,
         "model_id": cfg.model_id,
@@ -371,7 +378,7 @@ def stage_select(cfg: PipelineConfig):
     annotations = {sid: oracle.annotate(sid).triples.to_list() for sid in result.chosen}
     selection_path = _write_json(cfg.run_dir / SELECTION, {
         **result.to_json_dict(),
-        "kind": "selection",
+        "kind": KINDS[SELECTION],
         "distance_source": cfg.distance_source,
         "u": cfg.top_u,
         "annotations": annotations,
@@ -409,10 +416,10 @@ def stage_run(cfg: PipelineConfig):
     skipped_total = sum(p.skipped_rows for p in parsed.values())
 
     outputs_path = _write_json(cfg.run_dir / OUTPUTS, {
-        "kind": "outputs", "format": fmt.value, "model_id": cfg.model_id, "outputs": outputs,
+        "kind": KINDS[OUTPUTS], "format": fmt.value, "model_id": cfg.model_id, "outputs": outputs,
     })
     predictions_path = _write_json(cfg.run_dir / PREDICTIONS, {
-        "kind": "predictions",
+        "kind": KINDS[PREDICTIONS],
         "format": fmt.value,
         "predictions": {sid: p.triples.to_list() for sid, p in parsed.items()},
         "parse_skipped_rows": skipped_total,

@@ -122,7 +122,7 @@ def _stack(sets: Sequence[Sequence[np.ndarray] | np.ndarray]
            ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Concatenated embeddings of the sets, with each set's first row and
     size (the segment offsets)."""
-    arrays = [np.atleast_2d(np.asarray(z, dtype=np.float64)) for z in sets]
+    arrays = [np.array(z, dtype=np.float64, ndmin=2, copy=None) for z in sets]
     if any(a.size == 0 for a in arrays):
         raise ValueError("set distance undefined for empty triple set")
     sizes = np.array([a.shape[0] for a in arrays], dtype=np.intp)
@@ -157,14 +157,15 @@ def _set_distance_block(a: np.ndarray, a_starts: np.ndarray, a_sizes: np.ndarray
             + _segment_means(col_min, b_starts, b_sizes))
 
 
-def _runs(starts: np.ndarray, sizes: np.ndarray, rows: int) -> list[tuple[int, int]]:
-    """Split the sets into consecutive runs ``[s0, s1)`` of at most ``rows``
-    embedding rows each; a larger set gets a run of its own."""
-    ends = starts + sizes
+def _runs(sizes: np.ndarray, dim: int) -> list[tuple[int, int]]:
+    """Split the sets into consecutive runs ``[s0, s1)`` of at most one block
+    side of embedding rows each; a larger set gets a run of its own."""
+    rows = max(1, math.isqrt(_BLOCK_ELEMENTS // dim))
+    ends = np.cumsum(sizes)
     runs = []
     s0 = 0
-    while s0 < len(starts):
-        s1 = max(s0 + 1, int(np.searchsorted(ends, starts[s0] + rows, side="right")))
+    while s0 < len(sizes):
+        s1 = max(s0 + 1, int(np.searchsorted(ends, ends[s0] - sizes[s0] + rows, side="right")))
         runs.append((s0, s1))
         s0 = s1
     return runs
@@ -177,32 +178,23 @@ def set_distances(A_sets: Sequence[Sequence[np.ndarray] | np.ndarray],
     Each side is concatenated into one embedding array, with segment offsets
     per set, and the matrix is filled block by block so that a block's triple
     differences stay near ``_BLOCK_ELEMENTS``.  Every cell has the bits a
-    single-pair computation gives (see ``_segment_means``).  With the same
-    object on both sides it stacks that side once and mirrors the blocks on
-    and above the diagonal: ``set_distance`` is symmetric to the bit.
+    single-pair computation gives (see ``_segment_means``).
     """
     out = np.zeros((len(A_sets), len(B_sets)), dtype=np.float64)
     if not len(A_sets) or not len(B_sets):
         return out
-    symmetric = A_sets is B_sets
     a, a_starts, a_sizes = _stack(A_sets)
-    b, b_starts, b_sizes = (a, a_starts, a_sizes) if symmetric else _stack(B_sets)
+    b, b_starts, b_sizes = _stack(B_sets)
     if a.shape[1] != b.shape[1]:
         raise ValueError(f"embedding dim mismatch: {a.shape[1]} vs {b.shape[1]}")
-    side = max(1, math.isqrt(_BLOCK_ELEMENTS // a.shape[1]))
-    b_runs = _runs(b_starts, b_sizes, side)
-    for s0, s1 in _runs(a_starts, a_sizes, side):
+    b_runs = _runs(b_sizes, b.shape[1])
+    for s0, s1 in _runs(a_sizes, a.shape[1]):
         ra = slice(a_starts[s0], a_starts[s1 - 1] + a_sizes[s1 - 1])
         for t0, t1 in b_runs:
-            if symmetric and t1 <= s0:
-                continue
             rb = slice(b_starts[t0], b_starts[t1 - 1] + b_sizes[t1 - 1])
             out[s0:s1, t0:t1] = _set_distance_block(
                 a[ra], a_starts[s0:s1] - ra.start, a_sizes[s0:s1],
                 b[rb], b_starts[t0:t1] - rb.start, b_sizes[t0:t1])
-    if symmetric:
-        out = np.triu(out, 1)
-        out += out.T
     return out
 
 
@@ -412,9 +404,15 @@ def embed_triple_sets(preextracted: Mapping[str, Sequence[str]],
 
 def pool_distances(preextracted: Mapping[str, Sequence[str]],
                    provider: EmbeddingProvider) -> PoolDistanceMatrix:
-    """All-pairs set distances over the pool, in the mapping's id order."""
+    """All-pairs set distances over the pool, in the mapping's id order: the
+    upper triangle, filled one block run of sets at a time against the rest."""
     embedded = embed_triple_sets(preextracted, provider)
     sets = list(embedded.values())
-    square = set_distances(sets, sets)
-    upper = np.concatenate([np.empty(0)] + [row[i + 1:] for i, row in enumerate(square)])
+    upper = np.empty(len(sets) * (len(sets) - 1) // 2)
+    k = 0
+    for s0, s1 in _runs(np.array([len(z) for z in sets], dtype=np.intp), provider.dim):
+        strip = set_distances(sets[s0:s1], sets[s0:])
+        cells = strip[np.triu_indices(len(strip), 1, strip.shape[1])]
+        upper[k:k + len(cells)] = cells
+        k += len(cells)
     return PoolDistanceMatrix(sample_ids=tuple(embedded), entries=upper, provider=provider.name)

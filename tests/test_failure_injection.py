@@ -197,14 +197,27 @@ def test_damaged_manifest_is_written_afresh(run_config, damage):
     assert stages() == {"preextract", "distances"}
 
 
+# another JSON file the run directory holds when each artifact's reader runs
+OTHER_JSON = {PREEXTRACT: MANIFEST, SELECTION: PREEXTRACT, PREDICTIONS: OUTPUTS,
+              OUTPUTS: PREDICTIONS}
+DAMAGES = {
+    "truncated": lambda path: path.read_bytes()[:40],
+    "array": lambda path: b"[]",
+    "object": lambda path: b"{}",
+    "other-artifact": lambda path: (path.parent / OTHER_JSON[path.name]).read_bytes(),
+}
+
+
+@pytest.mark.parametrize("damage", DAMAGES)
 @pytest.mark.parametrize("stage, artifact", [
     ("distances", PREEXTRACT), ("run", SELECTION), ("eval", PREDICTIONS), ("cost", OUTPUTS)])
-def test_damaged_upstream_json_names_the_file_and_its_producer(run_config, stage, artifact):
+def test_damaged_upstream_json_names_the_file_and_its_producer(run_config, stage, artifact,
+                                                               damage):
     cfg = run_config()
     for name in ALL_STAGES[:ALL_STAGES.index(stage)]:
         STAGES[name](cfg)
     path = cfg.run_dir / artifact
-    path.write_bytes(path.read_bytes()[:40])
+    path.write_bytes(DAMAGES[damage](path))
     before = files(cfg.run_dir)
     with pytest.raises(RuntimeError) as refused:
         STAGES[stage](cfg)

@@ -614,7 +614,7 @@ def test_set_distances_match_the_pairwise_loop(data, dim):
     expected = np.array([[reference_set_distance(a, b) for b in B] for a in A])
     assert np.array_equal(set_distances(A, B), expected)
     assert set_distance(A[0], B[-1]) == expected[0, -1]
-    # the same object on both sides takes the mirrored upper-triangle path
+    # the same object on both sides is an ordinary rectangle
     assert np.array_equal(set_distances(A, A),
                           np.array([[reference_set_distance(a, b) for b in A] for a in A]))
 
@@ -659,12 +659,27 @@ def test_pool_distances_match_the_loop_version(texts):
     assert np.array_equal(got.entries, want.entries)
 
 
+@pytest.mark.parametrize("sides, extra", [(0, 0), (0, 1), (0, 2), (1, -1), (1, 0), (1, 1), (2, 1)],
+                         ids=["0", "1", "2", "side-1", "side", "side+1", "2side+1"])
+def test_pool_distances_across_strip_boundaries_match_the_loop_version(sides, extra):
+    # a strip is one block run of at most ``side`` embedding rows at dim 64
+    n = sides * math.isqrt(similarity._BLOCK_ELEMENTS // 64) + extra
+    rng = np.random.default_rng(n)
+    preextracted = {f"s{i}": [" ".join(rng.choice(VOCAB, 3)) for _ in range(rng.integers(1, 4))]
+                    for i in range(n)}
+    provider = HashingEmbedder(dim=64)
+    got = pool_distances(preextracted, provider)
+    want = reference_pool_distances(preextracted, provider)
+    assert got.sample_ids == want.sample_ids
+    assert np.array_equal(got.entries, want.entries)
+
+
 def test_pool_distance_cells_equal_set_distance_bitwise():
     rng = np.random.default_rng(7)
     words = VOCAB + ["x", "y", "z"]
     preextracted = {
         f"s{i}": [" ".join(rng.choice(words, 3)) for _ in range(int(rng.integers(1, 12)))]
-        for i in range(70)  # more than one block run, so blocks off the diagonal mirror
+        for i in range(70)  # more than one strip, so cells from blocks off the diagonal
     }
     provider = HashingEmbedder(dim=64)
     matrix = pool_distances(preextracted, provider)

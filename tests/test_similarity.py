@@ -2,6 +2,7 @@ import json
 import math
 import re
 import time
+import tracemalloc
 import zipfile
 
 import numpy as np
@@ -169,19 +170,38 @@ class TestPoolDistances:
             pool_distances({"a": []}, self.fixture_provider())
 
     @pytest.mark.parametrize("k", [1, 2, 3])
-    def test_symmetric_call_computes_each_block_pair_once(self, monkeypatch, k):
-        # single-row sets at dim 64 fill a block run with ``side`` sets, so
-        # the pool has k runs: k(k+1)/2 blocks on or above the diagonal
-        dim = 64
-        side = math.isqrt(similarity._BLOCK_ELEMENTS // dim)
-        sets = list(np.random.default_rng(k).normal(size=(k * side, 1, dim)))
-        full = set_distances(sets, list(sets))  # another object: every block
-        calls = []
-        block = similarity._set_distance_block
-        monkeypatch.setattr(similarity, "_set_distance_block",
-                            lambda *args: calls.append(1) or block(*args))
-        assert np.array_equal(set_distances(sets, sets), full)
+    def test_pool_strips_compute_each_block_pair_once(self, monkeypatch, k):
+        # single-triple samples at dim 64 fill a block run with ``side`` sets,
+        # so the pool has k strips: k(k+1)/2 blocks on or above the diagonal
+        n = k * math.isqrt(similarity._BLOCK_ELEMENTS // 64)
+        calls = count_blocks(monkeypatch)
+        matrix = pool_distances({f"s{i}": [f"ann{i} bob{i}"] for i in range(n)},
+                                HashingEmbedder(dim=64))
+        assert matrix.entries.shape == (n * (n - 1) // 2,)
         assert len(calls) == k * (k + 1) // 2
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_same_object_on_both_sides_is_a_plain_rectangle(self, monkeypatch, k):
+        side = math.isqrt(similarity._BLOCK_ELEMENTS // 64)
+        sets = list(np.random.default_rng(k).normal(size=(k * side, 1, 64)))
+        full = set_distances(sets, list(sets))
+        calls = count_blocks(monkeypatch)
+        assert np.array_equal(set_distances(sets, sets), full)
+        assert len(calls) == k * k
+
+    def test_peak_memory_is_the_result_plus_one_strip(self):
+        # a square of the pool would be twice the triangle on its own
+        rng = np.random.default_rng(11)
+        words = ["ann", "bob", "works", "for", "acme", "lives", "in", "paris", "x", "y"]
+        pre = {f"s{i}": [" ".join(rng.choice(words, 3)) for _ in range(int(rng.integers(1, 4)))]
+               for i in range(1000)}
+        tracemalloc.start()
+        try:
+            matrix = pool_distances(pre, HashingEmbedder(dim=64))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * matrix.entries.nbytes
 
     def test_save_load_round_trip(self, tmp_path):
         matrix = pool_distances({"a": ["u"], "b": ["v"]}, self.fixture_provider())
@@ -191,6 +211,15 @@ class TestPoolDistances:
         assert loaded.sample_ids == matrix.sample_ids
         assert np.array_equal(loaded.entries, matrix.entries)
         assert loaded.provider == matrix.provider
+
+
+def count_blocks(monkeypatch) -> list:
+    """The list that collects one entry per ``_set_distance_block`` call."""
+    calls = []
+    block = similarity._set_distance_block
+    monkeypatch.setattr(similarity, "_set_distance_block",
+                        lambda *args: calls.append(1) or block(*args))
+    return calls
 
 
 class TestPoolDistanceMatrixInvariants:
