@@ -73,6 +73,9 @@ class PipelineConfig(TrainConfig):
         for name in ("budget", "top_u", "retry_attempts", "concurrency", "embedding_dim"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1")
+        for name in ("embedding_endpoint", "embedding_model") if self.embedder == "http" else ():
+            if not getattr(self, name):
+                raise ConfigError(f"embedder http needs a {name}")
         if not 0 <= self.backoff_base < math.inf:
             raise ConfigError("backoff_base must be >= 0 and finite")
         try:

@@ -14,7 +14,7 @@ import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Callable, Optional
+from typing import Callable, Optional, TypeVar
 
 from .config import PipelineConfig
 from .core import (
@@ -77,13 +77,15 @@ EVAL_JSON = "eval_report.json"
 EVAL_TXT = "eval_report.txt"
 COST_JSON = "cost_report.json"
 COST_TXT = "cost_report.txt"
+CHECKPOINT = "retriever.ckpt"
 
-# the stage that writes each run_dir artifact a later stage reads
-PRODUCERS = {PREEXTRACT: "preextract", POOL_DISTANCES: "distances", PAIRWISE: "select",
-             SELECTION: "select", OUTPUTS: "run", PREDICTIONS: "run"}
+# the stage that writes each artifact a later stage reads
+PRODUCERS = {PREEXTRACT: "preextract", POOL_DISTANCES: "distances", CHECKPOINT: "train",
+             PAIRWISE: "select", SELECTION: "select", OUTPUTS: "run", PREDICTIONS: "run"}
 # the ``kind`` each JSON artifact a later stage reads declares
 KINDS = {PREEXTRACT: "preextraction", SELECTION: "selection", OUTPUTS: "outputs",
          PREDICTIONS: "predictions"}
+_Read = TypeVar("_Read")
 
 
 class UpstreamMissingError(RuntimeError):
@@ -126,31 +128,32 @@ def _write_json(path: Path, obj) -> Artifact:
     return write_artifact(path, _json_bytes(obj))
 
 
-def _require(path: Path, producer: str) -> Path:
+def _read_upstream(cfg: PipelineConfig, name: str, read: Callable[[Path], _Read],
+                   path: Optional[Path] = None) -> _Read:
+    """``read(path)`` of the upstream artifact ``name``, by default
+    ``run_dir / name``.  A missing file raises ``UpstreamMissingError``; one
+    that ``read`` cannot parse, or whose kind or fields it refuses, raises a
+    ``RuntimeError`` naming the file and the stage that writes it."""
+    path = cfg.run_dir / name if path is None else path
     if not path.exists():
         raise UpstreamMissingError(
-            f"missing artifact {path}: run `tripleforge {producer}` first"
-        )
-    return path
-
-
-def _upstream(cfg: PipelineConfig, name: str) -> Path:
-    """The run_dir artifact ``name``, which its producer must have written."""
-    return _require(cfg.run_dir / name, PRODUCERS[name])
-
-
-def _read_upstream(cfg: PipelineConfig, name: str) -> dict:
-    """The run_dir JSON artifact ``name``; a damaged one, or one of another
-    kind, names its producer."""
-    path = _upstream(cfg, name)
+            f"missing artifact {path}: run `tripleforge {PRODUCERS[name]}` first")
     try:
-        value = json.loads(path.read_text(encoding="utf-8"))
-        if not isinstance(value, dict) or value.get("kind") != KINDS[name]:
-            raise ValueError(f"not a {KINDS[name]} artifact")
-        return value
-    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError or another kind
-        raise RuntimeError(f"damaged artifact {path} ({exc}): "
+        return read(path)
+    except (ValueError, LookupError, TypeError, AttributeError) as exc:
+        raise RuntimeError(f"damaged artifact {path} ({type(exc).__name__}: {exc}): "
                            f"re-run `tripleforge {PRODUCERS[name]}`") from None
+
+
+def _json(decode: Callable[[dict], _Read]) -> Callable[[Path], _Read]:
+    """A ``read`` for ``_read_upstream``: ``decode`` of the JSON artifact,
+    which must be an object that declares the artifact's ``kind``."""
+    def read(path: Path) -> _Read:
+        value = json.loads(path.read_text(encoding="utf-8"))
+        if not isinstance(value, dict) or value.get("kind") != KINDS[path.name]:
+            raise ValueError(f"not a {KINDS[path.name]} artifact")
+        return decode(value)
+    return read
 
 
 def _update_manifest(cfg: PipelineConfig, outcome: StageOutcome) -> None:
@@ -281,7 +284,7 @@ def _verbalizations(artifact: dict) -> tuple[dict[str, list[str]], list[str]]:
 @_stage
 def stage_distances(cfg: PipelineConfig):
     """Pairwise triple-set distances over the pre-extracted pool."""
-    verbal, excluded = _verbalizations(_read_upstream(cfg, PREEXTRACT))
+    verbal, excluded = _read_upstream(cfg, PREEXTRACT, _json(_verbalizations))
     if len(verbal) < 1:
         raise RuntimeError("no pool samples with pre-extracted triples")
     embedder = build_embedder(cfg)
@@ -293,7 +296,7 @@ def stage_distances(cfg: PipelineConfig):
 @_stage
 def stage_train(cfg: PipelineConfig):
     """Fit the retriever projection to the pool distance matrix."""
-    matrix = PoolDistanceMatrix.load(_upstream(cfg, POOL_DISTANCES))
+    matrix = _read_upstream(cfg, POOL_DISTANCES, PoolDistanceMatrix.load)
     pool = load_dataset(cfg.pool_path)
     texts = {s.id: s.text for s in pool.samples}
     model, history = train_retriever(texts, matrix, build_embedder(cfg), cfg)
@@ -309,11 +312,11 @@ def stage_train(cfg: PipelineConfig):
 
 def _pairwise_from_retriever(cfg: PipelineConfig, pool: Dataset, test: Dataset
                              ) -> tuple[PairwiseDistanceSet, dict, list[Artifact]]:
-    # the checkpoint may sit outside run_dir, so it is required by path
-    ckpt = _require(cfg.effective_checkpoint_path, "train")
-    model = load_checkpoint(ckpt, build_embedder(cfg))
+    # the checkpoint may sit outside run_dir, so it is read by path
+    ckpt, base = cfg.effective_checkpoint_path, build_embedder(cfg)
+    model = _read_upstream(cfg, CHECKPOINT, lambda path: load_checkpoint(path, base), ckpt)
     if (cfg.run_dir / PREEXTRACT).exists():
-        verbal, excluded = _verbalizations(_read_upstream(cfg, PREEXTRACT))
+        verbal, excluded = _read_upstream(cfg, PREEXTRACT, _json(_verbalizations))
         included = set(verbal)
         pool_samples = [s for s in pool.samples if s.id in included]
     else:
@@ -328,7 +331,7 @@ def _pairwise_direct(cfg: PipelineConfig, pool: Dataset, test: Dataset
                      ) -> tuple[PairwiseDistanceSet, dict, list[Artifact]]:
     """Pre-extract the test samples too and take triple-set distances
     straight into the pool-to-test matrix; no retriever involved."""
-    pool_verbal, excluded_pool = _verbalizations(_read_upstream(cfg, PREEXTRACT))
+    pool_verbal, excluded_pool = _read_upstream(cfg, PREEXTRACT, _json(_verbalizations))
 
     gateway = build_gateway(cfg, [pool, test])
     test_artifact = _preextraction(cfg, gateway, test.samples, "test")
@@ -395,14 +398,14 @@ def stage_select(cfg: PipelineConfig):
 @_stage
 def stage_run(cfg: PipelineConfig):
     """Query the model with one shared demonstration set and parse the outputs."""
-    selection = _read_upstream(cfg, SELECTION)
-    P = PairwiseDistanceSet.load(_upstream(cfg, PAIRWISE))
+    chosen, gold_by_id = _read_upstream(cfg, SELECTION, _json(lambda raw: (raw["chosen"], {
+        sid: TripleSet.from_list(raw["annotations"][sid]) for sid in raw["chosen"]})))
+    P = _read_upstream(cfg, PAIRWISE, PairwiseDistanceSet.load)
     pool = load_dataset(cfg.pool_path)
     test = load_dataset(cfg.test_path)
 
-    gold_by_id = {sid: TripleSet.from_list(raw) for sid, raw in selection["annotations"].items()}
     demos = order_demonstrations(
-        selection["chosen"], P, pool.sample_by_id(), gold_by_id,
+        chosen, P, pool.sample_by_id(), gold_by_id,
         most_similar_last=(cfg.demo_order == "similar-last"),
     )
 
@@ -442,15 +445,15 @@ def _write_report(cfg: PipelineConfig, json_name: str, txt_name: str, report) ->
 @_stage
 def stage_eval(cfg: PipelineConfig):
     """Strict micro F1 of the parsed predictions against the test gold."""
-    raw = _read_upstream(cfg, PREDICTIONS)
+    predictions, skipped = _read_upstream(cfg, PREDICTIONS, _json(lambda raw: (
+        {sid: TripleSet.from_list(ts) for sid, ts in raw["predictions"].items()},
+        raw.get("parse_skipped_rows", 0))))
     test = load_dataset(cfg.test_path)
     unlabeled = [s.id for s in test.samples if s.id not in test.gold]
     if unlabeled:
         raise ValueError(f"{cfg.test_path}: eval needs gold triples, and test samples "
                          f"{unlabeled[:5]} have none")
-    predictions = {sid: TripleSet.from_list(ts) for sid, ts in raw["predictions"].items()}
-    report = micro_f1(predictions, test.gold_triples(),
-                      parse_skipped_rows=raw.get("parse_skipped_rows", 0))
+    report = micro_f1(predictions, test.gold_triples(), parse_skipped_rows=skipped)
     return (_write_report(cfg, EVAL_JSON, EVAL_TXT, report),
             {"precision": report.precision, "recall": report.recall, "f1": report.f1})
 
@@ -458,6 +461,6 @@ def stage_eval(cfg: PipelineConfig):
 @_stage
 def stage_cost(cfg: PipelineConfig):
     """Character-count cost report over the raw model outputs."""
-    raw = _read_upstream(cfg, OUTPUTS)
-    report = cost_report([raw["outputs"][sid] for sid in sorted(raw["outputs"])])
+    report = cost_report(_read_upstream(cfg, OUTPUTS, _json(
+        lambda raw: [raw["outputs"][sid] for sid in sorted(raw["outputs"])])))
     return _write_report(cfg, COST_JSON, COST_TXT, report), asdict(report)

@@ -23,10 +23,6 @@ ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 
 
-class CheckpointError(RuntimeError):
-    """Checkpoint file is corrupt or incompatible with the supplied base."""
-
-
 @dataclass(frozen=True)
 class TrainConfig:
     epochs: int = 5
@@ -299,17 +295,15 @@ def save_checkpoint(model: RetrieverModel, path: str | Path) -> Artifact:
 
 
 def load_checkpoint(path: str | Path, base: EmbeddingProvider) -> RetrieverModel:
-    try:
-        provider, weights = load_arrays(path, CHECKPOINT_KIND, ("provider", "weights"))
-    except ValueError as exc:
-        raise CheckpointError(str(exc)) from exc
+    """The model a ``save_checkpoint`` file holds over ``base``; a file that
+    is damaged, of another kind or made for another base raises ``ValueError``."""
+    provider, weights = load_arrays(path, CHECKPOINT_KIND, ("provider", "weights"))
     if provider.tolist() != base.name:
-        raise CheckpointError(
-            f"{path}: checkpoint base provider {provider.tolist()!r} does not match {base.name!r}"
-        )
+        raise ValueError(
+            f"{path}: checkpoint base provider {provider.tolist()!r} does not match {base.name!r}")
     if weights.dtype != np.float64:
-        raise CheckpointError(f"{path}: checkpoint weights must be float64, got {weights.dtype}")
+        raise ValueError(f"{path}: checkpoint weights must be float64, got {weights.dtype}")
     try:
         return RetrieverModel(base=base, weights=weights)
     except ValueError as exc:
-        raise CheckpointError(f"{path}: {exc}") from exc
+        raise ValueError(f"{path}: {exc}") from exc

@@ -346,8 +346,7 @@ class PoolDistanceMatrix:
     def load(cls, path: str | Path) -> "PoolDistanceMatrix":
         def build(rows, cols, entries, provider):
             if entries.ndim == 2:
-                raise ValueError("square entries, the layout before the upper triangle: "
-                                 "re-run `tripleforge distances`")
+                raise ValueError("square entries, the layout before the upper triangle")
             matrix = cls(rows, entries, provider)
             if cols != rows:
                 raise ValueError("col_ids must equal row_ids")

@@ -9,14 +9,17 @@ leave the old bytes under the artifact's name and no ``.tmp`` behind.
 import collections
 import contextlib
 import errno
+import io
 import json
 import sys
 from pathlib import Path
 from unittest import mock
 
+import numpy as np
 import pytest
 
-from tripleforge.pipeline import (MANIFEST, OUTPUTS, PREDICTIONS, PREEXTRACT, PRODUCERS,
+from tripleforge.pipeline import (CHECKPOINT, KINDS, MANIFEST, OUTPUTS, PAIRWISE,
+                                  POOL_DISTANCES, PREDICTIONS, PREEXTRACT, PRODUCERS,
                                   SELECTION, STAGES)
 from tripleforge.similarity import write_artifact
 
@@ -197,14 +200,37 @@ def test_damaged_manifest_is_written_afresh(run_config, damage):
     assert stages() == {"preextract", "distances"}
 
 
+def refused_as_damaged(stage, cfg, path: Path, artifact: str) -> None:
+    """``stage`` refuses ``path`` naming it and the producer of ``artifact``,
+    and changes no file of the run directory."""
+    before = files(cfg.run_dir)
+    with pytest.raises(RuntimeError) as refused:
+        STAGES[stage](cfg)
+    assert str(refused.value).startswith(f"damaged artifact {path} (")
+    assert str(refused.value).endswith(f"re-run `tripleforge {PRODUCERS[artifact]}`")
+    assert files(cfg.run_dir) == before
+
+
 # another JSON file the run directory holds when each artifact's reader runs
 OTHER_JSON = {PREEXTRACT: MANIFEST, SELECTION: PREEXTRACT, PREDICTIONS: OUTPUTS,
               OUTPUTS: PREDICTIONS}
+# the field of each JSON artifact that its reader decodes
+FIELD = {PREEXTRACT: "samples", SELECTION: "annotations", PREDICTIONS: "predictions",
+         OUTPUTS: "outputs"}
+
+
+def with_number_field(path: Path) -> bytes:
+    value = json.loads(path.read_text(encoding="utf-8"))
+    return json.dumps({**value, FIELD[path.name]: 7}).encode()
+
+
 DAMAGES = {
     "truncated": lambda path: path.read_bytes()[:40],
     "array": lambda path: b"[]",
     "object": lambda path: b"{}",
     "other-artifact": lambda path: (path.parent / OTHER_JSON[path.name]).read_bytes(),
+    "kind-only": lambda path: json.dumps({"kind": KINDS[path.name]}).encode(),
+    "wrong-type": with_number_field,
 }
 
 
@@ -218,9 +244,41 @@ def test_damaged_upstream_json_names_the_file_and_its_producer(run_config, stage
         STAGES[name](cfg)
     path = cfg.run_dir / artifact
     path.write_bytes(DAMAGES[damage](path))
-    before = files(cfg.run_dir)
-    with pytest.raises(RuntimeError) as refused:
-        STAGES[stage](cfg)
-    assert str(refused.value).startswith(f"damaged artifact {path} (")
-    assert str(refused.value).endswith(f"re-run `tripleforge {PRODUCERS[artifact]}`")
-    assert files(cfg.run_dir) == before
+    refused_as_damaged(stage, cfg, path, artifact)
+
+
+def as_square(path: Path) -> bytes:
+    """The pool matrix file in the square layout written before the upper triangle."""
+    with np.load(path) as data:
+        members = {name: data[name] for name in data.files}
+    n = len(members["row_ids"])
+    square = np.zeros((n, n))
+    square[np.triu_indices(n, 1)] = members["entries"]
+    members["entries"] = square + square.T
+    buf = io.BytesIO()
+    np.savez(buf, **members)
+    return buf.getvalue()
+
+
+# another .npz artifact of the run directory, for each one a stage reads
+OTHER_NPZ = {POOL_DISTANCES: PAIRWISE, PAIRWISE: POOL_DISTANCES, CHECKPOINT: POOL_DISTANCES}
+NPZ_DAMAGES = {
+    "truncated": lambda path: path.read_bytes()[:len(path.read_bytes()) // 2],
+    "other-artifact": lambda path: (path.parent / OTHER_NPZ[path.name]).read_bytes(),
+    "square": as_square,
+}
+
+
+@pytest.mark.parametrize("stage, artifact, damage", [
+    ("train", POOL_DISTANCES, "truncated"), ("train", POOL_DISTANCES, "other-artifact"),
+    ("train", POOL_DISTANCES, "square"),
+    ("run", PAIRWISE, "truncated"), ("run", PAIRWISE, "other-artifact"),
+    ("select", CHECKPOINT, "truncated"), ("select", CHECKPOINT, "other-artifact"),
+])
+def test_damaged_upstream_npz_names_the_file_and_its_producer(run_config, stage, artifact,
+                                                              damage):
+    cfg = run_config()
+    run_all(cfg)
+    path = cfg.run_dir / artifact
+    path.write_bytes(NPZ_DAMAGES[damage](path))
+    refused_as_damaged(stage, cfg, path, artifact)

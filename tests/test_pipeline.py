@@ -607,8 +607,9 @@ class TestConfig:
     def test_choice_settings_checked_against_one_table(self, key):
         with pytest.raises(ConfigError, match=f"{key} must be one of .*, got 'bogus'"):
             PipelineConfig(**{key: "bogus"})
-        for value in CHOICES[key]:
-            assert getattr(PipelineConfig(**{key: value}), key) == value
+        for value in CHOICES[key]:  # embedder = http also needs its endpoint and model
+            assert getattr(PipelineConfig(**{key: value}, embedding_endpoint="http://e/v1",
+                                          embedding_model="m"), key) == value
 
     @pytest.mark.parametrize("key", ["strategy", "distance_source", "provider", "format"])
     def test_cli_flags_offer_the_table_choices(self, key, capsys):
@@ -627,7 +628,24 @@ class TestConfig:
             PipelineConfig(embedder="nope")
         with pytest.raises(ConfigError, match="embedder"):
             load_config(self.write(tmp_path, "provider = real\nembedder = nope\n"))
-        assert PipelineConfig(format="codeie", embedder="http").format == "codeie"
+        assert PipelineConfig(format="codeie", embedder="http", embedding_endpoint="http://e/v1",
+                              embedding_model="m").format == "codeie"
+
+    @pytest.mark.parametrize("key", ["embedding_endpoint", "embedding_model"])
+    def test_http_embedder_needs_endpoint_and_model_before_any_stage(self, tmp_path, key):
+        # refused when the config is built: an empty endpoint would fail only in
+        # distances, after preextract's provider calls, and an empty model
+        # would be posted as "model": ""
+        keys = {"embedding_endpoint": "http://e/v1", "embedding_model": "m", key: ""}
+        message = f"embedder http needs a {key}"
+        with pytest.raises(ConfigError, match=message):
+            PipelineConfig(embedder="http", **keys)
+        text = "embedder = http\n" + "".join(f"{k} = {v}\n" for k, v in keys.items())
+        with pytest.raises(ConfigError, match=message):
+            load_config(self.write(tmp_path, text))
+        with pytest.raises(ConfigError, match=message):
+            apply_overrides(PipelineConfig(), embedder="http", **keys)
+        assert PipelineConfig(**keys).embedder == "hash"
 
     @pytest.mark.parametrize("setting, value, message", [
         ("concurrency", 0, "concurrency must be >= 1"),

@@ -10,7 +10,6 @@ import pytest
 from tripleforge.core import Sample
 from tripleforge.retriever import (
     CHECKPOINT_KIND,
-    CheckpointError,
     PairwiseDistanceSet,
     RetrieverModel,
     TrainConfig,
@@ -308,7 +307,7 @@ class TestCheckpoints:
         path = tmp_path / "model.ckpt"
         save_checkpoint(RetrieverModel(base, np.eye(base.dim)), path)
         same_name = StubEmbedder({"x": [0.0] * 16}, name=base.name)
-        with pytest.raises(CheckpointError, match=r"weights must be \(out_dim, 16\), got \(8, 8\)"):
+        with pytest.raises(ValueError, match=r"weights must be \(out_dim, 16\), got \(8, 8\)"):
             load_checkpoint(path, same_name)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -318,7 +317,7 @@ class TestCheckpoints:
         weights[1, 2] = bad
         path = tmp_path / "model.ckpt"
         save_arrays(path, CHECKPOINT_KIND, provider=np.array(base.name), weights=weights)
-        with pytest.raises(CheckpointError,
+        with pytest.raises(ValueError,
                            match=f"^{re.escape(str(path))}: model parameters must be finite"):
             load_checkpoint(path, base)
 
@@ -327,7 +326,7 @@ class TestCheckpoints:
         path = tmp_path / "model.ckpt"
         save_checkpoint(RetrieverModel(base, np.eye(base.dim)), path)
         other = StubEmbedder({"x": [0.0] * 8}, name="other-8")
-        with pytest.raises(CheckpointError, match="base provider"):
+        with pytest.raises(ValueError, match="base provider"):
             load_checkpoint(path, other)
 
     def test_corruption_detected(self, tmp_path):
@@ -338,16 +337,16 @@ class TestCheckpoints:
         blob = bytearray(path.read_bytes())
         blob[blob.index(model.weights.tobytes()) + 8] ^= 0xFF
         path.write_bytes(bytes(blob))
-        with pytest.raises(CheckpointError, match="damaged retriever_checkpoint artifact: Bad CRC"):
+        with pytest.raises(ValueError, match="damaged retriever_checkpoint artifact: Bad CRC"):
             load_checkpoint(path, base)
 
     def test_not_a_checkpoint(self, tmp_path):
         path = tmp_path / "junk.ckpt"
         path.write_bytes(b"hello world, definitely not a checkpoint")
-        with pytest.raises(CheckpointError, match="damaged retriever_checkpoint artifact"):
+        with pytest.raises(ValueError, match="damaged retriever_checkpoint artifact"):
             load_checkpoint(path, HashingEmbedder(dim=4))
         PoolDistanceMatrix(("a",), [], "hash-4").save(path)
-        with pytest.raises(CheckpointError, match="not a retriever_checkpoint artifact"):
+        with pytest.raises(ValueError, match="not a retriever_checkpoint artifact"):
             load_checkpoint(path, HashingEmbedder(dim=4))
         with pytest.raises(FileNotFoundError):
             load_checkpoint(tmp_path / "missing.ckpt", HashingEmbedder(dim=4))
@@ -355,7 +354,7 @@ class TestCheckpoints:
     def test_npy_file_is_not_a_checkpoint(self, tmp_path):
         path = tmp_path / "weights.npy"
         np.save(path, np.eye(4))
-        with pytest.raises(CheckpointError, match="damaged retriever_checkpoint artifact"):
+        with pytest.raises(ValueError, match="damaged retriever_checkpoint artifact"):
             load_checkpoint(path, HashingEmbedder(dim=4))
 
     @pytest.mark.parametrize("artifact", ["checkpoint", "pool_matrix"])
@@ -390,7 +389,7 @@ class TestCheckpoints:
                 try:
                     assert load(path) == original, f"byte {i}"
                     outcomes.add("original")
-                except (CheckpointError, ValueError):
+                except ValueError:
                     outcomes.add("raised")
             gc.collect()
         assert outcomes == {"original", "raised"}

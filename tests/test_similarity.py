@@ -360,7 +360,7 @@ class TestDistanceMatrixFiles:
         # the square layout of a run directory made before the upper triangle
         (PoolDistanceMatrix, {"row_ids": np.array(["a", "b"]), "col_ids": np.array(["a", "b"]),
                               "entries": np.array([[0.0, 1.0], [1.0, 0.0]])},
-         "re-run `tripleforge distances`"),
+         "square entries"),
     ], ids=["inf", "negative", "ids-off-shape", "pool-nan", "pool-ids-off-shape",
             "pool-col-ids", "pool-square"])
     def test_load_names_the_file_its_constructor_refuses(self, tmp_path, cls, members,
