@@ -1,5 +1,5 @@
 """Domain types for relational triple extraction: triples, samples, gold
-annotations, dataset ingestion, and the annotation oracle that reveals gold
+triple sets, dataset ingestion, and the annotation oracle that reveals gold
 labels on demand while auditing how many samples were checked vs annotated.
 """
 from __future__ import annotations
@@ -177,22 +177,6 @@ class Sample:
 
 
 @dataclass(frozen=True)
-class GoldAnnotation:
-    """Gold triples for one sample; every triple carries both spans."""
-
-    sample_id: str
-    triples: TripleSet
-
-    def __post_init__(self) -> None:
-        for t in self.triples:
-            if t.subject_span is None or t.object_span is None:
-                raise ValueError(f"gold triple for {self.sample_id!r} is missing a span")
-
-    def relation_labels(self) -> tuple[str, ...]:
-        return tuple(sorted({t.predicate for t in self.triples}))
-
-
-@dataclass(frozen=True)
 class Schema:
     """Entity-type and relation-type label inventory of a dataset."""
 
@@ -209,21 +193,19 @@ class Schema:
 
 @dataclass
 class Dataset:
-    """One loaded split: samples in file order, gold by sample id, label schema.
+    """One loaded split: samples in file order, gold triples by sample id
+    (every gold triple carries both spans), label schema.
 
     ``schema`` is None when the file carries neither labels nor a schema
     header line (a fully unlabeled split).
     """
 
     samples: list[Sample]
-    gold: dict[str, GoldAnnotation]
+    gold: dict[str, TripleSet]
     schema: Optional[Schema]
 
     def sample_by_id(self) -> dict[str, Sample]:
         return {s.id: s for s in self.samples}
-
-    def gold_triples(self) -> dict[str, TripleSet]:
-        return {sid: ann.triples for sid, ann in self.gold.items()}
 
 
 def verbalize_triple(t: Triple) -> str:
@@ -255,7 +237,7 @@ class AnnotationOracle:
     checked ids.
     """
 
-    def __init__(self, gold: Mapping[str, GoldAnnotation]):
+    def __init__(self, gold: Mapping[str, TripleSet]):
         self._gold = dict(gold)
         self._checked: set[str] = set()
         self._annotated: set[str] = set()
@@ -268,22 +250,22 @@ class AnnotationOracle:
     def annotated_count(self) -> int:
         return len(self._annotated)
 
-    def _require(self, sample_id: str) -> GoldAnnotation:
+    def _require(self, sample_id: str) -> TripleSet:
         try:
             return self._gold[sample_id]
         except KeyError:
             raise KeyError(f"unknown sample id {sample_id!r} in annotation oracle") from None
 
     def check(self, sample_id: str) -> tuple[str, ...]:
-        ann = self._require(sample_id)
+        triples = self._require(sample_id)
         self._checked.add(sample_id)
-        return ann.relation_labels()
+        return tuple(sorted({t.predicate for t in triples}))
 
-    def annotate(self, sample_id: str) -> GoldAnnotation:
-        ann = self._require(sample_id)
+    def annotate(self, sample_id: str) -> TripleSet:
+        triples = self._require(sample_id)
         self._checked.add(sample_id)
         self._annotated.add(sample_id)
-        return ann
+        return triples
 
 
 def load_dataset(path: str | Path, _split: object = None) -> Dataset:
@@ -314,7 +296,7 @@ def load_dataset(path: str | Path, _split: object = None) -> Dataset:
 def _parse_dataset(path: Path, data: bytes) -> Dataset:
     """Parse the bytes of the JSONL file ``path``; errors name ``path:lineno``."""
     samples: list[Sample] = []
-    gold: dict[str, GoldAnnotation] = {}
+    gold: dict[str, TripleSet] = {}
     seen_ids: set[str] = set()
     entity_types: set[str] = set()
     relation_types: set[str] = set()
@@ -373,10 +355,9 @@ def _parse_dataset(path: Path, data: bytes) -> Dataset:
             t.validate_spans(sample.text, owner=f"{path}:{lineno}: sample {sample.id!r}")
             relation_types.add(t.predicate)
             entity_types.update((t.subject_type, t.object_type))
-        try:
-            gold[sample.id] = GoldAnnotation(sample_id=sample.id, triples=triples)
-        except ValueError as exc:
-            raise DatasetError(f"{path}:{lineno}: {exc}") from exc
+        if any(t.subject_span is None or t.object_span is None for t in triples):
+            raise DatasetError(f"{path}:{lineno}: gold triple for {sample.id!r} is missing a span")
+        gold[sample.id] = triples
 
     if not samples:
         raise DatasetError(f"{path}: no samples")

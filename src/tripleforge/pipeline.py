@@ -10,6 +10,7 @@ import datetime as _dt
 import functools
 import inspect
 import json
+import operator
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
@@ -182,8 +183,8 @@ def build_gateway(cfg: PipelineConfig,
         gold_by_text: dict[str, TripleSet] = {}
         for ds in datasets or []:
             by_id = ds.sample_by_id()
-            for sid, ann in ds.gold.items():
-                gold_by_text[by_id[sid].text] = ann.triples
+            for sid, triples in ds.gold.items():
+                gold_by_text[by_id[sid].text] = triples
         provider = MockEchoGoldProvider(gold_by_text, fmt=PromptFormat(cfg.format))
     else:
         provider = HttpChatProvider(cfg.endpoint_url)
@@ -270,11 +271,18 @@ def stage_preextract(cfg: PipelineConfig):
     }
 
 
+def _strings(values: list) -> list[str]:
+    """``values``, a decoded list that a stage passes on as strings."""
+    if not (isinstance(values, list) and all(isinstance(v, str) for v in values)):
+        raise TypeError(f"expected a list of strings, got {values!r:.60}")
+    return values
+
+
 def _verbalizations(artifact: dict) -> tuple[dict[str, list[str]], list[str]]:
     """Verbalizations by included sample id (artifact order) plus excluded ids."""
     excluded = set(artifact["excluded"])
     verbal = {
-        sid: artifact["samples"][sid]["verbalizations"]
+        sid: _strings(artifact["samples"][sid]["verbalizations"])
         for sid in artifact["order"]
         if sid not in excluded
     }
@@ -378,7 +386,7 @@ def stage_select(cfg: PipelineConfig):
     oracle = AnnotationOracle(pool.gold)
     result = _select(cfg, P, pool.schema, oracle)
 
-    annotations = {sid: oracle.annotate(sid).triples.to_list() for sid in result.chosen}
+    annotations = {sid: oracle.annotate(sid).to_list() for sid in result.chosen}
     selection_path = _write_json(cfg.run_dir / SELECTION, {
         **result.to_json_dict(),
         "kind": KINDS[SELECTION],
@@ -447,13 +455,13 @@ def stage_eval(cfg: PipelineConfig):
     """Strict micro F1 of the parsed predictions against the test gold."""
     predictions, skipped = _read_upstream(cfg, PREDICTIONS, _json(lambda raw: (
         {sid: TripleSet.from_list(ts) for sid, ts in raw["predictions"].items()},
-        raw.get("parse_skipped_rows", 0))))
+        operator.index(raw.get("parse_skipped_rows", 0)))))
     test = load_dataset(cfg.test_path)
     unlabeled = [s.id for s in test.samples if s.id not in test.gold]
     if unlabeled:
         raise ValueError(f"{cfg.test_path}: eval needs gold triples, and test samples "
                          f"{unlabeled[:5]} have none")
-    report = micro_f1(predictions, test.gold_triples(), parse_skipped_rows=skipped)
+    report = micro_f1(predictions, test.gold, parse_skipped_rows=skipped)
     return (_write_report(cfg, EVAL_JSON, EVAL_TXT, report),
             {"precision": report.precision, "recall": report.recall, "f1": report.f1})
 
@@ -462,5 +470,5 @@ def stage_eval(cfg: PipelineConfig):
 def stage_cost(cfg: PipelineConfig):
     """Character-count cost report over the raw model outputs."""
     report = cost_report(_read_upstream(cfg, OUTPUTS, _json(
-        lambda raw: [raw["outputs"][sid] for sid in sorted(raw["outputs"])])))
+        lambda raw: _strings([raw["outputs"][sid] for sid in sorted(raw["outputs"])]))))
     return _write_report(cfg, COST_JSON, COST_TXT, report), asdict(report)

@@ -300,10 +300,7 @@ def load_checkpoint(path: str | Path, base: EmbeddingProvider) -> RetrieverModel
     provider, weights = load_arrays(path, CHECKPOINT_KIND, ("provider", "weights"))
     if provider.tolist() != base.name:
         raise ValueError(
-            f"{path}: checkpoint base provider {provider.tolist()!r} does not match {base.name!r}")
+            f"checkpoint base provider {provider.tolist()!r} does not match {base.name!r}")
     if weights.dtype != np.float64:
-        raise ValueError(f"{path}: checkpoint weights must be float64, got {weights.dtype}")
-    try:
-        return RetrieverModel(base=base, weights=weights)
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from exc
+        raise ValueError(f"checkpoint weights must be float64, got {weights.dtype}")
+    return RetrieverModel(base=base, weights=weights)

@@ -260,7 +260,8 @@ def load_arrays(path: str | Path, kind: str, names: Sequence[str]) -> tuple[np.n
     """The ``names`` members of a ``save_arrays`` file of the given kind.
 
     A missing file raises ``FileNotFoundError``; any other kind, a pickled
-    member and every sort of damage raise ``ValueError``.  The file is opened
+    member and every sort of damage raise ``ValueError``, whose message
+    leaves the path to the caller, which names it once.  The file is opened
     here because ``np.load(path)`` lets go of its handle before ``zipfile``
     parses the archive, and so leaks it when parsing fails.
     """
@@ -276,8 +277,8 @@ def load_arrays(path: str | Path, kind: str, names: Sequence[str]) -> tuple[np.n
                 if stored == kind:
                     return tuple(np.asarray(data[name]) for name in names)
         except _DAMAGE as exc:
-            raise ValueError(f"{path}: damaged {kind} artifact: {exc}") from exc
-    raise ValueError(f"{path}: not a {kind} artifact: kind={stored!r}")
+            raise ValueError(f"damaged {kind} artifact: {exc}") from exc
+    raise ValueError(f"not a {kind} artifact: kind={stored!r}")
 
 
 # The pool x pool matrix that the retriever regresses onto and the pool x test
@@ -308,15 +309,12 @@ def save_distances(path: str | Path, kind: str, row_ids: Sequence[str],
 
 def load_distances(path: str | Path, kind: str, build: Callable[..., _Matrix]) -> _Matrix:
     """``build(row_ids, col_ids, entries, provider)`` over a ``save_distances``
-    file; a ``ValueError`` of ``build`` is raised again naming the path."""
+    file."""
     provider, rows, cols, entries = load_arrays(
         path, kind, ("provider", "row_ids", "col_ids", "entries"))
     if entries.dtype != np.float64:
-        raise ValueError(f"{path}: entries must be float64, got {entries.dtype}")
-    try:
-        return build(tuple(rows.tolist()), tuple(cols.tolist()), entries, str(provider))
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from exc
+        raise ValueError(f"entries must be float64, got {entries.dtype}")
+    return build(tuple(rows.tolist()), tuple(cols.tolist()), entries, str(provider))
 
 
 @dataclass(frozen=True)
@@ -345,8 +343,6 @@ class PoolDistanceMatrix:
     @classmethod
     def load(cls, path: str | Path) -> "PoolDistanceMatrix":
         def build(rows, cols, entries, provider):
-            if entries.ndim == 2:
-                raise ValueError("square entries, the layout before the upper triangle")
             matrix = cls(rows, entries, provider)
             if cols != rows:
                 raise ValueError("col_ids must equal row_ids")

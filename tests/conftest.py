@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from tripleforge.config import PipelineConfig
-from tripleforge.core import GoldAnnotation, Triple, TripleSet, load_dataset
+from tripleforge.core import Triple, TripleSet, load_dataset
 
 DATA_DIR = Path(__file__).resolve().parent.parent / "data" / "conll04_mini"
 
@@ -15,7 +15,7 @@ def make_triple(pred="Kill", st="Per", s="Booth", ot="Per", o="Lincoln",
                   object_type=ot, object=o, subject_span=s_span, object_span=o_span)
 
 
-def make_gold_store(relations_by_id: dict[str, list[str]]) -> dict[str, GoldAnnotation]:
+def make_gold_store(relations_by_id: dict[str, list[str]]) -> dict[str, TripleSet]:
     """Minimal gold store: one dummy triple per relation label."""
     store = {}
     for sid, relations in relations_by_id.items():
@@ -24,7 +24,7 @@ def make_gold_store(relations_by_id: dict[str, list[str]]) -> dict[str, GoldAnno
                    object="b", subject_span=(0, 1), object_span=(2, 3))
             for rel in relations
         ]
-        store[sid] = GoldAnnotation(sample_id=sid, triples=TripleSet.of(triples))
+        store[sid] = TripleSet.of(triples)
     return store
 
 

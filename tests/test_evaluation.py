@@ -65,7 +65,7 @@ class TestMicroF1:
         assert report.precision == report.recall == report.f1 == 0.5
 
     def test_perfect_predictions(self, pool_dataset):
-        gold = pool_dataset.gold_triples()
+        gold = pool_dataset.gold
         report = micro_f1(gold, gold)
         assert report.f1 == 1.0 and report.fp == 0 and report.fn == 0
 

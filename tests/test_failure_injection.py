@@ -200,15 +200,18 @@ def test_damaged_manifest_is_written_afresh(run_config, damage):
     assert stages() == {"preextract", "distances"}
 
 
-def refused_as_damaged(stage, cfg, path: Path, artifact: str) -> None:
-    """``stage`` refuses ``path`` naming it and the producer of ``artifact``,
-    and changes no file of the run directory."""
+def refused_as_damaged(stage, cfg, path: Path, artifact: str) -> str:
+    """``stage`` refuses ``path`` naming it once and the producer of
+    ``artifact``, and changes no file of the run directory; the message."""
     before = files(cfg.run_dir)
     with pytest.raises(RuntimeError) as refused:
         STAGES[stage](cfg)
-    assert str(refused.value).startswith(f"damaged artifact {path} (")
-    assert str(refused.value).endswith(f"re-run `tripleforge {PRODUCERS[artifact]}`")
+    message = str(refused.value)
+    assert message.startswith(f"damaged artifact {path} (")
+    assert message.endswith(f"re-run `tripleforge {PRODUCERS[artifact]}`")
+    assert message.count(str(path)) == 1
     assert files(cfg.run_dir) == before
+    return message
 
 
 # another JSON file the run directory holds when each artifact's reader runs
@@ -224,6 +227,19 @@ def with_number_field(path: Path) -> bytes:
     return json.dumps({**value, FIELD[path.name]: 7}).encode()
 
 
+def with_wrong_leaf(path: Path) -> bytes:
+    """A number where the first verbalization or output belongs, or a string
+    for the skipped-row count: values a stage would pass on unchecked."""
+    value = json.loads(path.read_text(encoding="utf-8"))
+    if path.name == PREEXTRACT:
+        value["samples"][value["order"][0]]["verbalizations"][0] = 7
+    elif path.name == OUTPUTS:
+        value["outputs"][min(value["outputs"])] = 7
+    else:
+        value["parse_skipped_rows"] = "x"
+    return json.dumps(value).encode()
+
+
 DAMAGES = {
     "truncated": lambda path: path.read_bytes()[:40],
     "array": lambda path: b"[]",
@@ -231,12 +247,18 @@ DAMAGES = {
     "other-artifact": lambda path: (path.parent / OTHER_JSON[path.name]).read_bytes(),
     "kind-only": lambda path: json.dumps({"kind": KINDS[path.name]}).encode(),
     "wrong-type": with_number_field,
+    "wrong-leaf": with_wrong_leaf,
 }
+JSON_READS = [("distances", PREEXTRACT), ("run", SELECTION), ("eval", PREDICTIONS),
+              ("cost", OUTPUTS)]
 
 
-@pytest.mark.parametrize("damage", DAMAGES)
-@pytest.mark.parametrize("stage, artifact", [
-    ("distances", PREEXTRACT), ("run", SELECTION), ("eval", PREDICTIONS), ("cost", OUTPUTS)])
+@pytest.mark.parametrize("stage, artifact, damage", [
+    *((stage, artifact, damage) for stage, artifact in JSON_READS
+      for damage in DAMAGES if damage != "wrong-leaf"),
+    ("distances", PREEXTRACT, "wrong-leaf"), ("eval", PREDICTIONS, "wrong-leaf"),
+    ("cost", OUTPUTS, "wrong-leaf"),
+])
 def test_damaged_upstream_json_names_the_file_and_its_producer(run_config, stage, artifact,
                                                                damage):
     cfg = run_config()
@@ -282,3 +304,18 @@ def test_damaged_upstream_npz_names_the_file_and_its_producer(run_config, stage,
     path = cfg.run_dir / artifact
     path.write_bytes(NPZ_DAMAGES[damage](path))
     refused_as_damaged(stage, cfg, path, artifact)
+
+
+def test_float32_checkpoint_weights_are_refused_as_damaged(run_config):
+    cfg = run_config()
+    for name in ALL_STAGES[:3]:
+        STAGES[name](cfg)
+    path = cfg.run_dir / CHECKPOINT
+    with np.load(path) as data:
+        members = {name: data[name] for name in data.files}
+    members["weights"] = members["weights"].astype(np.float32)
+    with open(path, "wb") as fh:  # np.savez would append .npz to the name
+        np.savez(fh, **members)
+    assert refused_as_damaged("select", cfg, path, CHECKPOINT) == (
+        f"damaged artifact {path} (ValueError: checkpoint weights must be float64, "
+        "got float32): re-run `tripleforge train`")

@@ -242,6 +242,17 @@ class TestFullPipeline:
         with pytest.raises(RuntimeError, match="no pool samples with pre-extracted triples"):
             stage_distances(cfg)
 
+    def test_direct_select_needs_a_test_sample_with_triples(self, run_config, tmp_path):
+        # the test split carries no gold, so the echo mock answers each of its
+        # sentences with nothing and every test pre-extraction is empty
+        test = tmp_path / "test.jsonl"
+        test.write_text('{"id": "t", "text": "Nothing happens ."}\n', encoding="utf-8")
+        cfg = run_config(test_path=test, distance_source="direct")
+        stage_preextract(cfg)
+        with pytest.raises(RuntimeError,
+                           match="direct distance mode needs non-empty pre-extractions on both"):
+            stage_select(cfg)
+
     def test_balance_on_an_unlabeled_pool_is_refused(self, run_config, tmp_path):
         # the pool carries no labels, but its sentences are the test split's,
         # whose gold the echo mock answers with, so every one pre-extracts

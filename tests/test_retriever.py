@@ -1,6 +1,5 @@
 import gc
 import hashlib
-import re
 import tracemalloc
 import warnings
 
@@ -317,8 +316,7 @@ class TestCheckpoints:
         weights[1, 2] = bad
         path = tmp_path / "model.ckpt"
         save_arrays(path, CHECKPOINT_KIND, provider=np.array(base.name), weights=weights)
-        with pytest.raises(ValueError,
-                           match=f"^{re.escape(str(path))}: model parameters must be finite"):
+        with pytest.raises(ValueError, match="^model parameters must be finite$"):
             load_checkpoint(path, base)
 
     def test_provider_name_mismatch_rejected(self, tmp_path):
