@@ -340,13 +340,16 @@ def _pairwise_direct(cfg: PipelineConfig, pool: Dataset, test: Dataset
     """Pre-extract the test samples too and take triple-set distances
     straight into the pool-to-test matrix; no retriever involved."""
     pool_verbal, excluded_pool = _read_upstream(cfg, PREEXTRACT, _json(_verbalizations))
+    refusal = "direct distance mode needs non-empty pre-extractions on both sides"
+    if not pool_verbal:
+        raise RuntimeError(refusal)
 
     gateway = build_gateway(cfg, [pool, test])
     test_artifact = _preextraction(cfg, gateway, test.samples, "test")
-    test_path = _write_json(cfg.run_dir / PREEXTRACT_TEST, test_artifact)
     test_verbal, _ = _verbalizations(test_artifact)
-    if not pool_verbal or not test_verbal:
-        raise RuntimeError("direct distance mode needs non-empty pre-extractions on both sides")
+    if not test_verbal:
+        raise RuntimeError(refusal)
+    test_path = _write_json(cfg.run_dir / PREEXTRACT_TEST, test_artifact)
     embedder = build_embedder(cfg)
     pool_embedded = embed_triple_sets(pool_verbal, embedder)
     test_embedded = embed_triple_sets(test_verbal, embedder)

@@ -103,7 +103,11 @@ def _loss_and_grad(weights: np.ndarray, diffs: np.ndarray,
     loss = float(np.add.reduce(residuals * residuals))
     if not math.isfinite(loss):
         return loss, None
-    coeff = np.divide(2.0 * residuals, radii, out=np.zeros_like(radii), where=radii > 1e-12)
+    if radii.min() > 1e-12:  # no quotient is masked, so none needs the zeroed out=
+        coeff = np.divide(2.0 * residuals, radii)
+    else:
+        coeff = np.divide(2.0 * residuals, radii, out=np.zeros_like(radii),
+                          where=radii > 1e-12)
     projected *= coeff[:, None]
     return loss, projected.T @ diffs
 
@@ -115,7 +119,8 @@ class TrainingHistory:
     best_epoch: int
 
 
-# pairs per chunk of the validation loss: 128 KiB per temporary at dim 64
+# pairs per chunk of the validation loss, and about the rows per gather run
+# of training: 128 KiB per temporary at dim 64
 _LOSS_CHUNK = 256
 
 
@@ -170,37 +175,53 @@ def train(pairs: TrainingPairs, embeddings: np.ndarray,
     scratch = np.empty_like(weights)
     step = 0
     order = np.arange(len(pairs.train))
+    # The pair differences of a run of whole batches, about _LOSS_CHUNK rows,
+    # are gathered at once into two buffers reused all through training; each
+    # batch is a row slice of them, so its products are the same BLAS calls.
+    run_rows = max(1, _LOSS_CHUNK // config.batch_size) * config.batch_size
+    gathered = np.empty((min(run_rows, len(order)), dim), dtype=np.float64)
+    subtrahends = np.empty_like(gathered)
 
     for epoch in range(1, config.epochs + 1):
         rng.shuffle(order)
         left, right = pairs.train[order, 0], pairs.train[order, 1]
         targets = pairs.train_targets[order]
         epoch_loss = 0.0
-        for start in range(0, len(order), config.batch_size):
-            batch = slice(start, start + config.batch_size)
-            diffs = embeddings.take(left[batch], axis=0) - embeddings.take(right[batch], axis=0)
-            loss, grad = _loss_and_grad(weights, diffs, targets[batch])
-            if not math.isfinite(loss):
-                raise RuntimeError(f"divergence: non-finite training loss at epoch {epoch}")
-            epoch_loss += loss
-            step += 1
-            # AdamW in place, each operation in the order of
-            #   m = b1 m + (1 - b1) g;  v = b2 v + (1 - b2) g g
-            #   w = w - lr (m_hat / (sqrt(v_hat) + eps) + wd w)
-            # so the weights keep their bits.
-            m *= ADAM_BETA1
-            m += np.multiply(grad, 1 - ADAM_BETA1, out=update)
-            v *= ADAM_BETA2
-            np.multiply(grad, 1 - ADAM_BETA2, out=update)
-            v += np.multiply(update, grad, out=update)
-            np.divide(m, 1 - ADAM_BETA1 ** step, out=update)
-            np.divide(v, 1 - ADAM_BETA2 ** step, out=scratch)
-            np.sqrt(scratch, out=scratch)
-            scratch += ADAM_EPS
-            update /= scratch
-            update += np.multiply(weights, config.weight_decay, out=scratch)
-            update *= config.learning_rate
-            weights -= update
+        for run in range(0, len(order), run_rows):
+            rows = slice(run, run + run_rows)
+            diffs = gathered[:len(order) - run]
+            np.take(embeddings, left[rows], axis=0, out=diffs)
+            diffs -= np.take(embeddings, right[rows], axis=0, out=subtrahends[:len(diffs)])
+            run_targets = targets[rows]
+            for start in range(0, len(diffs), config.batch_size):
+                batch = slice(start, start + config.batch_size)
+                loss, grad = _loss_and_grad(weights, diffs[batch], run_targets[batch])
+                if not math.isfinite(loss):
+                    raise RuntimeError(f"divergence: non-finite training loss at epoch {epoch}")
+                epoch_loss += loss
+                step += 1
+                # AdamW in place, each operation in the order of
+                #   m = b1 m + (1 - b1) g;  v = b2 v + (1 - b2) g g
+                #   w = w - lr (m_hat / (sqrt(v_hat) + eps) + wd w)
+                # so the weights keep their bits.  From the step where
+                # 1 - b1**t rounds to 1.0, m_hat is m itself.
+                m *= ADAM_BETA1
+                m += np.multiply(grad, 1 - ADAM_BETA1, out=update)
+                v *= ADAM_BETA2
+                np.multiply(grad, 1 - ADAM_BETA2, out=update)
+                v += np.multiply(update, grad, out=update)
+                np.divide(v, 1 - ADAM_BETA2 ** step, out=scratch)
+                np.sqrt(scratch, out=scratch)
+                scratch += ADAM_EPS
+                bias1 = 1 - ADAM_BETA1 ** step
+                if bias1 == 1.0:
+                    np.divide(m, scratch, out=update)
+                else:
+                    np.divide(m, bias1, out=update)
+                    update /= scratch
+                update += np.multiply(weights, config.weight_decay, out=scratch)
+                update *= config.learning_rate
+                weights -= update
         val_loss = _mean_pair_loss(weights, pairs.validation, pairs.validation_targets,
                                    embeddings)
         if not np.isfinite(val_loss):
@@ -271,9 +292,10 @@ def compute_P(model: RetrieverModel, pool_samples: Sequence[Sample],
     # matches; ``einsum`` and ``(diff * diff).sum(-1)`` add in another order
     # and are off by up to 6.7e-16.
     entries = np.empty((len(pool_samples), len(test_samples)), dtype=np.float64)
+    diff = np.empty_like(test)
     for i, row in enumerate(pool):
-        diff = row - test
-        entries[i] = np.sqrt(np.vecdot(diff, diff))
+        np.subtract(row, test, out=diff)
+        np.sqrt(np.vecdot(diff, diff, out=entries[i]), out=entries[i])
     return PairwiseDistanceSet(
         unlabeled_ids=tuple(s.id for s in pool_samples),
         test_ids=tuple(s.id for s in test_samples),

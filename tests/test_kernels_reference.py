@@ -28,6 +28,7 @@ Matrices are built from a few distinct values with duplicated rows and
 columns, so that distance and score ties are common.
 """
 import hashlib
+import itertools
 import json
 import logging
 import math
@@ -758,8 +759,37 @@ def training_problems(draw):
     return pairs, embeddings, config
 
 
+# the first AdamW step whose bias correction 1 - b1**t rounds to 1.0
+UNIT_BIAS_STEP = next(t for t in itertools.count(1) if 1 - ADAM_BETA1 ** t == 1.0)
+
+
+def long_training_problem():
+    """(pairs, embeddings, config) that train past ``UNIT_BIAS_STEP``, with a
+    short last batch inside a gather run of several batches and embeddings
+    drawn from fewer distinct rows than samples, so both divides of the
+    gradient run.  The targets are distances under a planted projection, so
+    the validation loss keeps falling and the returned weights are the last
+    epoch's."""
+    n, batch_size = 40, 4
+    rng = np.random.default_rng(5)
+    embeddings = rng.normal(size=(30, 3))[rng.integers(0, 30, size=n)]
+    points = embeddings @ rng.normal(size=(3, 3)).T
+    entries = np.linalg.norm(points[:, None, :] - points[None, :, :], axis=-1)
+    matrix = PoolDistanceMatrix(tuple(f"s{i}" for i in range(n)),
+                                entries[np.triu_indices(n, 1)], "stub")
+    pairs = make_training_pairs(matrix, 0.1, seed=3)
+    run_rows = max(1, _LOSS_CHUNK // batch_size) * batch_size
+    last_run = len(pairs.train) % run_rows
+    assert last_run > batch_size and last_run % batch_size, (len(pairs.train), run_rows)
+    steps_per_epoch = -(-len(pairs.train) // batch_size)
+    config = TrainConfig(epochs=UNIT_BIAS_STEP // steps_per_epoch + 1, batch_size=batch_size,
+                         learning_rate=0.005, seed=3, weight_decay=0.01)
+    return pairs, embeddings, config
+
+
 @settings(max_examples=80, deadline=None)
 @given(problem=training_problems())
+@example(problem=long_training_problem())
 def test_train_matches_the_unfused_loop(problem):
     pairs, embeddings, config = problem
     weights, history = train(pairs, embeddings, config)

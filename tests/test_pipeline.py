@@ -252,6 +252,10 @@ class TestFullPipeline:
         with pytest.raises(RuntimeError,
                            match="direct distance mode needs non-empty pre-extractions on both"):
             stage_select(cfg)
+        # the refusal comes before any write: no test pre-extraction is left
+        # behind, and the manifest records no select stage
+        assert not (cfg.run_dir / PREEXTRACT_TEST).exists()
+        assert "select" not in json.loads((cfg.run_dir / MANIFEST).read_text())["stages"]
 
     def test_balance_on_an_unlabeled_pool_is_refused(self, run_config, tmp_path):
         # the pool carries no labels, but its sentences are the test split's,

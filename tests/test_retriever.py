@@ -12,6 +12,7 @@ from tripleforge.retriever import (
     PairwiseDistanceSet,
     RetrieverModel,
     TrainConfig,
+    TrainingPairs,
     _mean_pair_loss,
     compute_P,
     load_checkpoint,
@@ -199,6 +200,23 @@ class TestTrain:
         finally:
             tracemalloc.stop()
         assert peak < 2 * 2**20
+
+    def test_training_epoch_memory_does_not_grow_with_the_pairs(self):
+        # pool-index shapes: 25,200 pairs of dim 64.  The pair differences are
+        # gathered a few hundred rows at a time into reused buffers; a whole
+        # epoch's differences would be 12.9 MB
+        rng = np.random.default_rng(0)
+        embeddings = rng.normal(size=(250, 64))
+        train_pairs = rng.integers(0, 250, size=(25_200, 2))
+        validation = rng.integers(0, 250, size=(100, 2))
+        pairs = TrainingPairs(train_pairs, rng.random(25_200), validation, rng.random(100), ())
+        tracemalloc.start()
+        try:
+            train(pairs, embeddings, TrainConfig(epochs=1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
 
     def test_divergence_names_epoch(self):
         embeddings, matrix = self.planted_setup()
