@@ -103,11 +103,7 @@ def _loss_and_grad(weights: np.ndarray, diffs: np.ndarray,
     loss = float(np.add.reduce(residuals * residuals))
     if not math.isfinite(loss):
         return loss, None
-    if radii.min() > 1e-12:  # no quotient is masked, so none needs the zeroed out=
-        coeff = np.divide(2.0 * residuals, radii)
-    else:
-        coeff = np.divide(2.0 * residuals, radii, out=np.zeros_like(radii),
-                          where=radii > 1e-12)
+    coeff = np.divide(2.0 * residuals, radii, out=np.zeros_like(radii), where=radii > 1e-12)
     projected *= coeff[:, None]
     return loss, projected.T @ diffs
 
@@ -176,11 +172,9 @@ def train(pairs: TrainingPairs, embeddings: np.ndarray,
     step = 0
     order = np.arange(len(pairs.train))
     # The pair differences of a run of whole batches, about _LOSS_CHUNK rows,
-    # are gathered at once into two buffers reused all through training; each
-    # batch is a row slice of them, so its products are the same BLAS calls.
+    # are gathered at once; each batch is a row slice of them, so its
+    # products are the same BLAS calls.
     run_rows = max(1, _LOSS_CHUNK // config.batch_size) * config.batch_size
-    gathered = np.empty((min(run_rows, len(order)), dim), dtype=np.float64)
-    subtrahends = np.empty_like(gathered)
 
     for epoch in range(1, config.epochs + 1):
         rng.shuffle(order)
@@ -189,9 +183,8 @@ def train(pairs: TrainingPairs, embeddings: np.ndarray,
         epoch_loss = 0.0
         for run in range(0, len(order), run_rows):
             rows = slice(run, run + run_rows)
-            diffs = gathered[:len(order) - run]
-            np.take(embeddings, left[rows], axis=0, out=diffs)
-            diffs -= np.take(embeddings, right[rows], axis=0, out=subtrahends[:len(diffs)])
+            diffs = embeddings.take(left[rows], axis=0)
+            diffs -= embeddings.take(right[rows], axis=0)
             run_targets = targets[rows]
             for start in range(0, len(diffs), config.batch_size):
                 batch = slice(start, start + config.batch_size)

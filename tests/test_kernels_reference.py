@@ -766,8 +766,8 @@ UNIT_BIAS_STEP = next(t for t in itertools.count(1) if 1 - ADAM_BETA1 ** t == 1.
 def long_training_problem():
     """(pairs, embeddings, config) that train past ``UNIT_BIAS_STEP``, with a
     short last batch inside a gather run of several batches and embeddings
-    drawn from fewer distinct rows than samples, so both divides of the
-    gradient run.  The targets are distances under a planted projection, so
+    drawn from fewer distinct rows than samples, so the gradient's guard
+    masks some zero radii.  The targets are distances under a planted projection, so
     the validation loss keeps falling and the returned weights are the last
     epoch's."""
     n, batch_size = 40, 4

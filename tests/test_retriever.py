@@ -203,8 +203,8 @@ class TestTrain:
 
     def test_training_epoch_memory_does_not_grow_with_the_pairs(self):
         # pool-index shapes: 25,200 pairs of dim 64.  The pair differences are
-        # gathered a few hundred rows at a time into reused buffers; a whole
-        # epoch's differences would be 12.9 MB
+        # gathered a few hundred rows at a time; a whole epoch's differences
+        # would be 12.9 MB
         rng = np.random.default_rng(0)
         embeddings = rng.normal(size=(250, 64))
         train_pairs = rng.integers(0, 250, size=(25_200, 2))
