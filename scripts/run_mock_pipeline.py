@@ -24,8 +24,6 @@ def run_combo(workdir: Path, name: str, **overrides) -> dict:
         test_path=ROOT / "data/conll04_mini/test.jsonl",
         run_dir=workdir / name,
         cache_dir=workdir / "cache",
-        epochs=3,
-        learning_rate=1e-3,
         **overrides,
     )
     for stage in STAGES.values():

@@ -315,6 +315,8 @@ def stage_train(cfg: PipelineConfig):
         "initial_validation_loss": history.initial_validation_loss,
         "final_validation_loss": (history.epochs[-1]["validation_loss_mean"]
                                   if history.epochs else history.initial_validation_loss),
+        "initial_validation_rho": history.initial_validation_rho,
+        "best_validation_rho": history.best_validation_rho,
     }
 
 

@@ -25,24 +25,19 @@ ADAM_EPS = 1e-8
 
 @dataclass(frozen=True)
 class TrainConfig:
-    epochs: int = 5
-    batch_size: int = 16
-    learning_rate: float = 2e-5
+    epochs: int = 100  # full-batch steps
+    learning_rate: float = 0.03
     validation_fraction: float = 0.10
     seed: int = 0
     weight_decay: float = 0.01
-    max_pairs: int = 0  # 0 = train on every pool pair
 
     def __post_init__(self) -> None:
         if not 0 < self.validation_fraction < 1:
             raise ValueError("validation_fraction must be in (0, 1)")
-        if self.epochs < 0 or self.batch_size < 1 or not 0 < self.learning_rate < math.inf:
-            raise ValueError(
-                "epochs >= 0, batch_size >= 1, learning_rate > 0 and finite required")
+        if self.epochs < 0 or not 0 < self.learning_rate < math.inf:
+            raise ValueError("epochs >= 0, learning_rate > 0 and finite required")
         if not 0 <= self.weight_decay < math.inf:
             raise ValueError("weight_decay must be >= 0 and finite")
-        if self.max_pairs < 0:
-            raise ValueError("max_pairs must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -59,7 +54,7 @@ class TrainingPairs:
 
 
 def make_training_pairs(matrix: PoolDistanceMatrix, validation_fraction: float = 0.10,
-                        seed: int = 0, max_pairs: int = 0) -> TrainingPairs:
+                        seed: int = 0) -> TrainingPairs:
     n = matrix.n
     if n < 3:
         raise ValueError(f"insufficient pool: need at least 3 samples, got {n}")
@@ -72,40 +67,57 @@ def make_training_pairs(matrix: PoolDistanceMatrix, validation_fraction: float =
 
     pairs = np.stack(np.triu_indices(n, 1), axis=1)  # the order of matrix.entries
     in_validation = held[pairs[:, 0]] | held[pairs[:, 1]]
-    train, train_targets = pairs[~in_validation], matrix.entries[~in_validation]
-    if max_pairs > 0 and len(train) > max_pairs:
-        keep = sorted(rng.sample(range(len(train)), max_pairs))
-        train, train_targets = train[keep], train_targets[keep]
-    return TrainingPairs(train=train, train_targets=train_targets,
+    return TrainingPairs(train=pairs[~in_validation], train_targets=matrix.entries[~in_validation],
                          validation=pairs[in_validation],
                          validation_targets=matrix.entries[in_validation],
                          held_out=tuple(np.flatnonzero(held).tolist()))
 
 
 # --- loss kernel ------------------------------------------------------------
-# For a pair (i, j) with target D the loss is (D - ||W e_i - W e_j||)^2.
+# For a pair (i, j) with target t the loss is (t - r)^2, r = ||W e_i - W e_j||.
+# Every pair is a pair of pool samples, so the Gram matrix G = P P^T of the
+# projected pool P = E W^T gives every radius, sqrt(G_ii + G_jj - 2 G_ij), and
+# the summed gradient sum c W d d^T, d = e_i - e_j and c = 2 (r - t) / r, is
+# P^T L E, with L the Laplacian of the pair weights c (Xing et al., NIPS 2002).
+# A pair (i, j) is addressed by its flat cell i * n + j of an n x n matrix.
 
-def _loss_and_grad(weights: np.ndarray, diffs: np.ndarray,
-                   targets: np.ndarray) -> tuple[float, np.ndarray | None]:
-    """``reference_batch_loss`` and its gradient in the weights from one
-    forward pass, bit for bit.
+def _radii(projected: np.ndarray, *cells: np.ndarray) -> list[np.ndarray]:
+    """The radii of the pairs at each array of ``cells``, from one Gram
+    matrix; a pair (i, i) gets exactly 0."""
+    squared = projected @ projected.T
+    norms = squared.diagonal().copy()
+    squared *= -2.0
+    squared += norms[:, None]
+    squared += norms
+    return [np.sqrt(np.maximum(squared.take(c), 0.0)) for c in cells]
 
-    The row norms are ``np.linalg.norm``'s own ``sqrt(add.reduce(p * p))``
-    and the loss is ``np.sum``'s own ``add.reduce``; ``np.vecdot`` or ``@``
-    would add in another order.  ``(r - t)**2`` equals ``(t - r)**2``
-    exactly, so one residual serves both results.  A non-finite loss comes
-    back without a gradient, which would only raise floating-point warnings
-    before the caller stops.
-    """
-    projected = diffs @ weights.T
-    radii = np.sqrt(np.add.reduce(projected * projected, axis=1))
+
+def _loss_and_grad(projected: np.ndarray, embeddings: np.ndarray, cells: np.ndarray,
+                   radii: np.ndarray, targets: np.ndarray) -> tuple[float, np.ndarray | None]:
+    """The loss summed over the pairs at ``cells`` and its gradient in the
+    weights.  The pair weights are scatter-added into their cells, so a
+    repeated pair counts once per occurrence and a pair (i, i) adds nothing.
+    Two equal rows of ``embeddings`` may get a radius of about 1e-8 where
+    theirs is 0, so ``train`` merges them first.  A non-finite loss comes
+    back without a gradient."""
     residuals = radii - targets
-    loss = float(np.add.reduce(residuals * residuals))
+    loss = float(residuals @ residuals)
     if not math.isfinite(loss):
         return loss, None
-    coeff = np.divide(2.0 * residuals, radii, out=np.zeros_like(radii), where=radii > 1e-12)
-    projected *= coeff[:, None]
-    return loss, projected.T @ diffs
+    n = len(embeddings)
+    # c / 2 scattered into A; L = D - S, with S = A + A^T and D the row sums of S
+    half = np.divide(residuals, radii, out=np.zeros_like(radii), where=radii > 1e-12)
+    scattered = np.bincount(cells, half, n * n).reshape(n, n)
+    degree = scattered.sum(axis=0) + scattered.sum(axis=1)
+    laplacian_e = (degree[:, None] * embeddings - scattered @ embeddings
+                   - scattered.T @ embeddings)
+    return loss, 2.0 * (projected.T @ laplacian_e)
+
+
+def _spearman(x: np.ndarray, y: np.ndarray) -> float:
+    """Spearman's rho with ordinal ranks (ties ranked in order of position)."""
+    ranks = [np.argsort(np.argsort(a, kind="stable")) for a in (x, y)]
+    return float(np.corrcoef(*ranks)[0, 1])
 
 
 @dataclass
@@ -113,11 +125,9 @@ class TrainingHistory:
     initial_validation_loss: float
     epochs: list[dict]
     best_epoch: int
-
-
-# pairs per chunk of the validation loss, and about the rows per gather run
-# of training: 128 KiB per temporary at dim 64
-_LOSS_CHUNK = 256
+    # Spearman's rho between the validation pairs' radii and targets
+    initial_validation_rho: float
+    best_validation_rho: float
 
 
 def _project(weights: np.ndarray, embedded: np.ndarray) -> np.ndarray:
@@ -126,27 +136,10 @@ def _project(weights: np.ndarray, embedded: np.ndarray) -> np.ndarray:
     return (weights @ embedded[:, :, None])[..., 0]
 
 
-def _mean_pair_loss(weights: np.ndarray, pairs: np.ndarray, targets: np.ndarray,
-                    embeddings: np.ndarray) -> float:
-    """Mean squared error over all ``pairs`` of ``compute_P``'s distance (the
-    norm of the difference of the projected samples), with O(``_LOSS_CHUNK``
-    * dim) temporaries besides the projected samples.  Each projected row is
-    a dgemv of that row alone and the rest is elementwise or a row-wise
-    ``add.reduce``, so no chunk boundary moves a bit; the one ``np.sum`` runs
-    over all radii in pair order."""
-    projected = _project(weights, embeddings)
-    radii = np.empty(len(pairs), dtype=np.float64)
-    for start in range(0, len(pairs), _LOSS_CHUNK):
-        chunk = pairs[start:start + _LOSS_CHUNK]
-        diffs = projected.take(chunk[:, 0], axis=0)
-        diffs -= projected.take(chunk[:, 1], axis=0)
-        radii[start:start + len(chunk)] = np.linalg.norm(diffs, axis=1)
-    return float(np.sum((targets - radii) ** 2)) / len(pairs)
-
-
 def train(pairs: TrainingPairs, embeddings: np.ndarray,
           config: TrainConfig) -> tuple[np.ndarray, TrainingHistory]:
-    """Mini-batch AdamW regression of the projection weights.
+    """Full-batch AdamW regression of the projection weights: each epoch is
+    one step over every training pair.
 
     Starts from the identity (so the untrained retriever reproduces raw
     base-embedding distances) and returns the weights of the epoch with the
@@ -154,82 +147,55 @@ def train(pairs: TrainingPairs, embeddings: np.ndarray,
     """
     if not len(pairs.train):
         raise ValueError("no training pairs")
-    embeddings = np.asarray(embeddings, dtype=np.float64)
-    dim = embeddings.shape[1]
-    weights = np.eye(dim, dtype=np.float64)
-
-    init_val = _mean_pair_loss(weights, pairs.validation, pairs.validation_targets, embeddings)
-    best_val = init_val
-    best_weights = weights.copy()
-    best_epoch = 0
-    history: list[dict] = []
-
-    rng = np.random.default_rng(config.seed)
+    # identical rows are merged, so a pair of them is an (i, i) pair, whose
+    # radius is exactly 0 whatever order BLAS sums the Gram entries in
+    embeddings, rows = np.unique(np.asarray(embeddings, dtype=np.float64), axis=0,
+                                 return_inverse=True)
+    rows, n = rows.reshape(-1), len(embeddings)  # numpy 2.0.0 shapes rows (n, 1)
+    train_cells, validation_cells = (rows[split[:, 0]] * n + rows[split[:, 1]]
+                                     for split in (pairs.train, pairs.validation))
+    weights = np.eye(embeddings.shape[1])
     m = np.zeros_like(weights)
     v = np.zeros_like(weights)
-    update = np.empty_like(weights)
-    scratch = np.empty_like(weights)
-    step = 0
-    order = np.arange(len(pairs.train))
-    # The pair differences of a run of whole batches, about _LOSS_CHUNK rows,
-    # are gathered at once; each batch is a row slice of them, so its
-    # products are the same BLAS calls.
-    run_rows = max(1, _LOSS_CHUNK // config.batch_size) * config.batch_size
+    history: list[dict] = []
+    best_val = math.inf
 
-    for epoch in range(1, config.epochs + 1):
-        rng.shuffle(order)
-        left, right = pairs.train[order, 0], pairs.train[order, 1]
-        targets = pairs.train_targets[order]
-        epoch_loss = 0.0
-        for run in range(0, len(order), run_rows):
-            rows = slice(run, run + run_rows)
-            diffs = embeddings.take(left[rows], axis=0)
-            diffs -= embeddings.take(right[rows], axis=0)
-            run_targets = targets[rows]
-            for start in range(0, len(diffs), config.batch_size):
-                batch = slice(start, start + config.batch_size)
-                loss, grad = _loss_and_grad(weights, diffs[batch], run_targets[batch])
-                if not math.isfinite(loss):
-                    raise RuntimeError(f"divergence: non-finite training loss at epoch {epoch}")
-                epoch_loss += loss
-                step += 1
-                # AdamW in place, each operation in the order of
-                #   m = b1 m + (1 - b1) g;  v = b2 v + (1 - b2) g g
-                #   w = w - lr (m_hat / (sqrt(v_hat) + eps) + wd w)
-                # so the weights keep their bits.  From the step where
-                # 1 - b1**t rounds to 1.0, m_hat is m itself.
-                m *= ADAM_BETA1
-                m += np.multiply(grad, 1 - ADAM_BETA1, out=update)
-                v *= ADAM_BETA2
-                np.multiply(grad, 1 - ADAM_BETA2, out=update)
-                v += np.multiply(update, grad, out=update)
-                np.divide(v, 1 - ADAM_BETA2 ** step, out=scratch)
-                np.sqrt(scratch, out=scratch)
-                scratch += ADAM_EPS
-                bias1 = 1 - ADAM_BETA1 ** step
-                if bias1 == 1.0:
-                    np.divide(m, scratch, out=update)
-                else:
-                    np.divide(m, bias1, out=update)
-                    update /= scratch
-                update += np.multiply(weights, config.weight_decay, out=scratch)
-                update *= config.learning_rate
-                weights -= update
-        val_loss = _mean_pair_loss(weights, pairs.validation, pairs.validation_targets,
-                                   embeddings)
-        if not np.isfinite(val_loss):
+    for epoch in range(config.epochs + 1):
+        # one forward pass: the validation loss of this epoch's weights, and
+        # the training loss and gradient of the next step
+        projected = embeddings @ weights.T
+        radii, train_radii = _radii(projected, validation_cells, train_cells)
+        val_loss = float(np.sum((pairs.validation_targets - radii) ** 2)) / len(radii)
+        if not math.isfinite(val_loss):
             raise RuntimeError(f"divergence: non-finite validation loss at epoch {epoch}")
-        history.append({
-            "epoch": epoch,
-            "train_loss_mean": epoch_loss / len(pairs.train),
-            "validation_loss_mean": val_loss,
-        })
+        if epoch == 0:
+            init_val, init_radii = val_loss, radii
+        else:
+            history.append({
+                "epoch": epoch,
+                "train_loss_mean": train_loss / len(train_cells),
+                "validation_loss_mean": val_loss,
+            })
         if val_loss < best_val:
-            best_val = val_loss
-            best_weights = weights.copy()
-            best_epoch = epoch
+            best_val, best_epoch, best_weights, best_radii = val_loss, epoch, weights, radii
+        if epoch == config.epochs:
+            break
+        train_loss, grad = _loss_and_grad(projected, embeddings, train_cells, train_radii,
+                                          pairs.train_targets)
+        if grad is None:
+            raise RuntimeError(f"divergence: non-finite training loss at epoch {epoch + 1}")
+        step = epoch + 1
+        m = ADAM_BETA1 * m + (1 - ADAM_BETA1) * grad
+        v = ADAM_BETA2 * v + (1 - ADAM_BETA2) * grad * grad
+        m_hat = m / (1 - ADAM_BETA1 ** step)
+        v_hat = v / (1 - ADAM_BETA2 ** step)
+        weights = weights - config.learning_rate * (
+            m_hat / (np.sqrt(v_hat) + ADAM_EPS) + config.weight_decay * weights)
+
     return best_weights, TrainingHistory(
-        initial_validation_loss=init_val, epochs=history, best_epoch=best_epoch
+        initial_validation_loss=init_val, epochs=history, best_epoch=best_epoch,
+        initial_validation_rho=_spearman(init_radii, pairs.validation_targets),
+        best_validation_rho=_spearman(best_radii, pairs.validation_targets),
     )
 
 
@@ -264,7 +230,7 @@ def train_retriever(texts_by_id: Mapping[str, str], matrix: PoolDistanceMatrix,
         raise ValueError(f"matrix samples missing from the pool: {missing[:5]}")
     embeddings = base.embed([texts_by_id[sid] for sid in matrix.sample_ids])
     pairs = make_training_pairs(matrix, validation_fraction=config.validation_fraction,
-                                seed=config.seed, max_pairs=config.max_pairs)
+                                seed=config.seed)
     weights, history = train(pairs, embeddings, config)
     return RetrieverModel(base=base, weights=weights), history
 

@@ -187,8 +187,8 @@ def test_c4_retriever_gradient_and_planted_task():
         entries = np.linalg.norm(projected[:, None, :] - projected[None, :, :], axis=-1)
         matrix = PoolDistanceMatrix(tuple(f"s{i}" for i in range(n)),
                                     entries[np.triu_indices(n, 1)], "stub")
-        cfg = TrainConfig(epochs=200, batch_size=16, learning_rate=0.02,
-                          validation_fraction=0.10, seed=0, weight_decay=0.0)
+        cfg = TrainConfig(epochs=200, learning_rate=0.02, validation_fraction=0.10, seed=0,
+                          weight_decay=0.0)
         pairs = make_training_pairs(matrix, cfg.validation_fraction, cfg.seed)
         _, history = train(pairs, base_embeddings, cfg)
         best = min(e["validation_loss_mean"] for e in history.epochs)

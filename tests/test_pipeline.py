@@ -56,22 +56,21 @@ from conftest import DATA_DIR
 ALL_STAGES = ("preextract", "distances", "train", "select", "run", "eval", "cost")
 
 # sha256 of (retriever.ckpt, training_history.json) after preextract,
-# distances and train on the mini fixture with the ``run_config`` defaults,
-# taken with the unfused loop that ``reference_train`` keeps, so they also
-# hold the fused step to it across the whole stage.  The weights go through
-# BLAS matmuls, so their bits depend on the kernel family OpenBLAS picks for
-# the CPU; each family's pair was taken by forcing it with OPENBLAS_CORETYPE.
+# distances and train on the mini fixture with the ``run_config`` defaults.
+# The weights go through BLAS matmuls, so their bits depend on the kernel
+# family OpenBLAS picks for the CPU; each family's pair was taken by forcing
+# it with OPENBLAS_CORETYPE.
 TRAINING_SHA256 = {
-    "SkylakeX": ("aa9b0eb9ea5225906c3ade1710ddcebcc42394a7900ff7a0c1bd35541fb94c24",
-                 "ac19105176e2c5dafc83e4d629a73387a8d9e26094059b8a2685ec4e4da89981"),
-    "Haswell": ("b94ae0b211103eb821590dab3ca470db13906194d2d6b80d8c00424c1a41a923",
-                "318b4f7b6185b55bafa145b8c6f4c214fa3c14f21658348a604e05e06578e0f2"),
-    "Sandybridge": ("b24e1a3ab6e94745c9ba9f8ef9638eb0a2e8669a0f066e36801e76690ebad12f",
-                    "06461d8dfbd0f6bca986b27e78bdedd7509032bff86c2868ad1170689d9bedd4"),
-    "Nehalem": ("2928a34ff2c2440f9e9412e2e36de46e4379b13bee06da7322921204edae7a4b",
-                "06461d8dfbd0f6bca986b27e78bdedd7509032bff86c2868ad1170689d9bedd4"),
-    "Katmai": ("b5a40ed675b30add2ea597e10960677ea898ccf97249bf40de70886df792239a",
-               "06461d8dfbd0f6bca986b27e78bdedd7509032bff86c2868ad1170689d9bedd4"),
+    "SkylakeX": ("eb54e8f661c00852d7ec565d2afc4122f0c56eb97a22de64dc4ec691a9b52ea2",
+                 "212161b6390e44dbaa467921b4630cbf6690021f75d7af4d885c8bfd1362cafd"),
+    "Haswell": ("8ceed48091a20aa6bdd39409ee64d551700dd480b2b7b3b1db62932da705bd5d",
+                "212161b6390e44dbaa467921b4630cbf6690021f75d7af4d885c8bfd1362cafd"),
+    "Sandybridge": ("93d711ae46bf3e88816e9a973468dc1e59b4780c5871c4568903190b7d53f373",
+                    "b89ae72f600575a0e61862f345b2f51f5c98b9ee5edc3a844716a52860e9ea22"),
+    "Nehalem": ("93d711ae46bf3e88816e9a973468dc1e59b4780c5871c4568903190b7d53f373",
+                "b89ae72f600575a0e61862f345b2f51f5c98b9ee5edc3a844716a52860e9ea22"),
+    "Katmai": ("93d711ae46bf3e88816e9a973468dc1e59b4780c5871c4568903190b7d53f373",
+               "d93b015b9fb9415e60dba0162638f4bc241d39c0a85848de5757dd5b10f2b20c"),
 }
 OPENBLAS_X86_64 = (
     platform.machine().lower() in ("x86_64", "amd64")
@@ -667,7 +666,6 @@ class TestConfig:
         ("top_u", 0, "top_u must be >= 1"),
         ("retry_attempts", 0, "retry_attempts must be >= 1"),
         ("embedding_dim", 0, "embedding_dim must be >= 1"),
-        ("batch_size", 0, "batch_size >= 1"),
         ("learning_rate", -1.0, "learning_rate > 0"),
         ("epochs", -1, "epochs >= 0"),
         ("validation_fraction", 2.0, "validation_fraction"),
@@ -675,7 +673,6 @@ class TestConfig:
         ("learning_rate", float("inf"), "learning_rate > 0 and finite"),
         ("weight_decay", -0.01, "weight_decay must be >= 0"),
         ("weight_decay", float("nan"), "weight_decay must be >= 0"),
-        ("max_pairs", -1, "max_pairs must be >= 0"),
         ("backoff_base", -0.5, "backoff_base must be >= 0"),
         ("backoff_base", float("nan"), "backoff_base must be >= 0"),
     ])
@@ -697,12 +694,11 @@ class TestConfig:
 
     def test_a_pipeline_config_is_a_train_config(self):
         # stage_train hands the config itself to train_retriever
-        cfg = PipelineConfig(epochs=0, batch_size=3, learning_rate=0.5, seed=7,
-                             validation_fraction=0.25, weight_decay=0.0, max_pairs=9)
+        cfg = PipelineConfig(epochs=0, learning_rate=0.5, seed=7, validation_fraction=0.25,
+                             weight_decay=0.0)
         assert isinstance(cfg, TrainConfig)
         assert self.training_settings(cfg) == dict(
-            epochs=0, batch_size=3, learning_rate=0.5, validation_fraction=0.25, seed=7,
-            weight_decay=0.0, max_pairs=9)
+            epochs=0, learning_rate=0.5, validation_fraction=0.25, seed=7, weight_decay=0.0)
 
     def test_training_defaults_are_train_configs(self):
         assert self.training_settings(PipelineConfig()) == asdict(TrainConfig())
@@ -805,6 +801,15 @@ class TestCli:
         bad = tmp_path / "bad.cfg"
         bad.write_text("nonsense_key = 1\n")
         assert cli.main(["preextract", "--config", str(bad)]) == 2
+
+    @pytest.mark.parametrize("key", ["batch_size", "max_pairs"])
+    def test_removed_training_keys_are_unknown(self, tmp_path, capsys, key):
+        # training is full-batch over every pool pair, so neither key means anything
+        config = self.write_config(tmp_path)
+        with config.open("a", encoding="utf-8") as fh:
+            fh.write(f"{key} = 16\n")
+        assert cli.main(["train", "--config", str(config)]) == 2
+        assert f"run.cfg:7: unknown key '{key}'" in capsys.readouterr().err
 
 
 def test_readme_library_use_block_runs_and_imports_every_root_export(monkeypatch):
