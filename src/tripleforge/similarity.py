@@ -111,10 +111,11 @@ def set_distance(zi: Sequence[np.ndarray] | np.ndarray,
     return float(set_distances([zi], [zj])[0, 0])
 
 
-# Largest (A rows, B rows, dim) block of triple differences built at once,
-# in float64 elements (512 KiB).  Each block costs a few dozen NumPy calls,
-# so smaller blocks are slower: a 400-sample pool takes 0.31 s at 128 KiB,
-# 0.11 s here and 0.10 s at 1 MiB (2-vCPU x86 host, one BLAS thread).
+# Largest (A rows, B rows, dim) chunk of triple differences built at once, in
+# float64 elements (512 KiB); a run of A sets spans about sqrt(this / dim) rows.
+# A chunk costs four NumPy calls and each strip is reduced once: a 400-sample
+# pool takes 68 ms at 128 KiB, 59 ms at 256 KiB, 60 ms here and 69 ms at 1 MiB
+# (median of 15; dim 64, 1-3 triples each; 2-vCPU x86 host, one BLAS thread).
 _BLOCK_ELEMENTS = 1 << 16
 
 
@@ -143,30 +144,37 @@ def _segment_means(values: np.ndarray, starts: np.ndarray, sizes: np.ndarray) ->
     return out
 
 
-def _set_distance_block(a: np.ndarray, a_starts: np.ndarray, a_sizes: np.ndarray,
+def _set_distance_strip(a: np.ndarray, a_starts: np.ndarray, a_sizes: np.ndarray,
                         b: np.ndarray, b_starts: np.ndarray, b_sizes: np.ndarray) -> np.ndarray:
-    """Set distances between every A set and every B set of one block."""
-    diff = a[:, None, :] - b[None, :, :]
-    # ``np.linalg.norm(diff, axis=-1)`` with the square taken in place: the
-    # same multiply and last-axis ``add.reduce``, so the same bits
-    np.multiply(diff, diff, out=diff)
-    pairwise = np.sqrt(np.add.reduce(diff, axis=-1))
+    """Set distances between every A set of one run and every B set: the
+    triple distances are filled a chunk of B rows at a time and then reduced
+    once for the whole strip."""
+    pairwise = np.empty((len(a), len(b)))
+    step = max(1, _BLOCK_ELEMENTS // a.size)
+    for c0 in range(0, len(b), step):
+        diff = a[:, None, :] - b[None, c0:c0 + step, :]
+        # ``np.linalg.norm(diff, axis=-1)`` with the square taken in place: the
+        # same multiply and last-axis ``add.reduce``, so the same bits
+        np.multiply(diff, diff, out=diff)
+        np.sqrt(np.add.reduce(diff, axis=-1), out=pairwise[:, c0:c0 + step])
     row_min = np.minimum.reduceat(pairwise, b_starts, axis=1)  # each A row to each B set
     col_min = np.minimum.reduceat(pairwise, a_starts, axis=0)  # each A set to each B row
     return (_segment_means(row_min.T, a_starts, a_sizes).T
             + _segment_means(col_min, b_starts, b_sizes))
 
 
-def _runs(sizes: np.ndarray, dim: int) -> list[tuple[int, int]]:
+def _runs(sizes: np.ndarray, dim: int) -> list[tuple[int, int, slice]]:
     """Split the sets into consecutive runs ``[s0, s1)`` of at most one block
-    side of embedding rows each; a larger set gets a run of its own."""
+    side of embedding rows each, with the slice of their rows; a larger set
+    gets a run of its own."""
     rows = max(1, math.isqrt(_BLOCK_ELEMENTS // dim))
     ends = np.cumsum(sizes)
     runs = []
     s0 = 0
     while s0 < len(sizes):
-        s1 = max(s0 + 1, int(np.searchsorted(ends, ends[s0] - sizes[s0] + rows, side="right")))
-        runs.append((s0, s1))
+        first = ends[s0] - sizes[s0]
+        s1 = max(s0 + 1, int(np.searchsorted(ends, first + rows, side="right")))
+        runs.append((s0, s1, slice(first, ends[s1 - 1])))
         s0 = s1
     return runs
 
@@ -176,8 +184,9 @@ def set_distances(A_sets: Sequence[Sequence[np.ndarray] | np.ndarray],
     """``len(A_sets) x len(B_sets)`` matrix of ``set_distance`` values.
 
     Each side is concatenated into one embedding array, with segment offsets
-    per set, and the matrix is filled block by block so that a block's triple
-    differences stay near ``_BLOCK_ELEMENTS``.  Every cell has the bits a
+    per set, and the matrix is filled one strip at a time, one run of A sets
+    against every B set, with the triple differences built about
+    ``_BLOCK_ELEMENTS`` at a time.  Every cell has the bits a
     single-pair computation gives (see ``_segment_means``).
     """
     out = np.zeros((len(A_sets), len(B_sets)), dtype=np.float64)
@@ -187,14 +196,9 @@ def set_distances(A_sets: Sequence[Sequence[np.ndarray] | np.ndarray],
     b, b_starts, b_sizes = _stack(B_sets)
     if a.shape[1] != b.shape[1]:
         raise ValueError(f"embedding dim mismatch: {a.shape[1]} vs {b.shape[1]}")
-    b_runs = _runs(b_sizes, b.shape[1])
-    for s0, s1 in _runs(a_sizes, a.shape[1]):
-        ra = slice(a_starts[s0], a_starts[s1 - 1] + a_sizes[s1 - 1])
-        for t0, t1 in b_runs:
-            rb = slice(b_starts[t0], b_starts[t1 - 1] + b_sizes[t1 - 1])
-            out[s0:s1, t0:t1] = _set_distance_block(
-                a[ra], a_starts[s0:s1] - ra.start, a_sizes[s0:s1],
-                b[rb], b_starts[t0:t1] - rb.start, b_sizes[t0:t1])
+    for s0, s1, rows in _runs(a_sizes, a.shape[1]):
+        out[s0:s1] = _set_distance_strip(a[rows], a_starts[s0:s1] - rows.start, a_sizes[s0:s1],
+                                         b, b_starts, b_sizes)
     return out
 
 
@@ -400,14 +404,19 @@ def embed_triple_sets(preextracted: Mapping[str, Sequence[str]],
 def pool_distances(preextracted: Mapping[str, Sequence[str]],
                    provider: EmbeddingProvider) -> PoolDistanceMatrix:
     """All-pairs set distances over the pool, in the mapping's id order: the
-    upper triangle, filled one block run of sets at a time against the rest."""
+    pool is stacked once, and the upper triangle is filled one strip at a
+    time, one block run of sets against themselves and every later set."""
     embedded = embed_triple_sets(preextracted, provider)
-    sets = list(embedded.values())
-    upper = np.empty(len(sets) * (len(sets) - 1) // 2)
-    k = 0
-    for s0, s1 in _runs(np.array([len(z) for z in sets], dtype=np.intp), provider.dim):
-        strip = set_distances(sets[s0:s1], sets[s0:])
-        cells = strip[np.triu_indices(len(strip), 1, strip.shape[1])]
-        upper[k:k + len(cells)] = cells
-        k += len(cells)
+    n = len(embedded)
+    upper = np.empty(n * (n - 1) // 2)
+    if n:
+        z, starts, sizes = _stack(list(embedded.values()))
+        k = 0
+        for s0, s1, rows in _runs(sizes, z.shape[1]):
+            rest = starts[s0:] - rows.start  # the strip's B side: this run and every later set
+            strip = _set_distance_strip(z[rows], rest[:s1 - s0], sizes[s0:s1],
+                                        z[rows.start:], rest, sizes[s0:])
+            cells = strip[np.triu_indices(len(strip), 1, strip.shape[1])]
+            upper[k:k + len(cells)] = cells
+            k += len(cells)
     return PoolDistanceMatrix(sample_ids=tuple(embedded), entries=upper, provider=provider.name)

@@ -596,6 +596,37 @@ def test_pool_distances_across_strip_boundaries_match_the_loop_version(sides, ex
     assert np.array_equal(got.entries, want.entries)
 
 
+class TableEmbedder:
+    """Embeds the text ``"7"`` as row 7 of a fixed table."""
+
+    def __init__(self, table: np.ndarray):
+        self.table, self.dim, self.name = table, table.shape[1], "table"
+
+    def embed(self, texts):
+        return self.table[[int(t) for t in texts]]
+
+
+@pytest.mark.parametrize("dim, block", [(1, 1 << 10), (64, 1 << 16)])
+def test_distances_across_column_chunks_match_the_loop_version(monkeypatch, dim, block):
+    # A block side is 32 rows at both settings.  A run of ten 3-row sets takes
+    # B 34 columns at a time, so B's 120 rows (sets of 1, 4 and 7) span four
+    # chunks whose edges fall inside sets.  The set of block // dim + 1 rows
+    # has a run of its own whose chunks are one column wide.  (At dim 1 the
+    # real block would need a 65,537-row set for that, so the block is smaller.)
+    monkeypatch.setattr(similarity, "_BLOCK_ELEMENTS", block)
+    rng = np.random.default_rng(dim)
+    table = np.vstack([rng.integers(-2, 3, size=(20, dim)), rng.normal(size=(20, dim))])
+    a_rows = [rng.integers(0, len(table), size) for size in [3] * 25 + [block // dim + 1] + [3] * 5]
+    b_rows = [rng.integers(0, len(table), size) for size in [1, 4, 7] * 10]
+    A, B = [table[r] for r in a_rows], [table[r] for r in b_rows]
+    want = np.array([[reference_set_distance(a, b) for b in B] for a in A])
+    assert np.array_equal(set_distances(A, B), want)
+    preextracted = {f"s{i}": [str(row) for row in rows] for i, rows in enumerate(a_rows + b_rows)}
+    got = pool_distances(preextracted, TableEmbedder(table))
+    assert np.array_equal(got.entries,
+                          reference_pool_distances(preextracted, TableEmbedder(table)).entries)
+
+
 def test_pool_distance_cells_equal_set_distance_bitwise():
     rng = np.random.default_rng(7)
     words = VOCAB + ["x", "y", "z"]

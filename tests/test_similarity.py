@@ -169,24 +169,27 @@ class TestPoolDistances:
             pool_distances({"a": []}, self.fixture_provider())
 
     @pytest.mark.parametrize("k", [1, 2, 3])
-    def test_pool_strips_compute_each_block_pair_once(self, monkeypatch, k):
+    def test_pool_takes_one_strip_per_block_run(self, monkeypatch, k):
         # single-triple samples at dim 64 fill a block run with ``side`` sets,
-        # so the pool has k strips: k(k+1)/2 blocks on or above the diagonal
+        # so the pool has k strips, each reduced once: k kernel calls, not the
+        # k(k+1)/2 block pairs on or above the diagonal
         n = k * math.isqrt(similarity._BLOCK_ELEMENTS // 64)
-        calls = count_blocks(monkeypatch)
+        calls = count_strips(monkeypatch)
         matrix = pool_distances({f"s{i}": [f"ann{i} bob{i}"] for i in range(n)},
                                 HashingEmbedder(dim=64))
         assert matrix.entries.shape == (n * (n - 1) // 2,)
-        assert len(calls) == k * (k + 1) // 2
+        assert len(calls) == k
 
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_same_object_on_both_sides_is_a_plain_rectangle(self, monkeypatch, k):
+        # k block runs of A, each taken against all of B in one strip: k
+        # kernel calls, not k * k blocks
         side = math.isqrt(similarity._BLOCK_ELEMENTS // 64)
         sets = list(np.random.default_rng(k).normal(size=(k * side, 1, 64)))
         full = set_distances(sets, list(sets))
-        calls = count_blocks(monkeypatch)
+        calls = count_strips(monkeypatch)
         assert np.array_equal(set_distances(sets, sets), full)
-        assert len(calls) == k * k
+        assert len(calls) == k
 
     def test_peak_memory_is_the_result_plus_one_strip(self):
         # a square of the pool would be twice the triangle on its own
@@ -212,12 +215,12 @@ class TestPoolDistances:
         assert loaded.provider == matrix.provider
 
 
-def count_blocks(monkeypatch) -> list:
-    """The list that collects one entry per ``_set_distance_block`` call."""
+def count_strips(monkeypatch) -> list:
+    """The list that collects one entry per ``_set_distance_strip`` call."""
     calls = []
-    block = similarity._set_distance_block
-    monkeypatch.setattr(similarity, "_set_distance_block",
-                        lambda *args: calls.append(1) or block(*args))
+    strip = similarity._set_distance_strip
+    monkeypatch.setattr(similarity, "_set_distance_strip",
+                        lambda *args: calls.append(1) or strip(*args))
     return calls
 
 
