@@ -51,33 +51,22 @@ class ParsedExtraction:
 
 # --- escaping -------------------------------------------------------------
 # The serializers escape the backslash plus each grammar's structural
-# characters so that any single-line cell content round-trips.
+# characters so that any single-line cell content round-trips.  Both
+# substitutions take a function: before Python 3.12, ``re`` expands a template
+# such as r"\1" in Python code at every match, which is slower.
 
 def _escape(text: str, specials: str) -> str:
     if "\\" not in text and not any(ch in text for ch in specials):
         return text
-    out = []
-    for ch in text:
-        if ch == "\\" or ch in specials:
-            out.append("\\")
-        out.append(ch)
-    return "".join(out)
+    return re.sub("[" + re.escape("\\" + specials) + "]", lambda m: "\\" + m[0], text)
+
+
+# an escape pair; a backslash that ends the text stays as it is
+_ESCAPE_PAIR = re.compile(r"\\(.)", re.DOTALL)
 
 
 def _unescape(text: str) -> str:
-    if "\\" not in text:
-        return text
-    out = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch == "\\" and i + 1 < len(text):
-            out.append(text[i + 1])
-            i += 2
-        else:
-            out.append(ch)
-            i += 1
-    return "".join(out)
+    return _ESCAPE_PAIR.sub(lambda m: m[1], text) if "\\" in text else text
 
 
 def _split_unescaped(text: str, sep: str, maxsplit: int = -1) -> list[str]:
@@ -131,9 +120,7 @@ def serialize_triples(fmt: PromptFormat, ts: TripleSet) -> str:
         return "\n".join(_table_row(k, t) for k, t in enumerate(ts, start=1))
     if fmt is PromptFormat.TEXTIE:
         return "\n".join(_text_line(t) for t in ts)
-    if fmt is PromptFormat.CODEIE:
-        return "\n".join([CODE_HEADER] + [_code_line(t) for t in ts])
-    raise ValueError(f"unhandled format {fmt}")
+    return "\n".join([CODE_HEADER] + [_code_line(t) for t in ts])
 
 
 # --- parsing --------------------------------------------------------------

@@ -15,7 +15,7 @@ import numpy as np
 
 from .core import Sample
 from .similarity import (Artifact, EmbeddingProvider, PairwiseDistanceSet, PoolDistanceMatrix,
-                         _text_array, load_arrays, save_arrays)
+                         load_arrays, save_arrays)
 
 # AdamW moment decay rates and denominator guard
 ADAM_BETA1 = 0.9
@@ -271,17 +271,15 @@ CHECKPOINT_KIND = "retriever_checkpoint"
 def save_checkpoint(model: RetrieverModel, path: str | Path) -> Artifact:
     """The base provider name and the float64 weights, as a ``save_arrays``
     file of kind ``retriever_checkpoint``."""
-    return save_arrays(path, CHECKPOINT_KIND, provider=_text_array(model.base.name),
-                       weights=model.weights)
+    return save_arrays(path, CHECKPOINT_KIND, provider=model.base.name, weights=model.weights)
 
 
 def load_checkpoint(path: str | Path, base: EmbeddingProvider) -> RetrieverModel:
     """The model a ``save_checkpoint`` file holds over ``base``; a file that
     is damaged, of another kind or made for another base raises ``ValueError``."""
     provider, weights = load_arrays(path, CHECKPOINT_KIND, ("provider", "weights"))
-    if provider.tolist() != base.name:
-        raise ValueError(
-            f"checkpoint base provider {provider.tolist()!r} does not match {base.name!r}")
+    if provider != base.name:
+        raise ValueError(f"checkpoint base provider {provider!r} does not match {base.name!r}")
     if weights.dtype != np.float64:
         raise ValueError(f"checkpoint weights must be float64, got {weights.dtype}")
     return RetrieverModel(base=base, weights=weights)

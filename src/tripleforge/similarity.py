@@ -13,7 +13,7 @@ import math
 import zipfile
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Mapping, NamedTuple, Optional, Protocol, Sequence, TypeVar
+from typing import Callable, Mapping, NamedTuple, Optional, Protocol, Sequence
 
 import numpy as np
 
@@ -205,6 +205,9 @@ def set_distances(A_sets: Sequence[Sequence[np.ndarray] | np.ndarray],
 # --- numeric artifacts ------------------------------------------------------
 # Both distance matrices and the retriever checkpoint are stored the same way:
 # one uncompressed ``.npz`` whose first member, ``kind``, names what it holds.
+# Text is stored as numpy unicode arrays: ``kind`` and ``provider`` 0-D, the
+# ids 1-D.
+_TEXT_RANKS = {"kind": 0, "provider": 0, "row_ids": 1, "col_ids": 1}
 
 # What ``np.load`` and ``zipfile`` raise on a damaged archive; RuntimeError is
 # a member whose flags claim it is encrypted
@@ -251,17 +254,34 @@ def replace_file(path: Path, data: bytes) -> None:
     tmp.rename(path)
 
 
-def save_arrays(path: str | Path, kind: str, **arrays: np.ndarray) -> Artifact:
-    """Write ``kind`` and then ``arrays`` as one uncompressed ``.npz``.
+def save_arrays(path: str | Path, kind: str, **members) -> Artifact:
+    """Write ``kind`` and then ``members`` as one uncompressed ``.npz``, a
+    ``str`` or a list of ``str`` as a numpy unicode array (``_text_array``).
     ``zipfile`` stamps every member with a fixed 1980 date, so equal arrays
     save to equal bytes."""
     buf = io.BytesIO()
-    np.savez(buf, kind=_text_array(kind), **arrays)
+    np.savez(buf, kind=_text_array(kind), **{
+        name: _text_array(value) if isinstance(value, (str, list)) else value
+        for name, value in members.items()})
     return write_artifact(path, buf.getvalue())
 
 
-def load_arrays(path: str | Path, kind: str, names: Sequence[str]) -> tuple[np.ndarray, ...]:
-    """The ``names`` members of a ``save_arrays`` file of the given kind.
+def _member(data: np.lib.npyio.NpzFile, name: str) -> np.ndarray | str | list[str]:
+    """Member ``name`` of an open archive; a text member comes back as a
+    ``str`` or a list of ``str`` and must be a unicode array of its rank."""
+    array = np.asarray(data[name])  # np.load hands back a member that is not ``.npy`` as bytes
+    rank = _TEXT_RANKS.get(name)
+    if rank is None:
+        return array
+    if array.dtype.kind != "U" or array.ndim != rank:
+        raise ValueError(f"{name} must be a {rank}-D unicode string array, "
+                         f"got {array.dtype} of shape {array.shape}")
+    return array.tolist()
+
+
+def load_arrays(path: str | Path, kind: str, names: Sequence[str]) -> tuple:
+    """The ``names`` members of a ``save_arrays`` file of the given kind,
+    each text member as a ``str`` or a list of ``str`` (see ``_member``).
 
     A missing file raises ``FileNotFoundError``; any other kind, a pickled
     member and every sort of damage raise ``ValueError``, whose message
@@ -276,10 +296,9 @@ def load_arrays(path: str | Path, kind: str, names: Sequence[str]) -> tuple[np.n
                 # NPY bytes load as a bare array, which is no context manager
                 raise ValueError("an .npy array, not an .npz archive")
             with data:
-                # np.load hands back a member that is not ``.npy`` as bytes
-                stored = np.asarray(data["kind"]).tolist()
+                stored = _member(data, "kind")
                 if stored == kind:
-                    return tuple(np.asarray(data[name]) for name in names)
+                    return tuple(_member(data, name) for name in names)
         except _DAMAGE as exc:
             raise ValueError(f"damaged {kind} artifact: {exc}") from exc
     raise ValueError(f"not a {kind} artifact: kind={stored!r}")
@@ -290,7 +309,6 @@ def load_arrays(path: str | Path, kind: str, names: Sequence[str]) -> tuple[np.n
 
 POOL_KIND = "pool_distance_matrix"
 PAIRWISE_KIND = "pairwise_distance_set"
-_Matrix = TypeVar("_Matrix")
 
 
 def _checked_entries(entries, shape: tuple[int, ...]) -> np.ndarray:
@@ -304,21 +322,13 @@ def _checked_entries(entries, shape: tuple[int, ...]) -> np.ndarray:
     return entries
 
 
-def save_distances(path: str | Path, kind: str, row_ids: Sequence[str],
-                   col_ids: Sequence[str], entries: np.ndarray, provider: str) -> Artifact:
-    return save_arrays(path, kind, provider=_text_array(provider),
-                       row_ids=_text_array(list(row_ids)), col_ids=_text_array(list(col_ids)),
-                       entries=entries)
-
-
-def load_distances(path: str | Path, kind: str, build: Callable[..., _Matrix]) -> _Matrix:
-    """``build(row_ids, col_ids, entries, provider)`` over a ``save_distances``
-    file."""
+def load_distances(path: str | Path, kind: str) -> tuple[list[str], list[str], np.ndarray, str]:
+    """``(row_ids, col_ids, entries, provider)`` of a distance file."""
     provider, rows, cols, entries = load_arrays(
         path, kind, ("provider", "row_ids", "col_ids", "entries"))
     if entries.dtype != np.float64:
         raise ValueError(f"entries must be float64, got {entries.dtype}")
-    return build(tuple(rows.tolist()), tuple(cols.tolist()), entries, str(provider))
+    return rows, cols, entries, provider
 
 
 @dataclass(frozen=True)
@@ -341,17 +351,17 @@ class PoolDistanceMatrix:
         return len(self.sample_ids)
 
     def save(self, path: str | Path) -> Artifact:
-        return save_distances(path, POOL_KIND, self.sample_ids, self.sample_ids,
-                              _checked_entries(self.entries, self.entries.shape), self.provider)
+        ids = list(self.sample_ids)
+        return save_arrays(path, POOL_KIND, provider=self.provider, row_ids=ids, col_ids=ids,
+                           entries=_checked_entries(self.entries, self.entries.shape))
 
     @classmethod
     def load(cls, path: str | Path) -> "PoolDistanceMatrix":
-        def build(rows, cols, entries, provider):
-            matrix = cls(rows, entries, provider)
-            if cols != rows:
-                raise ValueError("col_ids must equal row_ids")
-            return matrix
-        return load_distances(path, POOL_KIND, build)
+        rows, cols, entries, provider = load_distances(path, POOL_KIND)
+        matrix = cls(rows, entries, provider)
+        if cols != rows:
+            raise ValueError("col_ids must equal row_ids")
+        return matrix
 
 
 @dataclass(frozen=True)
@@ -377,12 +387,13 @@ class PairwiseDistanceSet:
         return len(self.test_ids)
 
     def save(self, path: str | Path) -> Artifact:
-        return save_distances(path, PAIRWISE_KIND, self.unlabeled_ids, self.test_ids,
-                              _checked_entries(self.entries, (self.n, self.m)), self.provider)
+        return save_arrays(path, PAIRWISE_KIND, provider=self.provider,
+                           row_ids=list(self.unlabeled_ids), col_ids=list(self.test_ids),
+                           entries=_checked_entries(self.entries, (self.n, self.m)))
 
     @classmethod
     def load(cls, path: str | Path) -> "PairwiseDistanceSet":
-        return load_distances(path, PAIRWISE_KIND, cls)
+        return cls(*load_distances(path, PAIRWISE_KIND))
 
 
 def embed_triple_sets(preextracted: Mapping[str, Sequence[str]],

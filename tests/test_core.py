@@ -13,6 +13,7 @@ from tripleforge.core import (
     AnnotationOracle,
     DatasetError,
     Sample,
+    Schema,
     Triple,
     TripleSet,
     align_entity_offsets,
@@ -94,6 +95,18 @@ class TestTriple:
         t = make_triple()
         assert not hasattr(t, "__dict__")
         assert Triple.__slots__ == tuple(f.name for f in dataclasses.fields(Triple))
+
+
+class TestSchema:
+    @pytest.mark.parametrize("entity_types, relation_types, message", [
+        ((), ("Kill",), "schema entity_types must be non-empty"),
+        (("Per",), (), "schema relation_types must be non-empty"),
+        (("Per", "Per"), ("Kill",), "schema entity_types contains duplicates"),
+        (("Per",), ("Kill", "Kill"), "schema relation_types contains duplicates"),
+    ])
+    def test_constructor_refuses(self, entity_types, relation_types, message):
+        with pytest.raises(ValueError, match=message):
+            Schema(entity_types, relation_types)
 
 
 class TestTripleSet:
@@ -249,6 +262,7 @@ class TestLoadDataset:
 
     @pytest.mark.parametrize("record, message", [
         ('{"id": "a", "text": 123}', "sample 'a': text must be a string, got int"),
+        ('{"id": "a", "text": ""}', "sample 'a': text must be non-empty"),
         ('{"id": null, "text": "x"}', "sample id must be a non-empty string, got None"),
         ('{"id": true, "text": "x"}', "sample id must be a non-empty string, got True"),
         ('{"id": "", "text": "x"}', "sample id must be a non-empty string"),

@@ -269,17 +269,22 @@ def test_damaged_upstream_json_names_the_file_and_its_producer(run_config, stage
     refused_as_damaged(stage, cfg, path, artifact)
 
 
-def as_square(path: Path) -> bytes:
-    """The pool matrix file in the square layout written before the upper triangle."""
+def resaved(path: Path, edit) -> bytes:
+    """The members of the ``.npz`` at ``path`` after ``edit(members)``, saved again."""
     with np.load(path) as data:
         members = {name: data[name] for name in data.files}
+    edit(members)
+    buf = io.BytesIO()
+    np.savez(buf, **members)
+    return buf.getvalue()
+
+
+def as_square(members: dict) -> None:
+    """The pool matrix in the square layout written before the upper triangle."""
     n = len(members["row_ids"])
     square = np.zeros((n, n))
     square[np.triu_indices(n, 1)] = members["entries"]
     members["entries"] = square + square.T
-    buf = io.BytesIO()
-    np.savez(buf, **members)
-    return buf.getvalue()
 
 
 # another .npz artifact of the run directory, for each one a stage reads
@@ -287,7 +292,9 @@ OTHER_NPZ = {POOL_DISTANCES: PAIRWISE, PAIRWISE: POOL_DISTANCES, CHECKPOINT: POO
 NPZ_DAMAGES = {
     "truncated": lambda path: path.read_bytes()[:len(path.read_bytes()) // 2],
     "other-artifact": lambda path: (path.parent / OTHER_NPZ[path.name]).read_bytes(),
-    "square": as_square,
+    "square": lambda path: resaved(path, as_square),
+    "bytes-ids": lambda path: resaved(
+        path, lambda members: members.update(row_ids=members["row_ids"].astype("S"))),
 }
 
 
@@ -295,6 +302,7 @@ NPZ_DAMAGES = {
     ("train", POOL_DISTANCES, "truncated"), ("train", POOL_DISTANCES, "other-artifact"),
     ("train", POOL_DISTANCES, "square"),
     ("run", PAIRWISE, "truncated"), ("run", PAIRWISE, "other-artifact"),
+    ("run", PAIRWISE, "bytes-ids"),
     ("select", CHECKPOINT, "truncated"), ("select", CHECKPOINT, "other-artifact"),
 ])
 def test_damaged_upstream_npz_names_the_file_and_its_producer(run_config, stage, artifact,

@@ -147,6 +147,10 @@ class TestCacheAndRetry:
             gw.complete(request())
         assert err.value.status == 503
 
+    def test_max_attempts_below_one_rejected(self, tmp_path):
+        with pytest.raises(ValueError, match="max_attempts must be >= 1"):
+            LlmGateway(CountingProvider("x"), tmp_path / "cache", max_attempts=0)
+
     def test_failed_requests_not_cached(self, tmp_path):
         provider = FlakyProvider(failures=1)
         gw = LlmGateway(provider, tmp_path / "cache", max_attempts=1, sleep=lambda _: None)

@@ -10,7 +10,7 @@ gradient and validation loss pair by pair (``reference_batch_loss``,
 the pool's Gram matrix instead, the per-text
 ``HashingEmbedder.embed`` as it was before the batch embedder, the
 parsers' ``_escape`` and ``_unescape`` loops as they were before their
-escape-free fast paths, and ``LlmGateway.cache_key`` as one ``json.dumps``
+escape-free fast paths and their regex substitutions, and ``LlmGateway.cache_key`` as one ``json.dumps``
 of the whole request, before the streamed key with its hashed shared
 prefix, and ``save_arrays``'s ``np.savez`` straight into the file,
 before every artifact went through ``write_artifact``, and ``core.Triple``,
@@ -761,9 +761,11 @@ def test_validation_loss_matches_the_pair_loop(problem):
 # --- parsing ----------------------------------------------------------------------
 
 # the escape character and the grammars' separators, quotes and brackets, so
-# that drawn texts often hold escapes and often hold none
+# that drawn texts often hold escapes and often hold none, and two line breaks,
+# which a backslash escapes like any other character
 escape_heavy_text = st.lists(
-    st.sampled_from(["a", " ", "|", ",", ":", "(", ")", '"', "\\", "\x1c", ", ", ": "]),
+    st.sampled_from(["a", " ", "|", ",", ":", "(", ")", '"', "\\", "\x1c", "\n", "\u2028",
+                     ", ", ": "]),
     max_size=16).map("".join)
 
 
@@ -1062,9 +1064,11 @@ def test_gateways_sharing_the_key_head_match_the_json_body(tmp_path_factory, pro
 
 # --- numeric artifacts --------------------------------------------------------------
 
-def reference_save_arrays(path, kind: str, **arrays: np.ndarray) -> None:
+def reference_save_arrays(path, kind: str, **arrays) -> None:
     with open(path, "wb") as fh:
-        np.savez(fh, kind=_text_array(kind), **arrays)
+        np.savez(fh, kind=_text_array(kind), **{
+            name: _text_array(value) if isinstance(value, (str, list)) else value
+            for name, value in arrays.items()})
 
 
 def artifact_bytes(directory, save, codec) -> bytes:

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 import tripleforge
-from tripleforge import cli, core
+from tripleforge import cli, core, pipeline
 from tripleforge.config import (
     CHOICES,
     ConfigError,
@@ -27,6 +27,7 @@ from tripleforge.config import (
 from tripleforge.core import TripleSet
 from tripleforge.gateway import (
     CACHE_LOG,
+    JsonEndpoint,
     LlmGateway,
     MockEchoGoldProvider,
     TransientProviderError,
@@ -49,7 +50,7 @@ from tripleforge.pipeline import (
     stage_train,
 )
 from tripleforge.retriever import TrainConfig
-from tripleforge.similarity import PoolDistanceMatrix
+from tripleforge.similarity import HttpEmbeddingProvider, PoolDistanceMatrix
 
 from conftest import DATA_DIR
 
@@ -241,13 +242,17 @@ class TestFullPipeline:
         with pytest.raises(RuntimeError, match="no pool samples with pre-extracted triples"):
             stage_distances(cfg)
 
-    def test_direct_select_needs_a_test_sample_with_triples(self, run_config, tmp_path):
-        # the test split carries no gold, so the echo mock answers each of its
-        # sentences with nothing and every test pre-extraction is empty
-        test = tmp_path / "test.jsonl"
-        test.write_text('{"id": "t", "text": "Nothing happens ."}\n', encoding="utf-8")
-        cfg = run_config(test_path=test, distance_source="direct")
+    @pytest.mark.parametrize("split", ["test_path", "pool_path"])
+    def test_direct_select_needs_samples_with_triples_on_both_sides(self, run_config, tmp_path,
+                                                                    monkeypatch, split):
+        # the split carries no gold, so the echo mock answers each of its
+        # sentences with nothing and every pre-extraction of it is empty
+        path = tmp_path / "empty.jsonl"
+        path.write_text('{"id": "t", "text": "Nothing happens ."}\n', encoding="utf-8")
+        cfg = run_config(**{split: path}, distance_source="direct")
         stage_preextract(cfg)
+        if split == "pool_path":  # an empty pool is refused before the gateway is built
+            monkeypatch.setattr(pipeline, "build_gateway", None)
         with pytest.raises(RuntimeError,
                            match="direct distance mode needs non-empty pre-extractions on both"):
             stage_select(cfg)
@@ -661,6 +666,15 @@ class TestConfig:
             apply_overrides(PipelineConfig(), embedder="http", **keys)
         assert PipelineConfig(**keys).embedder == "hash"
 
+    def test_http_embedder_is_built_without_a_request(self, monkeypatch):
+        monkeypatch.setenv("TRIPLEFORGE_API_KEY", "k")
+        monkeypatch.setattr(JsonEndpoint, "__call__", None)  # any request raises TypeError
+        embedder = pipeline.build_embedder(PipelineConfig(
+            embedder="http", embedding_endpoint="http://e/v1", embedding_model="m",
+            embedding_dim=8))
+        assert isinstance(embedder, HttpEmbeddingProvider)
+        assert (embedder.name, embedder.dim) == ("http-m", 8)
+
     @pytest.mark.parametrize("setting, value, message", [
         ("concurrency", 0, "concurrency must be >= 1"),
         ("top_u", 0, "top_u must be >= 1"),
@@ -810,6 +824,19 @@ class TestCli:
             fh.write(f"{key} = 16\n")
         assert cli.main(["train", "--config", str(config)]) == 2
         assert f"run.cfg:7: unknown key '{key}'" in capsys.readouterr().err
+
+
+def test_no_module_imports_a_private_name_of_another():
+    # a rule two modules share belongs in one public function of the module
+    # that owns it, not in an underscore name both of them reach for
+    package = Path(tripleforge.__file__).parent
+    private = [f"{path.name}:{node.lineno}: {alias.name}"
+               for path in sorted(package.glob("*.py"))
+               for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+               if isinstance(node, ast.ImportFrom)
+               and (node.level or (node.module or "").startswith("tripleforge"))
+               for alias in node.names if alias.name.startswith("_")]
+    assert private == []
 
 
 def test_readme_library_use_block_runs_and_imports_every_root_export(monkeypatch):

@@ -140,6 +140,14 @@ class TestTrain:
         planted = rng.normal(size=(6, 6)) * 0.8
         return embeddings, make_matrix(embeddings, transform=planted)
 
+    def test_no_training_pairs_rejected(self):
+        embeddings, matrix = self.planted_setup()
+        pairs = make_training_pairs(matrix, 0.1, seed=0)
+        empty = TrainingPairs(pairs.train[:0], pairs.train_targets[:0], pairs.validation,
+                              pairs.validation_targets, pairs.held_out)
+        with pytest.raises(ValueError, match="no training pairs"):
+            train(empty, embeddings, TrainConfig(epochs=1))
+
     def test_zero_epochs_returns_identity_unchanged(self):
         embeddings, matrix = self.planted_setup()
         cfg = TrainConfig(epochs=0, seed=0)

@@ -28,6 +28,18 @@ def P_of(rows, pool_ids=None, test_ids=None) -> PairwiseDistanceSet:
     )
 
 
+@pytest.mark.parametrize("select", [
+    lambda P, B: select_balance(P, Schema(("T",), ("A",)), B=B,
+                                oracle=AnnotationOracle({}), u=1),
+    lambda P, B: select_coverage(P, B=B),
+    lambda P, B: select_random(P.unlabeled_ids, B, seed=0),
+], ids=["balance", "coverage", "random"])
+@pytest.mark.parametrize("B", [0, -1])
+def test_budget_below_one_rejected(select, B):
+    with pytest.raises(ValueError, match="B must be >= 1"):
+        select(P_of(np.ones((2, 2))), B)
+
+
 class TestTopK:
     def test_hand_counted_frequencies(self):
         # nearest-2 lists: t1 -> {x1, x2}, t2 -> {x1, x3}, t3 -> {x2, x1}

@@ -63,6 +63,12 @@ class TestSetDistance:
         with pytest.raises(ValueError, match="empty triple set"):
             set_distance([np.zeros(2)], [])
 
+    def test_no_sets_on_a_side_is_an_empty_matrix(self):
+        sets = [np.zeros((1, 2)), np.ones((2, 2))]
+        for A, B, shape in (([], sets, (0, 2)), (sets, [], (2, 0)), ([], [], (0, 0))):
+            out = set_distances(A, B)
+            assert out.shape == shape and out.dtype == np.float64
+
     @given(vector_sets, vector_sets)
     @settings(max_examples=80)
     def test_symmetric(self, zi, zj):
@@ -105,6 +111,10 @@ class TestHashingEmbedder:
         emb = HashingEmbedder(dim=64)
         a, b = emb.embed(["a b c", "c b a"])
         assert not np.array_equal(a, b)
+
+    def test_dim_below_one_rejected(self):
+        with pytest.raises(ValueError, match="dim must be >= 1"):
+            HashingEmbedder(0)
 
 
 def square_of(matrix: PoolDistanceMatrix) -> np.ndarray:
@@ -334,7 +344,17 @@ class TestDistanceMatrixFiles:
         ({"row_ids": np.array(["a"], dtype=object)}, "allow_pickle"),
         ({"entries": np.array([[1.0]], dtype=np.float32)}, "float64"),
         ({"entries": np.array([[1.0, 2.0]])}, "entries must be 1x1"),
-    ], ids=["negative", "nan", "object-entries", "object-ids", "float32", "shape"])
+        ({"row_ids": np.array([b"a"])}, r"row_ids must be a 1-D unicode string array, got \|S1"),
+        ({"col_ids": np.array([1])}, "col_ids must be a 1-D unicode string array, got int64"),
+        ({"row_ids": np.array([True])}, "row_ids must be a 1-D unicode string array, got bool"),
+        ({"row_ids": np.array("a")}, r"row_ids must be a 1-D unicode string array, got <U1 of "
+                                     r"shape \(\)"),
+        ({"provider": np.array(["p"])}, r"provider must be a 0-D unicode string array, got <U1 "
+                                        r"of shape \(1,\)"),
+        ({"provider": np.array(7.5)}, "provider must be a 0-D unicode string array, got float64"),
+        ({"kind": np.array(PAIRWISE_KIND.encode())}, "kind must be a 0-D unicode string array"),
+    ], ids=["negative", "nan", "object-entries", "object-ids", "float32", "shape", "bytes-ids",
+            "int-ids", "bool-ids", "0-D-ids", "1-D-provider", "float-provider", "bytes-kind"])
     def test_load_rejects_bad_members(self, tmp_path, members, message):
         write_raw(tmp_path / "p.npz", **members)
         with pytest.raises(ValueError, match=message):
