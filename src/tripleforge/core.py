@@ -1,6 +1,5 @@
 """Domain types for relational triple extraction: triples, samples, gold
-triple sets, dataset ingestion, and the annotation oracle that reveals gold
-labels on demand while auditing how many samples were checked vs annotated.
+triple sets and dataset ingestion.
 """
 from __future__ import annotations
 
@@ -226,46 +225,6 @@ def align_entity_offsets(sentence: str, surface: str) -> Optional[Span]:
     if m is not None:
         return (m.start(), m.end())
     return None
-
-
-class AnnotationOracle:
-    """Simulated human annotator over a hidden gold store.
-
-    ``check`` reveals only which relation labels a sample carries (cheap
-    inspection); ``annotate`` reveals the full gold triples.  Both are
-    idempotent on the audit sets and annotated ids are always a subset of
-    checked ids.
-    """
-
-    def __init__(self, gold: Mapping[str, TripleSet]):
-        self._gold = dict(gold)
-        self._checked: set[str] = set()
-        self._annotated: set[str] = set()
-
-    @property
-    def checked_count(self) -> int:
-        return len(self._checked)
-
-    @property
-    def annotated_count(self) -> int:
-        return len(self._annotated)
-
-    def _require(self, sample_id: str) -> TripleSet:
-        try:
-            return self._gold[sample_id]
-        except KeyError:
-            raise KeyError(f"unknown sample id {sample_id!r} in annotation oracle") from None
-
-    def check(self, sample_id: str) -> tuple[str, ...]:
-        triples = self._require(sample_id)
-        self._checked.add(sample_id)
-        return tuple(sorted({t.predicate for t in triples}))
-
-    def annotate(self, sample_id: str) -> TripleSet:
-        triples = self._require(sample_id)
-        self._checked.add(sample_id)
-        self._annotated.add(sample_id)
-        return triples
 
 
 def load_dataset(path: str | Path, _split: object = None) -> Dataset:

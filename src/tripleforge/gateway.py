@@ -59,7 +59,6 @@ class LlmRequest:
 class LlmResponse:
     text: str
     from_cache: bool
-    latency_ms: int
 
 
 class CompletionProvider(Protocol):
@@ -172,7 +171,9 @@ def _key_head(model_id: str, prefix: str) -> hashlib._Hash:
 
 @dataclass
 class GatewayStats:
-    provider_calls: int = 0
+    """Call accounting; a stage's manifest info records it under these names."""
+
+    llm_calls: int = 0
     cache_hits: int = 0
     retries: int = 0
     unreadable_cache_entries: int = 0  # treated as misses and regenerated
@@ -279,16 +280,15 @@ class LlmGateway:
         if cached is not None:
             with self._lock:
                 self.stats.cache_hits += 1
-            return LlmResponse(text=cached, from_cache=True, latency_ms=0)
+            return LlmResponse(text=cached, from_cache=True)
 
-        started = time.monotonic()
         for attempt in range(self.max_attempts):
             if attempt > 0:
                 self._sleep(self.backoff_base * (2 ** (attempt - 1)))
                 with self._lock:
                     self.stats.retries += 1
             with self._lock:
-                self.stats.provider_calls += 1
+                self.stats.llm_calls += 1
             try:
                 text = self.provider.generate(request)
                 break
@@ -298,5 +298,4 @@ class LlmGateway:
                         f"provider failed after {self.max_attempts} attempts: {exc}",
                         status=exc.status) from exc
         self._write_cache(key, request, text)
-        latency = int((time.monotonic() - started) * 1000)
-        return LlmResponse(text=text, from_cache=False, latency_ms=latency)
+        return LlmResponse(text=text, from_cache=False)

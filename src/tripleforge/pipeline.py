@@ -18,15 +18,7 @@ from pathlib import Path
 from typing import Callable, Optional, TypeVar
 
 from .config import PipelineConfig
-from .core import (
-    AnnotationOracle,
-    Dataset,
-    Sample,
-    Schema,
-    TripleSet,
-    load_dataset,
-    verbalize_triple,
-)
+from .core import Dataset, Sample, TripleSet, load_dataset, verbalize_triple
 from .evaluation import cost_report, micro_f1
 from .gateway import LlmGateway, LlmRequest, MockEchoGoldProvider, HttpChatProvider
 from .prompting import (
@@ -193,17 +185,6 @@ def build_gateway(cfg: PipelineConfig,
                       backoff_base=cfg.backoff_base)
 
 
-def _call_counts(gateway: LlmGateway) -> dict[str, int]:
-    """The gateway's call accounting, for a stage's manifest info."""
-    stats = gateway.stats
-    return {
-        "llm_calls": stats.provider_calls,
-        "cache_hits": stats.cache_hits,
-        "retries": stats.retries,
-        "unreadable_cache_entries": stats.unreadable_cache_entries,
-    }
-
-
 def build_embedder(cfg: PipelineConfig) -> EmbeddingProvider:
     """The configured embedder; ``PipelineConfig`` admits only hash and http."""
     if cfg.embedder == "http":
@@ -267,7 +248,7 @@ def stage_preextract(cfg: PipelineConfig):
     return [_write_json(cfg.run_dir / PREEXTRACT, artifact)], {
         "pool_size": len(pool.samples),
         "excluded": len(artifact["excluded"]),
-        **_call_counts(gateway),
+        **asdict(gateway.stats),
     }
 
 
@@ -321,7 +302,7 @@ def stage_train(cfg: PipelineConfig):
 
 
 def _pairwise_from_retriever(cfg: PipelineConfig, pool: Dataset, test: Dataset
-                             ) -> tuple[PairwiseDistanceSet, dict, list[Artifact]]:
+                             ) -> tuple[PairwiseDistanceSet, dict, dict]:
     # the checkpoint may sit outside run_dir, so it is read by path
     ckpt, base = cfg.effective_checkpoint_path, build_embedder(cfg)
     model = _read_upstream(cfg, CHECKPOINT, lambda path: load_checkpoint(path, base), ckpt)
@@ -334,13 +315,14 @@ def _pairwise_from_retriever(cfg: PipelineConfig, pool: Dataset, test: Dataset
         excluded = []
         pool_samples = pool.samples
     P = compute_P(model, pool_samples, test.samples)
-    return P, {"excluded_pool": excluded, "checkpoint": str(ckpt)}, []
+    return P, {"excluded_pool": excluded, "checkpoint": str(ckpt)}, {}
 
 
 def _pairwise_direct(cfg: PipelineConfig, pool: Dataset, test: Dataset
-                     ) -> tuple[PairwiseDistanceSet, dict, list[Artifact]]:
+                     ) -> tuple[PairwiseDistanceSet, dict, dict]:
     """Pre-extract the test samples too and take triple-set distances
-    straight into the pool-to-test matrix; no retriever involved."""
+    straight into the pool-to-test matrix; no retriever involved.  The test
+    pre-extraction comes back for the caller to write."""
     pool_verbal, excluded_pool = _read_upstream(cfg, PREEXTRACT, _json(_verbalizations))
     refusal = "direct distance mode needs non-empty pre-extractions on both sides"
     if not pool_verbal:
@@ -351,7 +333,6 @@ def _pairwise_direct(cfg: PipelineConfig, pool: Dataset, test: Dataset
     test_verbal, _ = _verbalizations(test_artifact)
     if not test_verbal:
         raise RuntimeError(refusal)
-    test_path = _write_json(cfg.run_dir / PREEXTRACT_TEST, test_artifact)
     embedder = build_embedder(cfg)
     pool_embedded = embed_triple_sets(pool_verbal, embedder)
     test_embedded = embed_triple_sets(test_verbal, embedder)
@@ -359,22 +340,26 @@ def _pairwise_direct(cfg: PipelineConfig, pool: Dataset, test: Dataset
     P = PairwiseDistanceSet(tuple(pool_embedded), tuple(test_embedded), entries,
                             provider=f"direct/{embedder.name}")
     return P, {"excluded_pool": excluded_pool, "excluded_test": test_artifact["excluded"],
-               **_call_counts(gateway)}, [test_path]
+               **asdict(gateway.stats)}, {PREEXTRACT_TEST: test_artifact}
 
 
-def _select(cfg: PipelineConfig, P: PairwiseDistanceSet, schema: Optional[Schema],
-            oracle: AnnotationOracle) -> SelectionResult:
+def _select(cfg: PipelineConfig, P: PairwiseDistanceSet, pool: Dataset) -> SelectionResult:
     """Run the configured strategy, passing it the settings it takes by
     parameter name.  The function is looked up in this module's namespace
     rather than called from ``STRATEGIES``, so a wrapper installed on
-    ``pipeline.select_<name>`` sees the call."""
+    ``pipeline.select_<name>`` sees the call.  Every candidate must have
+    gold triples, from which the chosen ones are annotated."""
     select = globals()[STRATEGIES[cfg.strategy].__name__]
     settings = {"P": P, "pool_ids": P.unlabeled_ids, "B": cfg.budget, "u": cfg.top_u,
-                "seed": cfg.seed, "schema": schema, "oracle": oracle}
+                "seed": cfg.seed, "schema": pool.schema, "gold": pool.gold}
     params = inspect.signature(select).parameters
-    if "schema" in params and schema is None:
+    if "schema" in params and pool.schema is None:
         raise RuntimeError(f"{cfg.strategy} strategy needs a schema; "
                            "the pool file carries no labels")
+    unlabeled = [sid for sid in P.unlabeled_ids if sid not in pool.gold]
+    if unlabeled:
+        raise ValueError(f"{cfg.pool_path}: select annotates from gold triples, and pool "
+                         f"samples {unlabeled[:5]} have none")
     return select(**{name: settings[name] for name in params})
 
 
@@ -385,26 +370,24 @@ def stage_select(cfg: PipelineConfig):
     test = load_dataset(cfg.test_path)
     pairwise = (_pairwise_from_retriever if cfg.distance_source == "retriever"
                 else _pairwise_direct)
-    P, info, extra_paths = pairwise(cfg, pool, test)
-    pairwise_path = P.save(cfg.run_dir / PAIRWISE)
+    P, info, extra = pairwise(cfg, pool, test)
+    result = _select(cfg, P, pool)  # refuses before anything is written
 
-    oracle = AnnotationOracle(pool.gold)
-    result = _select(cfg, P, pool.schema, oracle)
-
-    annotations = {sid: oracle.annotate(sid).to_list() for sid in result.chosen}
-    selection_path = _write_json(cfg.run_dir / SELECTION, {
+    written = [_write_json(cfg.run_dir / name, artifact) for name, artifact in extra.items()]
+    written.append(P.save(cfg.run_dir / PAIRWISE))
+    written.append(_write_json(cfg.run_dir / SELECTION, {
         **result.to_json_dict(),
         "kind": KINDS[SELECTION],
         "distance_source": cfg.distance_source,
         "u": cfg.top_u,
-        "annotations": annotations,
-        "oracle": {"checked": oracle.checked_count, "annotated": oracle.annotated_count},
-    })
-    return [pairwise_path, selection_path, *extra_paths], {
+        "annotations": {sid: pool.gold[sid].to_list() for sid in result.chosen},
+        "oracle": {"checked": result.checked_count, "annotated": len(result.chosen)},
+    }))
+    return written, {
         **info, "strategy": cfg.strategy, "budget": cfg.budget,
         "chosen": list(result.chosen),
         "checked_count": result.checked_count,
-        "annotated_count": oracle.annotated_count,
+        "annotated_count": len(result.chosen),
     }
 
 
@@ -445,7 +428,7 @@ def stage_run(cfg: PipelineConfig):
         "test_size": len(test.samples),
         "demonstrations": len(demos),
         "parse_skipped_rows": skipped_total,
-        **_call_counts(gateway),
+        **asdict(gateway.stats),
     }
 
 
@@ -460,7 +443,7 @@ def stage_eval(cfg: PipelineConfig):
     """Strict micro F1 of the parsed predictions against the test gold."""
     predictions, skipped = _read_upstream(cfg, PREDICTIONS, _json(lambda raw: (
         {sid: TripleSet.from_list(ts) for sid, ts in raw["predictions"].items()},
-        operator.index(raw.get("parse_skipped_rows", 0)))))
+        operator.index(raw["parse_skipped_rows"]))))
     test = load_dataset(cfg.test_path)
     unlabeled = [s.id for s in test.samples if s.id not in test.gold]
     if unlabeled:

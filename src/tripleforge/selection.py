@@ -2,7 +2,7 @@
 
 Three strategies plus a random baseline: ``topk`` ranks pool samples by how
 often they appear among each test sample's nearest neighbors; ``balance``
-walks that ranking while an annotator checks relation labels to fill
+walks that ranking, checking each sample's gold relation labels, to fill
 per-relation quotas; ``coverage`` greedily picks the pool sample closest to a
 block of still-uncovered test samples until every test sample is covered.
 All strategies are deterministic: ties fall back to lower total distance
@@ -17,14 +17,16 @@ from typing import Callable, Mapping, Optional, Sequence
 
 import numpy as np
 
-from .core import AnnotationOracle, Sample, Schema, TripleSet
+from .core import Sample, Schema, TripleSet
 from .prompting import Demonstration
 from .similarity import PairwiseDistanceSet
 
 
 @dataclass(frozen=True)
 class SelectionResult:
-    """Chosen sample ids plus the audit trail of how they were picked."""
+    """Chosen sample ids plus the audit trail of how they were picked: the
+    chosen samples are the ones annotated, ``checked_ids`` every sample whose
+    labels were looked at (the chosen ones among them)."""
 
     strategy: str
     budget: int
@@ -92,15 +94,15 @@ def select_top_k(P: PairwiseDistanceSet, u: int, B: int) -> SelectionResult:
 
 
 def select_balance(P: PairwiseDistanceSet, schema: Schema, B: int,
-                   oracle: AnnotationOracle, u: int = 5) -> SelectionResult:
+                   gold: Mapping[str, TripleSet], u: int = 5) -> SelectionResult:
     """Walk the top-k ranking filling a floor(B/R)-per-relation quota.
 
-    Each candidate costs one oracle check to reveal its gold relation labels;
-    it is accepted when any of its relations is still under quota (all of its
+    Each candidate is checked: its relation labels are read from ``gold``.
+    It is accepted when any of its relations is still under quota (all of its
     relations' tallies then increment); a quota of 0 is met at once.  The
-    leftover budget goes to the highest-ranked samples not yet accepted, each
-    checked too, so the number of checked samples can exceed B even though
-    at most B are annotated.
+    leftover budget goes to the highest-ranked samples not yet accepted,
+    which count as checked too, so the number of checked samples can exceed
+    B even though at most B are annotated.
     """
     if B < 1:
         raise ValueError("B must be >= 1")
@@ -114,7 +116,7 @@ def select_balance(P: PairwiseDistanceSet, schema: Schema, B: int,
     for sid in ranked_ids:
         if len(accepted) >= B or all(tallies[r] >= quota for r in schema.relation_types):
             break
-        labels = oracle.check(sid)
+        labels = sorted({t.predicate for t in gold[sid]})
         checked.append(sid)
         if any(tallies.get(r, 0) < quota for r in labels):
             accepted.append(sid)
@@ -129,8 +131,6 @@ def select_balance(P: PairwiseDistanceSet, schema: Schema, B: int,
 
     taken = set(accepted)
     refill = [sid for sid in ranked_ids if sid not in taken][:B - len(accepted)]
-    for sid in refill:
-        oracle.check(sid)
 
     return SelectionResult(
         strategy="balance", budget=B, chosen=tuple(accepted + refill),

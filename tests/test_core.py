@@ -10,7 +10,6 @@ from hypothesis import given, strategies as st
 
 from tripleforge import core
 from tripleforge.core import (
-    AnnotationOracle,
     DatasetError,
     Sample,
     Schema,
@@ -452,42 +451,3 @@ class TestLoadDatasetMemo:
         assert parses == ["f0.jsonl", "f1.jsonl", "f2.jsonl", "f3.jsonl", "f4.jsonl", "f1.jsonl"]
         assert core._parse_dataset.cache_info().currsize == 4
 
-
-class TestAnnotationOracle:
-    def make(self, pool_dataset):
-        return AnnotationOracle(pool_dataset.gold)
-
-    def test_check_then_annotate_same_id(self, pool_dataset):
-        oracle = self.make(pool_dataset)
-        labels = oracle.check("x01")
-        assert labels == ("Kill",)
-        oracle.annotate("x01")
-        assert oracle.checked_count == 1 and oracle.annotated_count == 1
-
-    def test_check_many_annotate_fewer(self, pool_dataset):
-        oracle = self.make(pool_dataset)
-        ids = [s.id for s in pool_dataset.samples]
-        for sid in ids:
-            oracle.check(sid)
-        for sid in ids[:15]:
-            oracle.annotate(sid)
-        assert oracle.checked_count == 20 and oracle.annotated_count == 15
-
-    def test_annotate_without_check_enters_both_sets(self, pool_dataset):
-        oracle = self.make(pool_dataset)
-        oracle.annotate("x02")
-        assert oracle.checked_count == 1 and oracle.annotated_count == 1
-
-    def test_idempotent_and_monotone(self, pool_dataset):
-        oracle = self.make(pool_dataset)
-        for _ in range(3):
-            oracle.check("x01")
-            oracle.annotate("x01")
-            assert oracle.checked_count == 1 and oracle.annotated_count == 1
-
-    def test_unknown_id(self, pool_dataset):
-        oracle = self.make(pool_dataset)
-        with pytest.raises(KeyError, match="unknown sample id"):
-            oracle.check("nope")
-        with pytest.raises(KeyError, match="unknown sample id"):
-            oracle.annotate("nope")

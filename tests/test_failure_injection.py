@@ -240,6 +240,14 @@ def with_wrong_leaf(path: Path) -> bytes:
     return json.dumps(value).encode()
 
 
+def without_skipped_rows(path: Path) -> bytes:
+    """predictions.json without its skipped-row count, which eval would
+    otherwise score as 0."""
+    value = json.loads(path.read_text(encoding="utf-8"))
+    del value["parse_skipped_rows"]
+    return json.dumps(value).encode()
+
+
 DAMAGES = {
     "truncated": lambda path: path.read_bytes()[:40],
     "array": lambda path: b"[]",
@@ -248,6 +256,7 @@ DAMAGES = {
     "kind-only": lambda path: json.dumps({"kind": KINDS[path.name]}).encode(),
     "wrong-type": with_number_field,
     "wrong-leaf": with_wrong_leaf,
+    "missing-count": without_skipped_rows,
 }
 JSON_READS = [("distances", PREEXTRACT), ("run", SELECTION), ("eval", PREDICTIONS),
               ("cost", OUTPUTS)]
@@ -255,9 +264,9 @@ JSON_READS = [("distances", PREEXTRACT), ("run", SELECTION), ("eval", PREDICTION
 
 @pytest.mark.parametrize("stage, artifact, damage", [
     *((stage, artifact, damage) for stage, artifact in JSON_READS
-      for damage in DAMAGES if damage != "wrong-leaf"),
+      for damage in DAMAGES if damage not in ("wrong-leaf", "missing-count")),
     ("distances", PREEXTRACT, "wrong-leaf"), ("eval", PREDICTIONS, "wrong-leaf"),
-    ("cost", OUTPUTS, "wrong-leaf"),
+    ("cost", OUTPUTS, "wrong-leaf"), ("eval", PREDICTIONS, "missing-count"),
 ])
 def test_damaged_upstream_json_names_the_file_and_its_producer(run_config, stage, artifact,
                                                                damage):

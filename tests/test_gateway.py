@@ -111,7 +111,7 @@ class TestCacheAndRetry:
         assert not first.from_cache and second.from_cache
         assert first.text == second.text == "answer"
         assert provider.calls == 1
-        assert gw.stats.provider_calls == 1 and gw.stats.cache_hits == 1
+        assert gw.stats.llm_calls == 1 and gw.stats.cache_hits == 1
 
     def test_cache_persists_across_gateway_instances(self, tmp_path):
         gw1 = LlmGateway(CountingProvider("x"), tmp_path / "cache")
@@ -376,7 +376,7 @@ class TestHttpChatProvider:
         gateway = LlmGateway(provider, tmp_path)
         with pytest.raises(GatewayError, match="malformed completion response: content is"):
             gateway.complete(request())
-        assert gateway.stats.provider_calls == 1
+        assert gateway.stats.llm_calls == 1
         assert log.read_bytes() == b""
 
     @pytest.mark.parametrize("provider, reply, match", [

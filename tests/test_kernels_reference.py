@@ -18,9 +18,11 @@ before every artifact went through ``write_artifact``, and ``core.Triple``,
 and their one checking pass, ``select_balance`` as it was before its one
 refill slice, and ``micro_f1`` with ``strict_match`` and ``_greedy_match``
 as they were before the multiset count, kept verbatim as oracles apart from
-renaming and returning pairs as tuples.  The kernels must agree with them
+renaming and returning pairs as tuples (``reference_select_balance`` also
+reads labels from a gold store, not an annotator, and no longer re-checks its
+refill).  The kernels must agree with them
 bit for bit: equal float entries, equal chosen ids, covered tests, tie-break
-counts and checked ids, equal oracle checks and eval reports, equal prompt
+counts and checked ids, equal gold reads and eval reports, equal prompt
 strings, parses, cache keys and ``.npz`` bytes, and equal triples, hashes
 and error messages; the Gram kernel sums in another order, so it must agree
 to 1e-12.
@@ -41,8 +43,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from tripleforge import prompting, retriever, similarity
-from tripleforge.core import (_LINE_BREAK, AnnotationOracle, DatasetError, Sample, Schema, Span,
-                              Triple, TripleSet, load_dataset)
+from tripleforge.core import (_LINE_BREAK, DatasetError, Sample, Schema, Span, Triple, TripleSet,
+                              load_dataset)
 from tripleforge.evaluation import EvalReport, RelationCounts, _safe_div, micro_f1
 from tripleforge.gateway import LlmGateway, LlmRequest
 from tripleforge.prompting import (
@@ -214,10 +216,10 @@ def reference_select_coverage(P, B) -> SelectionResult:
 
 
 def reference_select_balance(P: PairwiseDistanceSet, schema: Schema, B: int,
-                             oracle: AnnotationOracle, u: int = 5) -> SelectionResult:
+                             gold: Mapping[str, TripleSet], u: int = 5) -> SelectionResult:
     """Walk the top-k ranking filling a floor(B/R)-per-relation quota.
 
-    Each candidate costs one oracle check to reveal its gold relation labels;
+    Each candidate costs one check of its gold relation labels;
     it is accepted when any of its relations is still under quota (all of its
     relations' tallies then increment).  Leftover budget is refilled from the
     remaining ranking, so the number of checked samples can exceed B even
@@ -239,7 +241,7 @@ def reference_select_balance(P: PairwiseDistanceSet, schema: Schema, B: int,
     for sid in ranked_ids:
         if quota == 0 or quotas_met() or len(accepted) >= B:
             break
-        labels = oracle.check(sid)
+        labels = tuple(sorted({t.predicate for t in gold[sid]}))
         checked.append(sid)
         if any(tallies.get(r, 0) < quota for r in labels):
             accepted.append(sid)
@@ -258,7 +260,6 @@ def reference_select_balance(P: PairwiseDistanceSet, schema: Schema, B: int,
         if len(chosen) >= min(B, P.n):
             break
         if sid not in chosen_set:
-            oracle.check(sid)
             if sid not in checked_set:
                 checked.append(sid)
                 checked_set.add(sid)
@@ -906,16 +907,16 @@ def test_select_coverage_sums_scores_left_to_right():
     assert got.chosen == ("z",) and got.tie_break_hits == 0
 
 
-class RecordingOracle(AnnotationOracle):
-    """An oracle that also keeps every ``check`` call in order."""
+class RecordingGold(dict):
+    """A gold store that keeps every sample id it is read at, in order."""
 
     def __init__(self, gold):
         super().__init__(gold)
         self.calls: list[str] = []
 
-    def check(self, sample_id: str) -> tuple[str, ...]:
+    def __getitem__(self, sample_id: str) -> TripleSet:
         self.calls.append(sample_id)
-        return super().check(sample_id)
+        return super().__getitem__(sample_id)
 
 
 @st.composite
@@ -943,14 +944,12 @@ def tied_column(n):
                   make_gold_store({"p0": ["X"], "p1": ["X", "A"], "p2": ["A"]})), B=9, u=2)
 def test_select_balance_matches_the_two_loop_walk(problem, B, u):
     P, schema, gold = problem
-    got_oracle, want_oracle = RecordingOracle(gold), RecordingOracle(gold)
-    got = select_balance(P, schema, B, got_oracle, u=u)
-    want = reference_select_balance(P, schema, B, want_oracle, u=u)
+    got_gold, want_gold = RecordingGold(gold), RecordingGold(gold)
+    got = select_balance(P, schema, B, got_gold, u=u)
+    want = reference_select_balance(P, schema, B, want_gold, u=u)
     assert got == want
     assert list(got.per_relation_tallies.items()) == list(want.per_relation_tallies.items())
-    assert got_oracle.calls == want_oracle.calls
-    assert ((got_oracle.checked_count, got_oracle.annotated_count)
-            == (want_oracle.checked_count, want_oracle.annotated_count))
+    assert got_gold.calls == want_gold.calls
 
 
 # --- evaluation -------------------------------------------------------------------

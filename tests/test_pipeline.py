@@ -50,6 +50,7 @@ from tripleforge.pipeline import (
     stage_train,
 )
 from tripleforge.retriever import TrainConfig
+from tripleforge.selection import STRATEGIES
 from tripleforge.similarity import HttpEmbeddingProvider, PoolDistanceMatrix
 
 from conftest import DATA_DIR
@@ -272,6 +273,75 @@ class TestFullPipeline:
         stage_preextract(cfg)
         with pytest.raises(RuntimeError, match="balance strategy needs a schema"):
             stage_select(cfg)
+
+    @pytest.mark.parametrize("distance_source", ["retriever", "direct"])
+    @pytest.mark.parametrize("pool_kind, strategy", [
+        ("unlabeled", "balance"),
+        *(("mixed", strategy) for strategy in ("topk", "balance", "coverage", "random")),
+    ], ids=["no-schema", "no-gold-topk", "no-gold-balance", "no-gold-coverage",
+            "no-gold-random"])
+    def test_select_refusals_exit_1_before_any_write(self, tmp_path, capsys, pool_kind,
+                                                     strategy, distance_source):
+        # the pool holds the test split's sentences without their labels
+        # (alone, or after the labeled mini pool), so the echo mock still
+        # pre-extracts every one of them
+        test = core.load_dataset(DATA_DIR / "test.jsonl")
+        unlabeled = "".join(json.dumps({"id": f"u{s.id}", "text": s.text}) + "\n"
+                            for s in test.samples)
+        pool = tmp_path / f"{pool_kind}.jsonl"
+        labeled = (DATA_DIR / "train.jsonl").read_text(encoding="utf-8")
+        pool.write_text(unlabeled if pool_kind == "unlabeled" else labeled + unlabeled,
+                        encoding="utf-8")
+        config = tmp_path / "run.cfg"
+        config.write_text(f"pool_path = {pool}\ntest_path = {DATA_DIR / 'test.jsonl'}\n"
+                          f"run_dir = run\nbudget = 4\nstrategy = {strategy}\n"
+                          f"distance_source = {distance_source}\n", encoding="utf-8")
+        upstream = ALL_STAGES[:1] if distance_source == "direct" else ALL_STAGES[:3]
+        for stage in upstream:
+            assert cli.main([stage, "--config", str(config)]) == 0
+        run_dir = tmp_path / "run"
+
+        def files():
+            return sorted(p.relative_to(run_dir) for p in run_dir.rglob("*") if p.is_file())
+
+        before = files()
+        capsys.readouterr()
+        assert cli.main(["select", "--config", str(config)]) == 1
+        err = capsys.readouterr().err
+        if pool_kind == "unlabeled":
+            assert "balance strategy needs a schema; the pool file carries no labels" in err
+        else:
+            assert (f"{pool}: select annotates from gold triples, and pool samples "
+                    "['ut01', 'ut02', 'ut03', 'ut04', 'ut05'] have none") in err
+        assert files() == before
+        assert not {Path(PAIRWISE), Path(PREEXTRACT_TEST)} & set(before)
+        assert "select" not in json.loads((run_dir / MANIFEST).read_text())["stages"]
+
+    @pytest.mark.parametrize("distance_source", ["retriever", "direct"])
+    @pytest.mark.parametrize("strategy", sorted(STRATEGIES))
+    def test_selection_audit_and_call_counts_have_one_source(self, run_config, strategy,
+                                                             distance_source):
+        cfg = run_config(strategy=strategy, distance_source=distance_source, budget=5)
+        stages = ALL_STAGES[:5] if distance_source == "retriever" else (
+            "preextract", "select", "run")
+        for name in stages:
+            STAGES[name](cfg)
+        selection = json.loads((cfg.run_dir / SELECTION).read_text())
+        assert selection["oracle"] == {"checked": selection["checked_count"],
+                                       "annotated": len(selection["chosen"])}
+        info = {name: entry["info"] for name, entry in
+                json.loads((cfg.run_dir / MANIFEST).read_text())["stages"].items()}
+        assert (info["select"]["checked_count"], info["select"]["annotated_count"]) == (
+            selection["checked_count"], len(selection["chosen"]))
+        # the gateway's counts under exactly these names, in each stage that
+        # builds a gateway and in no other
+        calls = {"llm_calls", "cache_hits", "retries", "unreadable_cache_entries"}
+        select_keys = {"excluded_pool", "strategy", "budget", "chosen", "checked_count",
+                       "annotated_count"}
+        assert set(info["preextract"]) == {"pool_size", "excluded"} | calls
+        assert set(info["run"]) == {"test_size", "demonstrations", "parse_skipped_rows"} | calls
+        assert set(info["select"]) == select_keys | (
+            {"checkpoint"} if distance_source == "retriever" else {"excluded_test"} | calls)
 
     @pytest.mark.parametrize("stage, distance_source, producer", [
         ("distances", "retriever", "preextract"),

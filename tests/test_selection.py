@@ -4,7 +4,7 @@ import random
 import numpy as np
 import pytest
 
-from tripleforge.core import AnnotationOracle, Sample, Schema, TripleSet
+from tripleforge.core import Sample, Schema, TripleSet
 from tripleforge.retriever import PairwiseDistanceSet
 from tripleforge.selection import (
     SelectionResult,
@@ -29,8 +29,7 @@ def P_of(rows, pool_ids=None, test_ids=None) -> PairwiseDistanceSet:
 
 
 @pytest.mark.parametrize("select", [
-    lambda P, B: select_balance(P, Schema(("T",), ("A",)), B=B,
-                                oracle=AnnotationOracle({}), u=1),
+    lambda P, B: select_balance(P, Schema(("T",), ("A",)), B=B, gold={}, u=1),
     lambda P, B: select_coverage(P, B=B),
     lambda P, B: select_random(P.unlabeled_ids, B, seed=0),
 ], ids=["balance", "coverage", "random"])
@@ -94,8 +93,7 @@ class TestBalance:
     def test_quota_one_per_relation_when_pool_permits(self):
         gold = make_gold_store({"x1": ["A"], "x2": ["A"], "x3": ["B"],
                                 "x4": ["C"], "x5": ["B"]})
-        oracle = AnnotationOracle(gold)
-        result = select_balance(ascending_column(5), self.schema3, B=3, oracle=oracle, u=1)
+        result = select_balance(ascending_column(5), self.schema3, B=3, gold=gold, u=1)
         assert result.chosen == ("x1", "x3", "x4")
         assert result.per_relation_tallies == {"A": 1, "B": 1, "C": 1}
         assert result.quota_shortfall == {}
@@ -105,17 +103,15 @@ class TestBalance:
         # than B samples to satisfy the other quotas
         gold = make_gold_store({"x1": ["A"], "x2": ["A"], "x3": ["A"],
                                 "x4": ["B"], "x5": ["C"]})
-        oracle = AnnotationOracle(gold)
-        result = select_balance(ascending_column(5), self.schema3, B=3, oracle=oracle, u=1)
+        result = select_balance(ascending_column(5), self.schema3, B=3, gold=gold, u=1)
         assert result.chosen == ("x1", "x4", "x5")
+        assert result.checked_ids == ("x1", "x2", "x3", "x4", "x5")
         assert result.checked_count == 5 > 3
-        assert oracle.checked_count == 5
 
     def test_missing_relation_refills_from_global_order(self):
         gold = make_gold_store({"x1": ["A"], "x2": ["A"], "x3": ["B"],
                                 "x4": ["A"], "x5": ["B"], "x6": ["A"]})
-        oracle = AnnotationOracle(gold)
-        result = select_balance(ascending_column(6), self.schema3, B=3, oracle=oracle, u=1)
+        result = select_balance(ascending_column(6), self.schema3, B=3, gold=gold, u=1)
         # C does not exist in the pool: walk exhausts all 6, refill tops up
         assert result.chosen == ("x1", "x3", "x2")
         assert result.quota_shortfall == {"C": 1}
@@ -124,22 +120,20 @@ class TestBalance:
 
     def test_multi_relation_sample_credits_all_tallies(self):
         gold = make_gold_store({"x1": ["A", "B"], "x2": ["B"], "x3": ["C"]})
-        oracle = AnnotationOracle(gold)
-        result = select_balance(ascending_column(3), self.schema3, B=3, oracle=oracle, u=1)
+        result = select_balance(ascending_column(3), self.schema3, B=3, gold=gold, u=1)
         assert result.chosen[0] == "x1"
         assert result.per_relation_tallies["A"] == 1
         assert result.per_relation_tallies["B"] >= 1
 
     def test_budget_below_relation_count_degenerates_to_ranking_prefix(self):
         gold = make_gold_store({f"x{i}": ["A"] for i in range(1, 5)})
-        oracle = AnnotationOracle(gold)
         schema = Schema(("T",), ("A", "B", "C", "D", "E"))
-        result = select_balance(ascending_column(4), schema, B=2, oracle=oracle, u=1)
+        result = select_balance(ascending_column(4), schema, B=2, gold=gold, u=1)
         assert result.chosen == ("x1", "x2")  # quota floor(2/5) = 0
 
     def test_budget_below_relation_count_is_topk_checking_only_the_chosen(self):
         # quota floor(B/R) = 0 is met before the walk: the refill takes the
-        # topk prefix and the oracle sees nothing else
+        # topk prefix and no other sample is checked
         rng = random.Random(4)
         schema = Schema(("T",), ("A", "B", "C", "D", "E"))
         for _ in range(20):
@@ -148,20 +142,15 @@ class TestBalance:
             gold = make_gold_store({sid: [rng.choice(schema.relation_types)]
                                     for sid in P.unlabeled_ids})
             for B in range(1, len(schema.relation_types)):
-                oracle = AnnotationOracle(gold)
-                result = select_balance(P, schema, B, oracle, u=2)
+                result = select_balance(P, schema, B, gold, u=2)
                 assert result.chosen == select_top_k(P, 2, B).chosen
                 assert result.checked_ids == result.chosen
-                assert oracle.checked_count == len(result.chosen)
 
     def test_annotated_within_budget_while_checked_exceeds(self):
         gold = make_gold_store({"x1": ["A"], "x2": ["A"], "x3": ["A"],
                                 "x4": ["A"], "x5": ["B"], "x6": ["C"]})
-        oracle = AnnotationOracle(gold)
-        result = select_balance(ascending_column(6), self.schema3, B=3, oracle=oracle, u=1)
-        for sid in result.chosen:
-            oracle.annotate(sid)
-        assert oracle.annotated_count <= 3 < oracle.checked_count
+        result = select_balance(ascending_column(6), self.schema3, B=3, gold=gold, u=1)
+        assert len(result.chosen) <= 3 < result.checked_count
 
 
 class TestCoverage:
@@ -305,8 +294,8 @@ class TestRescaleInvariance:
                 scaled = PairwiseDistanceSet(P.unlabeled_ids, P.test_ids, P.entries * c)
                 assert select_top_k(P, 2, B).chosen == select_top_k(scaled, 2, B).chosen
                 assert select_coverage(P, B).chosen == select_coverage(scaled, B).chosen
-                assert (select_balance(P, schema, B, AnnotationOracle(gold), u=2).chosen
-                        == select_balance(scaled, schema, B, AnnotationOracle(gold), u=2).chosen)
+                assert (select_balance(P, schema, B, gold, u=2).chosen
+                        == select_balance(scaled, schema, B, gold, u=2).chosen)
                 assert (select_random(P.unlabeled_ids, B, seed=3).chosen
                         == select_random(scaled.unlabeled_ids, B, seed=3).chosen)
 
