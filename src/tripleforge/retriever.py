@@ -116,7 +116,9 @@ def _loss_and_grad(projected: np.ndarray, embeddings: np.ndarray, cells: np.ndar
 
 def _spearman(x: np.ndarray, y: np.ndarray) -> float:
     """Spearman's rho with ordinal ranks (ties ranked in order of position)."""
-    ranks = [np.argsort(np.argsort(a, kind="stable")) for a in (x, y)]
+    ranks = np.empty((2, len(x)), dtype=np.intp)
+    for rank, a in zip(ranks, (x, y)):
+        rank[np.argsort(a, kind="stable")] = np.arange(len(a))
     return float(np.corrcoef(*ranks)[0, 1])
 
 

@@ -43,23 +43,29 @@ class HashingEmbedder:
         self.name = f"hash-{dim}"
 
     def embed(self, texts: Sequence[str]) -> np.ndarray:
-        # Each distinct gram of the batch is hashed once.  The counts are small
-        # integers, so every sum and sum of squares is exact in any order and
-        # each row has the bits of the text embedded on its own.
-        slots: dict[str, int] = {}  # distinct gram -> position of its digest
-        rows: list[int] = []
-        grams: list[int] = []  # the slot of each gram, text by text
-        for row, text in enumerate(texts):
-            tokens = text.split()
-            for gram in tokens + [f"{a} {b}" for a, b in zip(tokens, tokens[1:])]:
-                rows.append(row)
-                grams.append(slots.setdefault(gram, len(slots)))
+        # Tokens get integer ids, a bigram is the id pair of two adjacent tokens
+        # of one text, and each distinct token and pair of the batch is hashed
+        # once.  A token holds no whitespace, so a bigram's "a b" names exactly
+        # one pair and never a token.  The counts are small integers, so every
+        # sum and sum of squares is exact in any order and each row has the
+        # bits of the text embedded on its own.
+        ids: dict[str, int] = {}
+        split = [text.split() for text in texts]
+        token = np.fromiter((ids.setdefault(t, len(ids)) for tokens in split for t in tokens),
+                            dtype=np.intp)
+        rows = np.repeat(np.arange(len(texts)), np.fromiter(map(len, split), np.intp, len(split)))
+        within = rows[1:] == rows[:-1]  # the pairs of adjacent tokens of one text
+        pairs, pair = np.unique(token[:-1][within] * len(ids) + token[1:][within],
+                                return_inverse=True)
+        names = list(ids)
+        firsts, seconds = (half.tolist() for half in np.divmod(pairs, max(1, len(ids))))
         digests = b"".join(hashlib.blake2b(gram.encode("utf-8"), digest_size=8).digest()
-                           for gram in slots)
+                           for gram in names + [f"{names[a]} {names[b]}"
+                                                for a, b in zip(firsts, seconds)])
         index = np.frombuffer(digests, dtype="<u4")[::2] % self.dim  # digest[:4]
         sign = np.where(np.frombuffer(digests, dtype=np.uint8)[4::8] % 2 == 0, 1.0, -1.0)
-        slot = np.asarray(grams, dtype=np.intp)
-        counts = np.bincount(np.asarray(rows, dtype=np.intp) * self.dim + index[slot],
+        slot = np.concatenate([token, len(ids) + pair.reshape(-1)])  # each gram's digest
+        counts = np.bincount(np.concatenate([rows, rows[1:][within]]) * self.dim + index[slot],
                              weights=sign[slot], minlength=len(texts) * self.dim)
         counts = counts.reshape(len(texts), self.dim)
         norms = np.linalg.norm(counts, axis=1)[:, None]
@@ -113,9 +119,9 @@ def set_distance(zi: Sequence[np.ndarray] | np.ndarray,
 
 # Largest (A rows, B rows, dim) chunk of triple differences built at once, in
 # float64 elements (512 KiB); a run of A sets spans about sqrt(this / dim) rows.
-# A chunk costs four NumPy calls and each strip is reduced once: a 400-sample
-# pool takes 68 ms at 128 KiB, 59 ms at 256 KiB, 60 ms here and 69 ms at 1 MiB
-# (median of 15; dim 64, 1-3 triples each; 2-vCPU x86 host, one BLAS thread).
+# A chunk costs five NumPy calls and each strip is reduced once: a 400-sample
+# pool takes 90 ms at 128 KiB, 79 ms at 256 KiB, 73 ms here and 75 ms at 1 MiB
+# (median of 15 best-of-3; dim 64, 1-3 triples each; 2-vCPU x86, one BLAS thread).
 _BLOCK_ELEMENTS = 1 << 16
 
 
@@ -151,8 +157,12 @@ def _set_distance_strip(a: np.ndarray, a_starts: np.ndarray, a_sizes: np.ndarray
     once for the whole strip."""
     pairwise = np.empty((len(a), len(b)))
     step = max(1, _BLOCK_ELEMENTS // a.size)
+    chunk = np.empty(a.size * min(step, len(b)))  # every chunk's differences, in turn
     for c0 in range(0, len(b), step):
-        diff = a[:, None, :] - b[None, c0:c0 + step, :]
+        rows = b[c0:c0 + step]
+        diff = chunk[:a.size * len(rows)].reshape(len(a), len(rows), -1)
+        diff[...] = rows  # ``a[:, None, :] - rows`` with one broadcast operand, not two
+        np.subtract(a[:, None, :], diff, out=diff)
         # ``np.linalg.norm(diff, axis=-1)`` with the square taken in place: the
         # same multiply and last-axis ``add.reduce``, so the same bits
         np.multiply(diff, diff, out=diff)

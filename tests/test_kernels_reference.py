@@ -561,6 +561,16 @@ def embed_batches(draw):
 @given(dim=st.sampled_from([1, 7, 64]), texts=embed_batches())
 @example(dim=7, texts=[])
 @example(dim=1, texts=["", "   ", "a a a", "a a a", "日本 語 日本 語"])
+# no bigram across two texts; an empty text mid-batch; no token at all; a bigram
+# repeated within a text and across texts
+@example(dim=64, texts=["ann", "bob"])
+@example(dim=1, texts=["ann", "bob"])
+@example(dim=64, texts=["ann", "", "bob"])
+@example(dim=1, texts=["ann", "", "bob"])
+@example(dim=64, texts=["", " \t"])
+@example(dim=1, texts=["", " \t"])
+@example(dim=64, texts=["ann bob", "bob ann bob ann"])
+@example(dim=1, texts=["ann bob", "bob ann bob ann"])
 def test_hashing_embed_matches_the_per_text_loop(dim, texts):
     got = HashingEmbedder(dim).embed(texts)
     want = np.stack([reference_embed(t, dim) for t in texts]) if texts else np.zeros((0, dim))
