@@ -53,12 +53,12 @@ class HashingEmbedder:
         split = [text.split() for text in texts]
         token = np.fromiter((ids.setdefault(t, len(ids)) for tokens in split for t in tokens),
                             dtype=np.intp)
-        rows = np.repeat(np.arange(len(texts)), np.fromiter(map(len, split), np.intp, len(split)))
+        rows = np.repeat(np.arange(len(texts)), [len(tokens) for tokens in split])
         within = rows[1:] == rows[:-1]  # the pairs of adjacent tokens of one text
         pairs, pair = np.unique(token[:-1][within] * len(ids) + token[1:][within],
                                 return_inverse=True)
         names = list(ids)
-        firsts, seconds = (half.tolist() for half in np.divmod(pairs, max(1, len(ids))))
+        firsts, seconds = (half.tolist() for half in np.divmod(pairs, len(ids)))
         digests = b"".join(hashlib.blake2b(gram.encode("utf-8"), digest_size=8).digest()
                            for gram in names + [f"{names[a]} {names[b]}"
                                                 for a, b in zip(firsts, seconds)])
